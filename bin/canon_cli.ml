@@ -71,9 +71,9 @@ let experiment_cmd name ~doc build =
   in
   Cmd.v (Cmd.info name ~doc) term
 
-(* Fig. 6's size sweep can be restricted to one network size (the lazy
-   latency oracle makes isolated huge-n runs affordable), so it gets a
-   hand-rolled command. *)
+(* Fig. 6's size sweep can be restricted to one network size (the
+   structural latency oracle makes isolated huge-n runs affordable), so
+   it gets a hand-rolled command. *)
 let fig6_cmd =
   let n_arg =
     let doc =
@@ -111,7 +111,7 @@ let robustness_cmd =
   let n_arg =
     let doc =
       "Population size $(docv) instead of the scale default (8192 paper / 2048 quick); \
-       the lazy latency oracle admits sizes past 65536."
+       the structural latency oracle admits sizes past 65536."
     in
     Arg.(value & opt (some int) None & info [ "n"; "nodes" ] ~docv:"N" ~doc)
   in
@@ -271,7 +271,7 @@ let commands =
     experiment_cmd "skipnet" ~doc:"SkipNet vs Crescendo: locality and convergence (sec. 6)."
       Skipnet_bench.run;
     experiment_cmd "latency"
-      ~doc:"Latency-oracle setup cost: eager all-pairs table vs lazy memoized rows."
+      ~doc:"Latency-oracle setup and query cost, and its exactness against Dijkstra."
       Latency_bench.run;
     robustness_cmd;
     durability_cmd;

@@ -103,11 +103,10 @@ let () =
   Printf.printf "  total tree transmission cost: %.0f ms of link time\n"
     (Multicast.total_latency mt ~node_latency);
 
-  (* The whole example ran against the lazy latency oracle: only the
-     source rows the workload actually touched were ever Dijkstra'd
-     (the eager all-pairs table would have paid for all 2040). *)
+  (* The whole example ran against the structural latency oracle: a stub
+     domain gets its own distance table only once a query falls inside it. *)
   let st = Latency.stats latency in
   Printf.printf
-    "\nLatency oracle: %d/%d router rows computed on demand (%d hits, %d misses)\n"
-    st.Latency.rows_computed (Transit_stub.num_routers ts) st.Latency.hits
+    "\nLatency oracle: %d/%d intra-domain tables built on demand (%d hits, %d misses)\n"
+    st.Latency.rows_computed (Transit_stub.stub_domain_count ts) st.Latency.hits
     st.Latency.misses

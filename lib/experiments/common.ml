@@ -16,9 +16,9 @@ let sizes = function
   | `Quick -> [ 1024; 2048; 4096 ]
 
 let topo_sizes = function
-  (* 131072 exceeds the paper's 65536-node ceiling: affordable now that
-     the latency oracle is lazy (PR 4) instead of an eager all-pairs
-     table. *)
+  (* 131072 exceeds the paper's 65536-node ceiling: affordable because
+     the latency oracle answers from the transit-stub structure instead
+     of an all-pairs table. *)
   | `Paper -> [ 2048; 4096; 8192; 16384; 32768; 65536; 131072 ]
   | `Quick -> [ 2048; 4096 ]
 

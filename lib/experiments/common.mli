@@ -20,8 +20,8 @@ val sizes : scale -> int list
 
 val topo_sizes : scale -> int list
 (** Network sizes for the topology experiments: 2048..131072 at paper
-    scale (the 131072 ceiling is new in PR 4 — feasible because the
-    latency oracle is lazy). *)
+    scale (the 131072 ceiling is past the paper's 65536 — feasible
+    because the latency oracle needs no all-pairs table). *)
 
 val big_n : scale -> int
 (** The fixed size of the single-size experiments (32768 at paper
@@ -46,10 +46,8 @@ type topo_setup = {
 }
 
 val topology_setup : seed:int -> topo_setup
-(** Generates the 2040-router transit-stub internet and its lazy
-    memoized latency oracle ({!Canon_topology.Latency}): no Dijkstra
-    runs until a latency is queried, and only queried source rows are
-    ever computed (cached by the caller). *)
+(** Generates the 2040-router transit-stub internet and its structural
+    latency oracle ({!Canon_topology.Latency}). *)
 
 val topology_population : seed:int -> topo_setup -> n:int -> Population.t
 (** Attaches [n] overlay nodes uniformly to stub routers; the hierarchy

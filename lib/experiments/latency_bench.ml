@@ -18,38 +18,32 @@ let time f =
   let x = f () in
   (x, Sys.time () -. t0)
 
-let mib_of_rows ~rows ~routers = Float.of_int rows *. Float.of_int routers *. 8.0 /. 1048576.0
-
-(* Eager setup is only measured where it is affordable; past the cutoff
-   it is skipped and estimated as routers x the mean per-row Dijkstra
-   time observed on the lazy oracle's actual rows. The cutoff sits just
-   above the 4096-target instance (4240 routers with the default
-   transit skeleton) so the smallest paper-scale row is measured. *)
-let eager_cutoff = 4500
-
 let sizes = function
   | `Paper -> [ 4096; 16384; 65536 ]
   | `Quick -> [ 1024; 4096 ]
 
 let lookups = 1000
 
+(* Sources whose full Dijkstra row is compared against the oracle. *)
+let checked_sources = 4
+
 let run ~scale ~seed =
   let table =
     Table.create
       ~title:
         (Printf.sprintf
-           "Latency oracle: eager all-pairs vs lazy memoized setup (%d random lookups, \
-            eager measured up to %d routers)"
-           lookups eager_cutoff)
+           "Latency oracle: structural setup and queries (%d random lookups; every \
+            destination of %d random sources checked against Dijkstra)"
+           lookups checked_sources)
       ~columns:
         [
           "routers";
-          "eager create s";
-          "lazy create s";
+          "create s";
           "lookups s";
-          "rows";
-          "eager MiB";
-          "lazy MiB";
+          "intra tables";
+          "resident MiB";
+          "checked pairs";
+          "mismatches";
         ]
   in
   List.iter
@@ -67,23 +61,25 @@ let run ~scale ~seed =
             done)
       in
       let st = Latency.stats lat in
-      let eager_cell =
-        if n <= eager_cutoff then
-          let _, eager_s = time (fun () -> Latency.create_eager ts) in
-          Printf.sprintf "%.3f" eager_s
-        else
-          let per_row = lookups_s /. Float.of_int (max 1 st.Latency.rows_computed) in
-          Printf.sprintf "~%.1f (est)" (per_row *. Float.of_int n)
-      in
+      (* What the oracle holds beyond the topology it points to. *)
+      let words = Obj.reachable_words (Obj.repr lat) - Obj.reachable_words (Obj.repr ts) in
+      let mismatches = ref 0 in
+      for _ = 1 to checked_sources do
+        let src = Rng.int_below rng n in
+        Array.iteri
+          (fun dst d ->
+            if not (Float.equal (Latency.router_latency lat src dst) d) then incr mismatches)
+          (Graph.dijkstra (Transit_stub.graph ts) src)
+      done;
       Table.add_row table
         [
           string_of_int n;
-          eager_cell;
           Printf.sprintf "%.6f" create_s;
-          Printf.sprintf "%.3f" lookups_s;
+          Printf.sprintf "%.6f" lookups_s;
           string_of_int st.Latency.rows_computed;
-          Printf.sprintf "%.1f" (mib_of_rows ~rows:n ~routers:n);
-          Printf.sprintf "%.1f" (mib_of_rows ~rows:st.Latency.rows_resident ~routers:n);
+          Printf.sprintf "%.2f" (Float.of_int (words * (Sys.word_size / 8)) /. 1048576.0);
+          string_of_int (checked_sources * n);
+          string_of_int !mismatches;
         ])
     (sizes scale);
   table

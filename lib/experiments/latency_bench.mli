@@ -1,14 +1,12 @@
-(** Setup-cost benchmark for the latency oracle: eager all-pairs
-    Dijkstra table vs the lazy memoized oracle, on transit-stub
-    topologies scaled to 4096/16384/65536 routers (1024/4096 at quick
-    scale).
+(** Cost and exactness benchmark for the structural latency oracle, on
+    transit-stub topologies scaled to 4096/16384/65536 routers
+    (1024/4096 at quick scale).
 
-    For each size: eager [Latency.create_eager] wall time (measured up
-    to 4096 routers, estimated from the observed per-row Dijkstra cost
-    beyond — the whole point is that the eager table stops being
-    runnable), lazy [Latency.create] time (O(1)), the time for 1000
-    random node-latency lookups, the number of rows those lookups
-    actually computed, and the resident-memory comparison (full V^2
-    matrix vs computed rows x V). *)
+    For each size: [Latency.create] time, the time for 1000 random
+    node-latency lookups, the intra-domain tables those lookups built,
+    the oracle's resident memory beyond the topology it points to, and
+    an exactness check — every destination of a few random source
+    routers compared bit for bit against a full {!Canon_topology.Graph.dijkstra}
+    row (pairs checked, mismatches). *)
 
 val run : scale:Common.scale -> seed:int -> Canon_stats.Table.t

@@ -97,29 +97,35 @@ module Heap = struct
     end
 end
 
-let dijkstra g src =
-  check_vertex g src;
-  let dist = Array.make g.n infinity in
-  let heap = Heap.create g.n in
-  dist.(src) <- 0.0;
+let dijkstra_within g ~first ~count src =
+  if first < 0 || count < 1 || first + count > g.n || src < first || src >= first + count then
+    invalid_arg "Graph.dijkstra: source or vertex range out of bounds";
+  let dist = Array.make count infinity in
+  let heap = Heap.create count in
+  dist.(src - first) <- 0.0;
   Heap.push heap 0.0 src;
   let rec loop () =
     match Heap.pop heap with
     | None -> ()
     | Some (d, u) ->
-        if d <= dist.(u) then
+        if d <= dist.(u - first) then
           List.iter
             (fun (v, w) ->
-              let nd = d +. w in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                Heap.push heap nd v
+              let i = v - first in
+              if i >= 0 && i < count then begin
+                let nd = d +. w in
+                if nd < dist.(i) then begin
+                  dist.(i) <- nd;
+                  Heap.push heap nd v
+                end
               end)
             g.adj.(u);
         loop ()
   in
   loop ();
   dist
+
+let dijkstra g src = dijkstra_within g ~first:0 ~count:g.n src
 
 let is_connected g =
   let dist = dijkstra g 0 in

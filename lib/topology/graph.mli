@@ -29,6 +29,12 @@ val dijkstra : t -> int -> float array
 (** [dijkstra g src] is the array of shortest-path distances from
     [src]; unreachable vertices map to [infinity]. *)
 
+val dijkstra_within : t -> first:int -> count:int -> int -> float array
+(** [dijkstra_within g ~first ~count src] runs {!dijkstra} on the
+    subgraph induced by the vertices [first .. first + count - 1], which
+    must contain [src]; entry [i] of the result is the distance to
+    vertex [first + i]. Out-of-range arguments raise [Invalid_argument]. *)
+
 val is_connected : t -> bool
 (** True when every vertex is reachable from vertex 0 (true for the
     empty graph with a single vertex). *)

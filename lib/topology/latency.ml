@@ -1,111 +1,84 @@
 module Metrics = Canon_telemetry.Metrics
 
-(* Process-wide telemetry, bound once (see Metrics). Counters aggregate
-   over every oracle in the process; the gauge tracks the most recently
-   mutated oracle's resident-row count. *)
+(* Process-wide telemetry, bound once (see Metrics); the counters
+   aggregate over every oracle in the process. *)
 let m_rows = Metrics.counter "latency.rows_computed"
 let m_hits = Metrics.counter "latency.hits"
 let m_misses = Metrics.counter "latency.misses"
-let m_evictions = Metrics.counter "latency.evictions"
-let g_resident = Metrics.gauge "latency.rows_resident"
-
-type row = { dist : float array; mutable last_used : int }
 
 type t = {
   topology : Transit_stub.t;
-  graph : Graph.t;
   access : float;
-  rows : (int, row) Hashtbl.t; (* per-source shortest-path rows, on demand *)
-  max_rows : int option;
-  mutable tick : int; (* recency clock for LRU eviction *)
-  mutable computed : int;
+  core : float array array; (* transit node x transit node, over transit links *)
+  domain : int array; (* router -> its stub domain; -1 for a transit node *)
+  up : int array; (* router -> its transit node (itself for a transit node) *)
+  up_ms : float array; (* router -> distance to [up], through its gateway *)
+  intra : float array array array; (* per stub domain, [||] until first queried *)
+  mutable built : int; (* intra tables built = queries that built one *)
   mutable hit : int;
-  mutable miss : int;
-  mutable evicted : int;
 }
 
-type stats = {
-  rows_computed : int;
-  rows_resident : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-}
+type stats = { rows_computed : int; hits : int; misses : int }
 
-let create ?max_rows ts =
-  (match max_rows with
-  | Some cap when cap < 1 -> invalid_arg "Latency.create: max_rows must be >= 1"
-  | Some _ | None -> ());
+let create ts =
+  let g = Transit_stub.graph ts and transit = Transit_stub.transit_count ts in
+  let n = Graph.num_vertices g in
+  let core = Array.init transit (Graph.dijkstra_within g ~first:0 ~count:transit) in
+  let domain = Array.init n (fun v -> if v < transit then -1 else Transit_stub.stub_domain ts v) in
+  let up = Array.init n Fun.id in
+  let up_ms = Array.make n 0.0 in
+  let gateway_ms = (Transit_stub.params ts).Transit_stub.transit_stub_ms in
+  let domains = Transit_stub.stub_domain_count ts in
+  for d = 0 to domains - 1 do
+    let first, count = Transit_stub.stub_domain_routers ts d in
+    let to_gateway = Graph.dijkstra_within g ~first ~count (Transit_stub.gateway ts d) in
+    for i = 0 to count - 1 do
+      up.(first + i) <- Transit_stub.domain_transit_node ts d;
+      up_ms.(first + i) <- to_gateway.(i) +. gateway_ms
+    done
+  done;
   {
     topology = ts;
-    graph = Transit_stub.graph ts;
     access = (Transit_stub.params ts).Transit_stub.access_ms;
-    rows = Hashtbl.create 64;
-    max_rows;
-    tick = 0;
-    computed = 0;
+    core;
+    domain;
+    up;
+    up_ms;
+    intra = Array.make domains [||];
+    built = 0;
     hit = 0;
-    miss = 0;
-    evicted = 0;
   }
 
-let topology t = t.topology
+(* Both routers in stub domain [d]: the path never leaves the domain, so
+   the answer comes from the domain's own all-pairs table, built on the
+   first such query by one bounded Dijkstra per member. *)
+let intra t d a b =
+  let first, count = Transit_stub.stub_domain_routers t.topology d in
+  if Array.length t.intra.(d) = 0 then begin
+    let g = Transit_stub.graph t.topology in
+    t.intra.(d) <- Array.init count (fun i -> Graph.dijkstra_within g ~first ~count (first + i));
+    t.built <- t.built + 1;
+    Metrics.incr m_rows;
+    Metrics.incr m_misses
+  end
+  else begin
+    t.hit <- t.hit + 1;
+    Metrics.incr m_hits
+  end;
+  t.intra.(d).(a - first).(b - first)
 
-let evict_lru t =
-  let victim = ref (-1) and oldest = ref max_int in
-  Hashtbl.iter
-    (fun src r ->
-      if r.last_used < !oldest then begin
-        victim := src;
-        oldest := r.last_used
-      end)
-    t.rows;
-  if !victim >= 0 then begin
-    Hashtbl.remove t.rows !victim;
-    t.evicted <- t.evicted + 1;
-    Metrics.incr m_evictions
+let router_latency t a b =
+  let d = t.domain.(a) in
+  if d >= 0 && d = t.domain.(b) then intra t d a b
+  else begin
+    t.hit <- t.hit + 1;
+    Metrics.incr m_hits;
+    t.up_ms.(a) +. t.core.(t.up.(a)).(t.up.(b)) +. t.up_ms.(b)
   end
 
-let row t src =
-  t.tick <- t.tick + 1;
-  match Hashtbl.find_opt t.rows src with
-  | Some r ->
-      r.last_used <- t.tick;
-      t.hit <- t.hit + 1;
-      Metrics.incr m_hits;
-      r.dist
-  | None ->
-      t.miss <- t.miss + 1;
-      Metrics.incr m_misses;
-      let dist = Graph.dijkstra t.graph src in
-      (match t.max_rows with
-      | Some cap when Hashtbl.length t.rows >= cap -> evict_lru t
-      | Some _ | None -> ());
-      Hashtbl.replace t.rows src { dist; last_used = t.tick };
-      t.computed <- t.computed + 1;
-      Metrics.incr m_rows;
-      Metrics.set g_resident (Float.of_int (Hashtbl.length t.rows));
-      dist
+let node_latency t a b = t.access +. router_latency t a b +. t.access
 
-let create_eager ts =
-  let t = create ts in
-  for src = 0 to Graph.num_vertices t.graph - 1 do
-    ignore (row t src)
-  done;
-  t
-
-let router_latency t a b = (row t a).(b)
-
-let node_latency t a b = t.access +. (row t a).(b) +. t.access
-
-let stats t =
-  {
-    rows_computed = t.computed;
-    rows_resident = Hashtbl.length t.rows;
-    hits = t.hit;
-    misses = t.miss;
-    evictions = t.evicted;
-  }
+let stats t = { rows_computed = t.built; hits = t.hit; misses = t.built }
 
 let mean_node_latency t rng ~samples =
   if samples <= 0 then invalid_arg "Latency.mean_node_latency: samples must be positive";

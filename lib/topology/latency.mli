@@ -1,43 +1,46 @@
 (** Latency oracle over a transit-stub topology.
 
-    Distances are computed {e on demand}: the first query from a source
-    router runs one single-source Dijkstra and memoizes the whole row
-    (a [float array] over destinations), so {!create} is O(1) and a
-    workload that touches [k] distinct sources costs [k] Dijkstras and
-    [k * V] floats — never the O(V^2) all-pairs table the eager oracle
-    materialized. An optional [max_rows] cap bounds resident memory via
-    least-recently-used row eviction (an evicted row is recomputed
-    bit-identically on its next use, since Dijkstra is deterministic).
+    Distances come from the topology's structure instead of per-source
+    Dijkstra rows. Exactly one edge leaves each stub domain: the
+    transit-stub link from its gateway router to its transit node (see
+    {!Transit_stub.gateway}). So a shortest path between routers in
+    different stub domains [A] and [B] is
+
+    [d(a, gw_A) + transit_stub + D_core(t_A, t_B) + transit_stub + d(gw_B, b)]
+
+    where [D_core] is the distance between transit nodes over transit
+    links alone, and a path between two routers of one stub domain
+    never leaves it. {!create} precomputes every router's distance to
+    its transit node and the T x T core table ([T] transit nodes) in
+    O(V + T^2) Dijkstra work; a stub domain's all-pairs table is built
+    by a Dijkstra bounded to that domain on the first query with both
+    ends inside it.
+
+    {b Exactness.} With integer link weights (the paper's 100/20/5 ms
+    classes) every sum involved is an exactly representable integer, so
+    answers are bit-identical to {!Graph.dijkstra} on the whole graph
+    whatever order the terms are added in. With non-integer weights the
+    two may differ by float rounding.
 
     Overlay nodes attach to stub routers over an access link
     ([access_ms], 1 ms in the paper), so the latency between two overlay
     nodes attached to routers [r1] and [r2] is
-    [access + spt(r1, r2) + access] — 2 ms when both hang off the same
+    [access + d(r1, r2) + access] — 2 ms when both hang off the same
     stub router, matching the paper's observation.
 
     Every oracle feeds the process-wide [latency.*] telemetry counters
-    (rows computed, hits, misses, evictions) and the
-    [latency.rows_resident] gauge. *)
+    (tables built, hits, misses). *)
 
 type t
 
-val create : ?max_rows:int -> Transit_stub.t -> t
-(** O(1): no shortest-path work happens until the first query. When
-    [max_rows] is given (>= 1, else [Invalid_argument]), at most that
-    many memoized rows stay resident, evicted LRU. *)
-
-val create_eager : Transit_stub.t -> t
-(** The pre-PR-4 behaviour: computes every row up front (one Dijkstra
-    per router — on the order of a second and ~32 MB for the default
-    2040-router topology, and quadratically worse beyond). Kept for
-    benchmarking the lazy oracle against and for workloads that touch
-    every source anyway. Queries answer identically to {!create}. *)
-
-val topology : t -> Transit_stub.t
+val create : Transit_stub.t -> t
+(** O(V + T^2): gateway distances and the transit-core table; no
+    intra-domain table is built until queried. *)
 
 val router_latency : t -> int -> int -> float
-(** Shortest-path latency between two routers, in ms. Memoizes the
-    source's row on first use. *)
+(** Shortest-path latency between two routers, in ms: a few array reads
+    and two float additions, plus a one-time table build on the first
+    query inside a stub domain. *)
 
 val node_latency : t -> int -> int -> float
 (** [node_latency t r1 r2] is the overlay-node-to-overlay-node latency
@@ -45,16 +48,13 @@ val node_latency : t -> int -> int -> float
     access links. [r1 = r2] gives twice the access latency. *)
 
 type stats = {
-  rows_computed : int;  (** Dijkstra runs, including recomputations after eviction *)
-  rows_resident : int;  (** rows currently memoized (peak = cap when bounded) *)
-  hits : int;  (** queries answered from a memoized row *)
-  misses : int;  (** queries that had to run Dijkstra *)
-  evictions : int;  (** rows dropped by the [max_rows] LRU policy *)
+  rows_computed : int;  (** intra-domain tables built *)
+  hits : int;  (** queries answered without building a table *)
+  misses : int;  (** queries that built an intra-domain table *)
 }
 
 val stats : t -> stats
-(** This oracle's counters since {!create}. [create_eager] reports one
-    miss/row-computed per router. *)
+(** This oracle's counters since {!create}. *)
 
 val mean_node_latency : t -> Canon_rng.Rng.t -> samples:int -> float
 (** Monte-Carlo estimate of the mean direct latency between two overlay

@@ -33,6 +33,7 @@ type t = {
   stub_routers : int array;
   hierarchy : Domain_tree.t;
   leaves : int array; (* leaf domain of stub router index (vertex - transit_count) *)
+  gateways : int array; (* the one router of each stub domain linked to its transit node *)
 }
 
 let validate p =
@@ -119,6 +120,7 @@ let generate rng p =
   (* 3. Stub domains: each transit node carries its quota of stub
      domains; each stub domain is internally connected over stub-stub
      links and attached to its transit node by a transit-stub link. *)
+  let gateways = Array.make (transit_count * p.stub_domains_per_transit_node) 0 in
   for tn = 0 to transit_count - 1 do
     for sd = 0 to p.stub_domains_per_transit_node - 1 do
       let base =
@@ -129,7 +131,8 @@ let generate rng p =
       let members = Array.init p.stub_routers_per_domain (fun i -> base + i) in
       connect_domain rng g members p.stub_stub_ms ~extra_fraction:p.extra_edge_fraction;
       let gateway = members.(Rng.int_below rng p.stub_routers_per_domain) in
-      Graph.add_edge g tn gateway p.transit_stub_ms
+      Graph.add_edge g tn gateway p.transit_stub_ms;
+      gateways.((tn * p.stub_domains_per_transit_node) + sd) <- gateway
     done
   done;
   (* 4. The induced five-level hierarchy: root / transit domain /
@@ -154,6 +157,7 @@ let generate rng p =
     stub_routers = Array.init stub_count (fun i -> transit_count + i);
     hierarchy;
     leaves;
+    gateways;
   }
 
 let params t = t.params
@@ -184,3 +188,21 @@ let stub_router_of_leaf t leaf =
       else search lo (mid - 1)
   in
   search 0 (Array.length t.leaves - 1)
+
+let stub_domain_count t = Array.length t.gateways
+
+let stub_domain t v =
+  if v < t.transit_count || v >= num_routers t then
+    invalid_arg "Transit_stub.stub_domain: not a stub router";
+  (v - t.transit_count) / t.params.stub_routers_per_domain
+
+let stub_domain_routers t d =
+  let k = t.params.stub_routers_per_domain in
+  if d < 0 || d >= stub_domain_count t then invalid_arg "Transit_stub: no such stub domain";
+  (t.transit_count + (d * k), k)
+
+let gateway t d = t.gateways.(d)
+
+let domain_transit_node t d =
+  ignore (stub_domain_routers t d);
+  d / t.params.stub_domains_per_transit_node

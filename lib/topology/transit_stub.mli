@@ -61,3 +61,30 @@ val leaf_of_stub_router : t -> int -> int
 
 val stub_router_of_leaf : t -> int -> int
 (** Inverse of {!leaf_of_stub_router}. *)
+
+(** {2 Stub domains}
+
+    Stub domains are numbered [0 .. stub_domain_count - 1] in vertex
+    order. Domain [d] hangs off transit node
+    [d / stub_domains_per_transit_node], its routers are a contiguous
+    vertex range, and exactly one graph edge leaves it: the
+    [transit_stub_ms] link from its {!gateway} router to its transit
+    node. Every path between a domain's routers and the rest of the
+    graph therefore crosses that one edge, which is what lets
+    {!Latency} answer from a per-domain decomposition. *)
+
+val stub_domain_count : t -> int
+
+val stub_domain : t -> int -> int
+(** The stub domain of a stub-router vertex. Raises [Invalid_argument]
+    for transit vertices. *)
+
+val stub_domain_routers : t -> int -> int * int
+(** [(first, count)]: domain [d]'s routers are the vertices
+    [first .. first + count - 1]. *)
+
+val gateway : t -> int -> int
+(** The router of domain [d] that carries its transit-stub link. *)
+
+val domain_transit_node : t -> int -> int
+(** The transit node domain [d] is attached to. *)

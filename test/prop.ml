@@ -350,44 +350,39 @@ module Transit_stub = Canon_topology.Transit_stub
 module Latency = Canon_topology.Latency
 module Stats = Canon_stats.Stats
 
-(* Lazy, memory-capped-lazy and eager oracles answer bit-identically for
-   random pairs on random seeded transit-stub topologies — the query
-   order (which drives memoization and LRU eviction) must never leak
-   into the answers. *)
-let prop_lazy_eager_identical () =
-  for case = 0 to 19 do
+(* The structural oracle equals a full-graph Dijkstra on every router
+   pair of random seeded transit-stub topologies, including 1-router
+   stub domains, a single transit domain and dense redundant links. *)
+let prop_structural_matches_dijkstra () =
+  for case = 0 to 39 do
     let seed = 4242 + (case * 17) in
     let rng = Rng.create seed in
     let params =
       {
         Transit_stub.default_params with
-        Transit_stub.transit_domains = 1 + Rng.int_below rng 3;
+        Transit_stub.transit_domains = 1 + Rng.int_below rng 5;
         transit_nodes_per_domain = 1 + Rng.int_below rng 3;
         stub_domains_per_transit_node = 1 + Rng.int_below rng 3;
-        stub_routers_per_domain = 2 + Rng.int_below rng 4;
+        stub_routers_per_domain = 1 + Rng.int_below rng 5;
+        extra_edge_fraction = 1.5 *. Rng.float rng;
       }
     in
     let ts = Transit_stub.generate rng params in
     let n = Transit_stub.num_routers ts in
-    let lazy_ = Latency.create ts in
-    let capped = Latency.create ~max_rows:(1 + Rng.int_below rng 3) ts in
-    let eager = Latency.create_eager ts in
-    for _ = 1 to 200 do
-      let a = Rng.int_below rng n and b = Rng.int_below rng n in
-      let e = Latency.router_latency eager a b in
-      if not (Float.equal (Latency.router_latency lazy_ a b) e) then
-        Alcotest.failf "seed %d: lazy <> eager at (%d, %d)" seed a b;
-      if not (Float.equal (Latency.router_latency capped a b) e) then
-        Alcotest.failf "seed %d: capped <> eager at (%d, %d)" seed a b;
-      if
-        not
-          (Float.equal
-             (Latency.node_latency lazy_ a b)
-             (Latency.node_latency eager a b))
-      then Alcotest.failf "seed %d: node latency lazy <> eager at (%d, %d)" seed a b
-    done;
-    if (Latency.stats capped).Latency.rows_resident > n then
-      Alcotest.failf "seed %d: capped oracle exceeded its row budget" seed
+    let lat = Latency.create ts in
+    for a = 0 to n - 1 do
+      let row = Canon_topology.Graph.dijkstra (Transit_stub.graph ts) a in
+      for b = 0 to n - 1 do
+        if not (Float.equal (Latency.router_latency lat a b) row.(b)) then
+          Alcotest.failf "seed %d: oracle %g <> Dijkstra %g at (%d, %d)" seed
+            (Latency.router_latency lat a b) row.(b) a b;
+        if
+          not
+            (Float.equal (Latency.node_latency lat a b)
+               (params.Transit_stub.access_ms +. row.(b) +. params.Transit_stub.access_ms))
+        then Alcotest.failf "seed %d: node latency off at (%d, %d)" seed a b
+      done
+    done
   done
 
 (* Percentile edge cases on random samples: p = 0 is the minimum,
@@ -577,8 +572,8 @@ let suites =
   [
     ( "prop.latency",
       [
-        Alcotest.test_case "lazy/capped/eager oracles identical" `Quick
-          prop_lazy_eager_identical;
+        Alcotest.test_case "structural oracle = Dijkstra, all pairs" `Quick
+          prop_structural_matches_dijkstra;
         Alcotest.test_case "percentile edges p0/p100/n=1" `Quick prop_percentile_edges;
       ] );
     ( "prop.replication",

@@ -134,60 +134,78 @@ let test_latency_classes () =
   let mean = Latency.mean_node_latency lat (Rng.create 23) ~samples:2000 in
   Alcotest.(check bool) "mean in plausible band" true (mean > 100.0 && mean < 1500.0)
 
-(* --- the lazy memoized oracle -------------------------------------- *)
-
-let small_params =
-  {
-    Transit_stub.default_params with
-    Transit_stub.transit_domains = 2;
-    transit_nodes_per_domain = 2;
-    stub_domains_per_transit_node = 2;
-    stub_routers_per_domain = 3;
-  }
-
-(* The tentpole equality pin: on a seeded topology the lazy oracle (and
-   a memory-capped one that must recompute evicted rows) answers
-   bit-identically to the eager all-pairs table, and [create] runs no
-   Dijkstra up front. *)
-let test_lazy_matches_eager () =
-  let ts = Transit_stub.generate (Rng.create 11) small_params in
-  let n = Transit_stub.num_routers ts in
-  let lazy_ = Latency.create ts in
-  let capped = Latency.create ~max_rows:2 ts in
-  Alcotest.(check int) "no Dijkstra at create" 0 (Latency.stats lazy_).Latency.rows_computed;
-  let eager = Latency.create_eager ts in
-  Alcotest.(check int) "eager computed every row" n
-    (Latency.stats eager).Latency.rows_computed;
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      let e = Latency.router_latency eager a b in
-      if not (Float.equal (Latency.router_latency lazy_ a b) e) then
-        Alcotest.failf "lazy <> eager at (%d, %d)" a b;
-      if not (Float.equal (Latency.router_latency capped a b) e) then
-        Alcotest.failf "capped <> eager at (%d, %d)" a b;
-      if not (Float.equal (Latency.node_latency lazy_ a b) (Latency.node_latency eager a b))
-      then Alcotest.failf "node latency lazy <> eager at (%d, %d)" a b
-    done
+(* The exactness premise of the structural oracle: exactly one edge
+   leaves every stub domain, from its recorded gateway to its transit
+   node, and domain membership matches the vertex ranges. *)
+let test_stub_domain_single_exit () =
+  let ts = Lazy.force ts_fixture in
+  let g = Transit_stub.graph ts in
+  Alcotest.(check int) "200 stub domains" 200 (Transit_stub.stub_domain_count ts);
+  for d = 0 to Transit_stub.stub_domain_count ts - 1 do
+    let first, count = Transit_stub.stub_domain_routers ts d in
+    let tn = Transit_stub.domain_transit_node ts d in
+    if tn < 0 || tn >= Transit_stub.transit_count ts then
+      Alcotest.failf "domain %d: transit node %d is not a transit vertex" d tn;
+    let exits = ref [] in
+    for v = first to first + count - 1 do
+      Alcotest.(check int) "router's domain" d (Transit_stub.stub_domain ts v);
+      Array.iter
+        (fun (u, w) -> if u < first || u >= first + count then exits := (v, u, w) :: !exits)
+        (Graph.neighbors g v)
+    done;
+    match !exits with
+    | [ (v, u, w) ] ->
+        Alcotest.(check int) "exit starts at the gateway" (Transit_stub.gateway ts d) v;
+        Alcotest.(check int) "exit ends at the transit node" tn u;
+        Alcotest.(check (float 0.0)) "transit-stub weight" 20.0 w
+    | l -> Alcotest.failf "domain %d has %d outgoing edges" d (List.length l)
   done;
-  let st = Latency.stats lazy_ in
-  Alcotest.(check int) "lazy computed each row once" n st.Latency.rows_computed;
-  Alcotest.(check int) "all rows resident" n st.Latency.rows_resident;
-  Alcotest.(check int) "no evictions unbounded" 0 st.Latency.evictions;
-  Alcotest.(check bool) "row reuse counted as hits" true (st.Latency.hits > 0);
-  (* row 0 was evicted long ago under the cap of 2; touching it again
-     must recompute it bit-identically. *)
-  Alcotest.(check bool) "evicted row recomputes identically" true
-    (Float.equal (Latency.router_latency capped 0 (n - 1))
-       (Latency.router_latency eager 0 (n - 1)));
-  let stc = Latency.stats capped in
-  Alcotest.(check int) "cap bounds residency" 2 stc.Latency.rows_resident;
-  Alcotest.(check bool) "cap evicts" true (stc.Latency.evictions > 0);
-  Alcotest.(check bool) "cap recomputes evicted rows" true (stc.Latency.rows_computed > n)
+  Alcotest.check_raises "transit vertex has no stub domain"
+    (Invalid_argument "Transit_stub.stub_domain: not a stub router") (fun () ->
+      ignore (Transit_stub.stub_domain ts 0))
 
-let test_lazy_create_invalid () =
-  let ts = Transit_stub.generate (Rng.create 11) small_params in
-  Alcotest.check_raises "bad cap" (Invalid_argument "Latency.create: max_rows must be >= 1")
-    (fun () -> ignore (Latency.create ~max_rows:0 ts))
+(* Sampled exactness at the scale the benchmarks use: the default
+   transit skeleton with 15-router stub domains (3040 routers). Every
+   destination of 40 random sources must match Dijkstra bit for bit. *)
+let test_structural_matches_dijkstra_3040 () =
+  let params =
+    { Transit_stub.default_params with Transit_stub.stub_routers_per_domain = 15 }
+  in
+  let ts = Transit_stub.generate (Rng.create 19) params in
+  let n = Transit_stub.num_routers ts in
+  Alcotest.(check int) "3040 routers" 3040 n;
+  let lat = Latency.create ts in
+  let rng = Rng.create 41 in
+  for _ = 1 to 40 do
+    let a = Rng.int_below rng n in
+    Array.iteri
+      (fun b d ->
+        if not (Float.equal (Latency.router_latency lat a b) d) then
+          Alcotest.failf "oracle %g <> Dijkstra %g at (%d, %d)"
+            (Latency.router_latency lat a b) d a b)
+      (Graph.dijkstra (Transit_stub.graph ts) a)
+  done
+
+(* Intra-domain tables are the oracle's only lazy state: none exists
+   after [create], the first query with both ends in one stub domain
+   builds exactly one, and every other query is a hit. *)
+let test_intra_tables_lazy () =
+  let ts = Lazy.force ts_fixture in
+  let lat = Latency.create ts in
+  let stats () = Latency.stats lat in
+  Alcotest.(check int) "no table at create" 0 (stats ()).Latency.rows_computed;
+  let first, count = Transit_stub.stub_domain_routers ts 7 in
+  let other, _ = Transit_stub.stub_domain_routers ts 8 in
+  ignore (Latency.router_latency lat first other);
+  ignore (Latency.router_latency lat 0 first);
+  Alcotest.(check int) "cross-domain builds none" 0 (stats ()).Latency.rows_computed;
+  ignore (Latency.router_latency lat first (first + count - 1));
+  Alcotest.(check int) "same-domain builds one" 1 (stats ()).Latency.rows_computed;
+  ignore (Latency.node_latency lat (first + 1) first);
+  let st = stats () in
+  Alcotest.(check int) "reuse builds none" 1 st.Latency.rows_computed;
+  Alcotest.(check int) "one miss" 1 st.Latency.misses;
+  Alcotest.(check int) "three hits" 3 st.Latency.hits
 
 (* On a two-stub topology every sampled pair must be the distinct one,
    so the estimate is exactly that pair's latency — the old sampler drew
@@ -225,10 +243,9 @@ let test_mean_node_latency_single_stub () =
   let mean = Latency.mean_node_latency lat (Rng.create 31) ~samples:100 in
   Alcotest.(check (float 1e-9)) "degenerate single stub = 2 x access" 2.0 mean
 
-(* Large-n setup smoke (the CI budget guard): lazy create at ~16k
-   routers is instant, and 1000 lookups only pay for the rows they
-   touch. The eager path (16k Dijkstras, ~2 GiB matrix) is deliberately
-   not exercised. *)
+(* Large-n setup smoke (the CI budget guard): create at ~16k routers
+   builds no intra-domain table, and 1000 lookups build at most one
+   each. *)
 let test_lazy_large_n_smoke () =
   let params =
     { Transit_stub.default_params with Transit_stub.stub_routers_per_domain = 82 }
@@ -237,7 +254,7 @@ let test_lazy_large_n_smoke () =
   let ts = Transit_stub.generate (Rng.create 13) params in
   let lat = Latency.create ts in
   Alcotest.(check bool) "16k+ routers" true (Transit_stub.num_routers ts > 16384);
-  Alcotest.(check int) "no Dijkstra at create" 0 (Latency.stats lat).Latency.rows_computed;
+  Alcotest.(check int) "no table at create" 0 (Latency.stats lat).Latency.rows_computed;
   let stubs = Transit_stub.stub_routers ts in
   let rng = Rng.create 37 in
   for _ = 1 to 1000 do
@@ -246,7 +263,7 @@ let test_lazy_large_n_smoke () =
     if l < 2.0 then Alcotest.fail "latency below access floor"
   done;
   let st = Latency.stats lat in
-  Alcotest.(check bool) "at most one row per lookup" true (st.Latency.rows_computed <= 1000);
+  Alcotest.(check bool) "at most one table per lookup" true (st.Latency.rows_computed <= 1000);
   Alcotest.(check bool) "setup + 1k lookups within budget" true (Sys.time () -. t0 < 60.0)
 
 let test_custom_params () =
@@ -276,8 +293,10 @@ let suites =
         Alcotest.test_case "transit-stub shape" `Quick test_transit_stub_shape;
         Alcotest.test_case "transit-stub hierarchy" `Quick test_transit_stub_hierarchy;
         Alcotest.test_case "latency classes" `Slow test_latency_classes;
-        Alcotest.test_case "lazy oracle = eager table" `Quick test_lazy_matches_eager;
-        Alcotest.test_case "lazy oracle bad cap" `Quick test_lazy_create_invalid;
+        Alcotest.test_case "stub domains have one exit edge" `Quick test_stub_domain_single_exit;
+        Alcotest.test_case "oracle = Dijkstra at 3040 routers" `Quick
+          test_structural_matches_dijkstra_3040;
+        Alcotest.test_case "intra-domain tables built lazily" `Quick test_intra_tables_lazy;
         Alcotest.test_case "mean latency excludes self-pairs" `Quick
           test_mean_node_latency_distinct_pairs;
         Alcotest.test_case "mean latency single-stub degenerate" `Quick
