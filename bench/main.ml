@@ -54,6 +54,14 @@ let micro_benchmarks () =
              ignore (Chord.links_of_id flat_ring flat_pop.Population.ids.(node) ~self:node)));
       Test.make ~name:"crescendo.links_of_one_node (3 levels)"
         (Staged.stage (fun () -> ignore (Crescendo.links_of_node rings (random_node ()))));
+      Test.make ~name:"maintenance.join+leave (n=4096, 3 levels)"
+        (* A quarter of the population stays absent; each run joins one
+           of them and takes it out again, which restores the state. *)
+        (let m = Canon_sim.Maintenance.create pop ~present:(Array.init (3 * n / 4) Fun.id) in
+         Staged.stage (fun () ->
+             let node = (3 * n / 4) + Rng.int_below rng (n / 4) in
+             ignore (Canon_sim.Maintenance.join m node);
+             ignore (Canon_sim.Maintenance.leave m node)));
       Test.make ~name:"router.greedy_clockwise (n=4096)"
         (Staged.stage (fun () ->
              let src = random_node () and dst = random_node () in

@@ -27,5 +27,9 @@ val build : Rings.t -> Overlay.t
     nothing. *)
 
 val links_of_node : Rings.t -> int -> int array
-(** The link set of a single node, leaf-to-root (used by dynamic
-    maintenance to compute the links a joining node must establish). *)
+(** The link set of a single node (used by dynamic maintenance to
+    compute the links a joining node must establish). The links are
+    distinct and in canonical order: by level, leaf to root, then by
+    increasing clockwise distance within a level. A target's level is
+    fixed by the hierarchy (the lowest domain it shares with the node),
+    so two equal link sets are always equal arrays. *)

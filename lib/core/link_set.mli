@@ -1,6 +1,7 @@
-(** Per-node link accumulator used by every construction: collects link
-    targets, silently dropping self-links and duplicates (several finger
-    distances often select the same node). *)
+(** Per-node link accumulator for the constructions whose rules can
+    select a target twice: collects link targets, silently dropping
+    self-links and duplicates. (Chord and Crescendo need none: their
+    finger scan skips repeated targets by construction.) *)
 
 type t
 

@@ -92,10 +92,9 @@ let arc_nth t ~start ~len i =
 let finger t id d =
   require_non_empty t;
   if d < 1 then invalid_arg "Ring.finger: distance must be >= 1";
-  let target = first_at_or_after t (Id.add id d) in
   let i = lower_bound t (Id.add id d) in
-  let found_id = if i < size t then t.ids.(i) else t.ids.(0) in
-  if found_id = id then None else Some target
+  let i = if i < size t then i else 0 in
+  if t.ids.(i) = id then None else Some t.nodes.(i)
 
 let insert t ~id ~node =
   let rank = lower_bound t id in

@@ -85,8 +85,10 @@ val prepare :
     burst into a sustained Poisson process; {!apply} never looks at the
     timestamps. [can_churn] restricts which nodes may join or be picked
     to leave (default: all) — initial membership is not filtered, so a
-    protected domain keeps its members. Raises [Invalid_argument] if
-    [initial_nodes] exceeds the population. *)
+    protected domain keeps its members. It must be a fixed predicate of
+    the node: it is read once per node, when the waiting room is built
+    and for the initial members, not at every departure. Raises
+    [Invalid_argument] if [initial_nodes] exceeds the population. *)
 
 val apply : driver -> event -> unit
 (** Execute one membership event against the current membership: an
@@ -94,7 +96,11 @@ val apply : driver -> event -> unit
     waiting room is empty), a [Departure] picks an eligible live node
     uniformly — consuming one RNG draw — and leaves it (no-op when the
     live population is at the quorum floor or no node is eligible).
-    Calls [on_event] after the maintenance protocol settles. *)
+    The draw is an order statistic over the eligible nodes, O(log n):
+    the node [Canon_rng.Rng.pick] would choose from them listed in
+    decreasing order. Besides the protocol's own work an event costs
+    O(log n). Calls [on_event] after the maintenance protocol
+    settles. *)
 
 val maintenance : driver -> Maintenance.t
 

@@ -13,6 +13,7 @@ type t = {
   pop : Population.t;
   rings : Rings.t;
   present : bool array;
+  mutable live : int; (* number of [true] entries of [present] *)
   links : int array array;
   in_links : (int, unit) Hashtbl.t array; (* reverse adjacency *)
 }
@@ -25,9 +26,16 @@ type stats = {
 
 let total s = s.routing_messages + s.link_messages + s.notify_messages
 
+let mem_link (v : int) links =
+  let rec from i = i < Array.length links && (links.(i) = v || from (i + 1)) in
+  from 0
+
+(* Only the links that actually come or go touch the reverse index: a
+   refreshed node typically swaps one target out of ~20. *)
 let set_links t node new_links =
-  Array.iter (fun v -> Hashtbl.remove t.in_links.(v) node) t.links.(node);
-  Array.iter (fun v -> Hashtbl.replace t.in_links.(v) node ()) new_links;
+  let old = t.links.(node) in
+  Array.iter (fun v -> if not (mem_link v new_links) then Hashtbl.remove t.in_links.(v) node) old;
+  Array.iter (fun v -> if not (mem_link v old) then Hashtbl.replace t.in_links.(v) node ()) new_links;
   t.links.(node) <- new_links
 
 let create pop ~present =
@@ -38,6 +46,7 @@ let create pop ~present =
       pop;
       rings;
       present = Array.make n false;
+      live = Array.length present;
       links = Array.make n [||];
       in_links = Array.init n (fun _ -> Hashtbl.create 8);
     }
@@ -51,6 +60,8 @@ let present t =
   Array.iteri (fun node p -> if p then out := node :: !out) t.present;
   Array.of_list !out
 
+let count t = t.live
+
 let is_present t node = t.present.(node)
 
 let links t node =
@@ -61,22 +72,16 @@ let rings t = t.rings
 
 let overlay t = Overlay.create t.pop ~links:(Array.map Array.copy t.links)
 
-let same_link_set a b =
-  Array.length a = Array.length b
-  &&
-  let sa = Array.copy a and sb = Array.copy b in
-  Array.sort Int.compare sa;
-  Array.sort Int.compare sb;
-  sa = sb
-
-(* Recompute the links of every candidate; count those that changed. *)
+(* Recompute the links of every candidate; count those that changed.
+   [Crescendo.links_of_node] returns a link set in one canonical order,
+   so equal sets are equal arrays. *)
 let refresh_candidates t candidates =
   let changed = ref 0 in
   Hashtbl.iter
     (fun node () ->
       if t.present.(node) then begin
         let fresh = Crescendo.links_of_node t.rings node in
-        if not (same_link_set fresh t.links.(node)) then begin
+        if fresh <> t.links.(node) then begin
           set_links t node fresh;
           incr changed
         end
@@ -103,9 +108,9 @@ let finger_candidates t m ~into =
             let len = hi - lo in
             if len > 0 then begin
               let start = Id.add id_p (-(hi - 1)) in
-              let count = Ring.arc_count ring ~start ~len in
-              for i = 0 to count - 1 do
-                let y = Ring.arc_nth ring ~start ~len i in
+              let first = Ring.rank_at_or_after ring start in
+              for i = 0 to Ring.arc_count ring ~start ~len - 1 do
+                let y = Ring.node_at ring ((first + i) mod Ring.size ring) in
                 if y <> m then Hashtbl.replace into y ()
               done
             end
@@ -153,6 +158,7 @@ let join t m =
   in
   Rings.add_node t.rings m;
   t.present.(m) <- true;
+  t.live <- t.live + 1;
   let my_links = Crescendo.links_of_node t.rings m in
   set_links t m my_links;
   let candidates = Hashtbl.create 64 in
@@ -168,6 +174,7 @@ let crash t m =
      in-links from live nodes stay stale until [repair]. *)
   Rings.remove_node t.rings m;
   t.present.(m) <- false;
+  t.live <- t.live - 1;
   set_links t m [||]
 (* note: in_links OF m are deliberately kept — they are the stale links *)
 
@@ -217,6 +224,7 @@ let leave t m =
   let link_messages = Array.length t.links.(m) in
   Rings.remove_node t.rings m;
   t.present.(m) <- false;
+  t.live <- t.live - 1;
   set_links t m [||];
   let notify_messages = refresh_candidates t candidates in
   { routing_messages = 0; link_messages; notify_messages }

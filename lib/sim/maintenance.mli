@@ -39,7 +39,11 @@ val create : Population.t -> present:int array -> t
     and everyone else absent. *)
 
 val present : t -> int array
-(** Currently live nodes, in no particular order. *)
+(** Currently live nodes, in decreasing node-index order. O(population
+    size): use {!count} and {!is_present} for the common questions. *)
+
+val count : t -> int
+(** Number of live nodes, O(1). Equals [Array.length (present t)]. *)
 
 val is_present : t -> int -> bool
 

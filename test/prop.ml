@@ -568,6 +568,402 @@ let prop_view_matches_hook_replay () =
           case_seed v events
   done
 
+(* --- finger rule ---------------------------------------------------- *)
+
+(* The historical link constructions, kept as the reference: one
+   [Ring.finger] per k = 0..31, deduplicated through [Link_set] in
+   insertion order. *)
+let reference_chord ring id ~self =
+  let acc = Link_set.create ~self in
+  for k = 0 to Id.bits - 1 do
+    match Ring.finger ring id (1 lsl k) with
+    | None -> ()
+    | Some target -> Link_set.add acc target
+  done;
+  Link_set.to_array acc
+
+let reference_crescendo rings node =
+  let pop = Rings.population rings in
+  let id = pop.Population.ids.(node) in
+  let acc = Link_set.create ~self:node in
+  let chain = Rings.chain rings node in
+  let leaf_ring = Rings.ring rings chain.(0) in
+  Array.iter (Link_set.add acc) (reference_chord leaf_ring id ~self:node);
+  let d_own = ref (Ring.successor_distance leaf_ring id) in
+  for level = 1 to Array.length chain - 1 do
+    let ring = Rings.ring rings chain.(level) in
+    let k = ref 0 in
+    while !k < Id.bits && 1 lsl !k < !d_own do
+      (match Ring.finger ring id (1 lsl !k) with
+      | None -> ()
+      | Some target ->
+          let dist = Id.distance id pop.Population.ids.(target) in
+          if dist < !d_own then Link_set.add acc target);
+      incr k
+    done;
+    d_own := min !d_own (Ring.successor_distance ring id)
+  done;
+  Link_set.to_array acc
+
+(* Identifiers at the corners of the id space: both ends, the middle,
+   and runs of adjacent ids. *)
+let corner_ids =
+  let half = Id.space / 2 in
+  [| 0; 1; 2; half - 1; half; half + 1; Id.space - 2; Id.space - 1 |]
+
+(* The scenario's population with [n] distinct identifiers drawn mostly
+   from short runs of adjacent ids around the corners and a few random
+   bases, so wrap-around and distance-1 neighbours are the norm. *)
+let corner_population rng pop =
+  let n = Population.size pop in
+  let seen = Hashtbl.create n in
+  let ids = Array.make n 0 in
+  let filled = ref 0 in
+  while !filled < n do
+    let base =
+      if Rng.bool rng then corner_ids.(Rng.int_below rng (Array.length corner_ids))
+      else Id.random rng
+    in
+    let id = Id.add base (Rng.int_below rng 5 - 2) in
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      ids.(!filled) <- id;
+      incr filled
+    end
+  done;
+  { pop with Population.ids }
+
+let show_links a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let compare_links what ~expected ~got =
+  if expected = got then Ok ()
+  else err "%s: reference [%s], got [%s]" what (show_links expected) (show_links got)
+
+let rec first_error = function
+  | [] -> Ok ()
+  | f :: rest -> ( match f () with Ok () -> first_error rest | Error _ as e -> e)
+
+(* A random subset of the population, each node with probability 1/2. *)
+let random_subset rng n = Array.of_list (List.filter (fun _ -> Rng.bool rng) (List.init n Fun.id))
+
+(* Chord links equal the reference, order included: against the global
+   ring (self a member) and against a random sub-ring queried from every
+   node (self absent for about half of them), on random and corner ids. *)
+let prop_chord_matches_reference sc =
+  let rng = Rng.create (sc.case_seed + 41) in
+  let on_pop pop () =
+    let all = Ring.of_members ~ids:pop.Population.ids ~members:(Array.init sc.n Fun.id) in
+    let sub = random_subset rng sc.n in
+    let rings =
+      if Array.length sub = 0 then [ all ]
+      else [ all; Ring.of_members ~ids:pop.Population.ids ~members:sub ]
+    in
+    first_error
+      (List.concat_map
+         (fun ring ->
+           List.init sc.n (fun v () ->
+               let id = pop.Population.ids.(v) in
+               compare_links
+                 (Printf.sprintf "node %d (id %d), ring of %d" v id (Ring.size ring))
+                 ~expected:(reference_chord ring id ~self:v)
+                 ~got:(Chord.links_of_id ring id ~self:v)))
+         rings)
+  in
+  first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
+
+(* Crescendo links equal the reference, order included, for every node
+   of the full rings and for the present nodes of partial rings. *)
+let prop_crescendo_matches_reference sc =
+  let rng = Rng.create (sc.case_seed + 43) in
+  let on_rings rings members () =
+    first_error
+      (Array.to_list
+         (Array.map
+            (fun v () ->
+              compare_links (Printf.sprintf "node %d" v)
+                ~expected:(reference_crescendo rings v)
+                ~got:(Crescendo.links_of_node rings v))
+            members))
+  in
+  let on_pop pop () =
+    let sub = random_subset rng sc.n in
+    first_error
+      [
+        on_rings (Rings.build pop) (Array.init sc.n Fun.id);
+        on_rings (Rings.build_partial pop ~present:sub) sub;
+      ]
+  in
+  first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
+
+(* Exhaustive corners: every ring of 1, 2 or 3 corner identifiers,
+   queried from every corner identifier with [self] its own holder, an
+   absent node, and another corner (excluded even as a member). *)
+let prop_finger_corners () =
+  let ids = corner_ids in
+  let k = Array.length ids in
+  let check ring ~id ~self =
+    match
+      compare_links
+        (Printf.sprintf "ring size %d, id %d, self %d" (Ring.size ring) id self)
+        ~expected:(reference_chord ring id ~self) ~got:(Chord.links_of_id ring id ~self)
+    with
+    | Ok () -> ()
+    | Error msg -> Alcotest.fail msg
+  in
+  let rings = ref [] in
+  for a = 0 to k - 1 do
+    rings := [| a |] :: !rings;
+    for b = a + 1 to k - 1 do
+      rings := [| a; b |] :: !rings;
+      for c = b + 1 to k - 1 do
+        rings := [| a; b; c |] :: !rings
+      done
+    done
+  done;
+  List.iter
+    (fun members ->
+      let ring = Ring.of_members ~ids ~members in
+      for v = 0 to k - 1 do
+        check ring ~id:ids.(v) ~self:v;
+        check ring ~id:ids.(v) ~self:k;
+        check ring ~id:ids.(v) ~self:((v + 1) mod k)
+      done;
+      (* [Ring.finger] is the first member at or after [id + d], or none
+         when that is the holder of [id] itself. *)
+      Array.iter
+        (fun id ->
+          for b = 0 to Id.bits - 1 do
+            let d = 1 lsl b in
+            let first = Ring.first_at_or_after ring (Id.add id d) in
+            let expected = if ids.(first) = id then None else Some first in
+            Alcotest.(check (option int))
+              (Printf.sprintf "finger %d from %d" d id)
+              expected (Ring.finger ring id d)
+          done)
+        ids)
+    !rings;
+  (* The empty ring has no fingers to give. *)
+  let empty = Ring.of_members ~ids ~members:[||] in
+  Alcotest.check_raises "empty ring" (Invalid_argument "Chord: empty ring") (fun () ->
+      ignore (Chord.links_of_id empty 0 ~self:0))
+
+(* --- churn departure draw ------------------------------------------ *)
+
+(* The historical churn driver, kept as the reference for the
+   order-statistic draws: a departure is [Rng.pick] over the eligible
+   members of [Maintenance.present] (decreasing node order), a probe
+   endpoint is [Rng.pick] over [Maintenance.present]. *)
+type reference_driver = {
+  r_m : Maintenance.t;
+  r_rng : Rng.t;
+  r_config : Churn.config;
+  r_can_churn : int -> bool;
+  mutable r_waiting : int list;
+  mutable r_hooks : Churn.hook list; (* newest first *)
+  mutable r_joins : int;
+  mutable r_leaves : int;
+  mutable r_join_msgs : int;
+  mutable r_leave_msgs : int;
+}
+
+let reference_prepare ~can_churn rng pop (config : Churn.config) =
+  let n = Population.size pop in
+  let order = Array.init n Fun.id in
+  Rng.shuffle_in_place rng order;
+  let initial = Array.sub order 0 config.initial_nodes in
+  let m = Maintenance.create pop ~present:initial in
+  let waiting =
+    List.filter can_churn
+      (Array.to_list (Array.sub order config.initial_nodes (n - config.initial_nodes)))
+  in
+  let schedule = ref [] in
+  for _ = 1 to config.events do
+    let dt = Rng.exponential rng ~mean:config.mean_interarrival in
+    let kind = if Rng.float rng < config.join_fraction then Churn.Arrival else Churn.Departure in
+    schedule := (dt, kind) :: !schedule
+  done;
+  ( {
+      r_m = m;
+      r_rng = rng;
+      r_config = config;
+      r_can_churn = can_churn;
+      r_waiting = waiting;
+      r_hooks = [ Churn.Init (Array.copy initial) ];
+      r_joins = 0;
+      r_leaves = 0;
+      r_join_msgs = 0;
+      r_leave_msgs = 0;
+    },
+    List.rev !schedule )
+
+let reference_apply d = function
+  | Churn.Arrival -> (
+      match d.r_waiting with
+      | [] -> ()
+      | node :: rest ->
+          d.r_waiting <- rest;
+          let stats = Maintenance.join d.r_m node in
+          d.r_join_msgs <- d.r_join_msgs + Maintenance.total stats;
+          d.r_joins <- d.r_joins + 1;
+          d.r_hooks <- Churn.Join node :: d.r_hooks)
+  | Churn.Departure ->
+      let live = Maintenance.present d.r_m in
+      if Array.length live > max 8 (d.r_config.initial_nodes / 4) then begin
+        let pool = Array.of_list (List.filter d.r_can_churn (Array.to_list live)) in
+        if Array.length pool > 0 then begin
+          let node = Rng.pick d.r_rng pool in
+          let stats = Maintenance.leave d.r_m node in
+          d.r_leave_msgs <- d.r_leave_msgs + Maintenance.total stats;
+          d.r_leaves <- d.r_leaves + 1;
+          d.r_hooks <- Churn.Leave node :: d.r_hooks
+        end
+      end
+
+let reference_mean msgs count = if count = 0 then 0.0 else Float.of_int msgs /. Float.of_int count
+
+let show_hook = function
+  | Churn.Init a -> Printf.sprintf "init(%d)" (Array.length a)
+  | Churn.Join v -> Printf.sprintf "join %d" v
+  | Churn.Leave v -> Printf.sprintf "leave %d" v
+
+(* First position where two hook sequences differ, if any. *)
+let hooks_differ expected got =
+  let rec go i = function
+    | [], [] -> None
+    | e :: es, g :: gs -> if e = g then go (i + 1) (es, gs) else Some (i, show_hook e, show_hook g)
+    | e :: _, [] -> Some (i, show_hook e, "end")
+    | [], g :: _ -> Some (i, "end", show_hook g)
+  in
+  go 0 (expected, got)
+
+let check_hooks ~expected ~got =
+  match hooks_differ expected got with
+  | None -> Ok ()
+  | Some (i, e, g) -> err "hook %d: reference %s, got %s" i e g
+
+(* [prepare]/[apply] draw the same departing nodes as the O(n) pool pick:
+   identical hook sequence and message means, over random [can_churn]
+   masks, join fractions and initial sizes — small ones included, where
+   the quorum floor [max 8 (initial_nodes / 4)] blocks departures. *)
+let prop_departure_draw_matches_reference sc =
+  let rng = Rng.create (sc.case_seed + 47) in
+  let protect = Rng.float rng in
+  let mask = Array.init sc.n (fun _ -> Rng.float rng >= protect) in
+  let can_churn v = mask.(v) in
+  let config =
+    {
+      Churn.initial_nodes =
+        (if Rng.bool rng then min sc.n (1 + Rng.int_below rng 12)
+         else Rng.int_below rng (sc.n + 1));
+      events = 1 + Rng.int_below rng 80;
+      join_fraction = Rng.float rng;
+      probes_per_event = 0;
+      mean_interarrival = 1.0;
+    }
+  in
+  let seed = sc.case_seed + 53 in
+  let r, r_schedule = reference_prepare ~can_churn (Rng.create seed) sc.pop config in
+  List.iter (fun (_, ev) -> reference_apply r ev) r_schedule;
+  let hooks = ref [] in
+  let driver, schedule =
+    Churn.prepare ~on_event:(fun h -> hooks := h :: !hooks) ~can_churn (Rng.create seed) sc.pop
+      config
+  in
+  List.iter (fun (_, ev) -> Churn.apply driver ev) schedule;
+  if schedule <> r_schedule then err "schedules differ"
+  else
+    first_error
+      [
+        (fun () -> check_hooks ~expected:(List.rev r.r_hooks) ~got:(List.rev !hooks));
+        (fun () ->
+          let expect = reference_mean r.r_join_msgs r.r_joins in
+          if Churn.join_message_mean driver = expect then Ok ()
+          else err "join mean %g, reference %g" (Churn.join_message_mean driver) expect);
+        (fun () ->
+          let expect = reference_mean r.r_leave_msgs r.r_leaves in
+          if Churn.leave_message_mean driver = expect then Ok ()
+          else err "leave mean %g, reference %g" (Churn.leave_message_mean driver) expect);
+        (fun () ->
+          let m = Churn.maintenance driver in
+          if Maintenance.count m = Array.length (Maintenance.present m) then Ok ()
+          else err "count %d, present %d" (Maintenance.count m)
+                 (Array.length (Maintenance.present m)));
+      ]
+
+(* The historical [Churn.run]: the reference driver on a private event
+   queue, each probe picking both endpoints from [Maintenance.present]. *)
+let reference_run rng pop (config : Churn.config) =
+  let n = Population.size pop in
+  let d, schedule = reference_prepare ~can_churn:(fun _ -> true) rng pop config in
+  let m = d.r_m in
+  let queue = Event_queue.create () in
+  List.iter (fun (dt, kind) -> Event_queue.push queue ~time:dt kind) schedule;
+  let clock = ref 0.0 and probes = ref 0 and failed = ref 0 in
+  let probe () =
+    let live = Maintenance.present m in
+    if Array.length live >= 2 then begin
+      incr probes;
+      let src = Rng.pick rng live and dst = Rng.pick rng live in
+      let route =
+        Router.greedy_clockwise_generic
+          ~level:(fun u v ->
+            Domain_tree.depth pop.Population.tree (Population.lca_of_nodes pop u v))
+          ~n
+          ~id:(fun v -> pop.Population.ids.(v))
+          ~links:(fun v -> if Maintenance.is_present m v then Maintenance.links m v else [||])
+          ~src ~key:pop.Population.ids.(dst) ()
+      in
+      if Route.destination route <> dst then incr failed
+    end
+  in
+  let rec drain () =
+    match Event_queue.pop queue with
+    | None -> ()
+    | Some (time, kind) ->
+        clock := time;
+        reference_apply d kind;
+        for _ = 1 to config.probes_per_event do
+          probe ()
+        done;
+        drain ()
+  in
+  drain ();
+  ( {
+      Churn.joins = d.r_joins;
+      leaves = d.r_leaves;
+      probes = !probes;
+      failed_probes = !failed;
+      join_message_mean = reference_mean d.r_join_msgs d.r_joins;
+      leave_message_mean = reference_mean d.r_leave_msgs d.r_leaves;
+      final_population = Array.length (Maintenance.present m);
+      sim_time = !clock;
+    },
+    List.rev d.r_hooks )
+
+(* [Churn.run] with order-statistic probe endpoints reproduces the
+   reference run: the same report, field for field, and the same hooks. *)
+let prop_churn_run_matches_reference sc =
+  let rng = Rng.create (sc.case_seed + 59) in
+  let config =
+    {
+      Churn.initial_nodes = 1 + Rng.int_below rng sc.n;
+      events = 1 + Rng.int_below rng 60;
+      join_fraction = Rng.float rng;
+      probes_per_event = Rng.int_below rng 4;
+      mean_interarrival = 0.5;
+    }
+  in
+  let seed = sc.case_seed + 61 in
+  let expected, expected_hooks = reference_run (Rng.create seed) sc.pop config in
+  let hooks = ref [] in
+  let report = Churn.run ~on_event:(fun h -> hooks := h :: !hooks) (Rng.create seed) sc.pop config in
+  if report <> expected then
+    err "report: %d joins %d leaves %d probes %d failed %d final, reference %d %d %d %d %d"
+      report.joins report.leaves report.probes report.failed_probes report.final_population
+      expected.joins expected.leaves expected.probes expected.failed_probes
+      expected.final_population
+  else check_hooks ~expected:expected_hooks ~got:(List.rev !hooks)
+
 let suites =
   [
     ( "prop.latency",
@@ -601,5 +997,18 @@ let suites =
              prop_merged_zero_churn_fidelity);
         Alcotest.test_case "live view = hook replay" `Quick
           prop_view_matches_hook_replay;
+        Alcotest.test_case "departure draw = O(n) pool pick" `Quick
+          (check ~count:40 ~seed:9909 ~min_n:1 ~max_n:120
+             prop_departure_draw_matches_reference);
+        Alcotest.test_case "Churn.run = O(n) reference run" `Quick
+          (check ~count:25 ~seed:9919 ~min_n:1 ~max_n:120 prop_churn_run_matches_reference);
+      ] );
+    ( "prop.fingers",
+      [
+        Alcotest.test_case "chord links = reference finger rule" `Quick
+          (check ~count:30 ~seed:9929 ~min_n:1 ~max_n:200 prop_chord_matches_reference);
+        Alcotest.test_case "crescendo links = reference finger rule" `Quick
+          (check ~count:30 ~seed:9939 ~min_n:1 ~max_n:200 prop_crescendo_matches_reference);
+        Alcotest.test_case "finger rule id-space corners" `Quick prop_finger_corners;
       ] );
   ]

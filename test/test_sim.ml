@@ -277,6 +277,40 @@ let test_event_queue_pop_until_boundary () =
   Alcotest.(check (option (float 1e-9))) "later event untouched" (Some 3.0)
     (Event_queue.peek_time q)
 
+(* --- Order-statistic set ------------------------------------------- *)
+
+(* Random adds and removes (repeats included) against a boolean-array
+   model: after every operation the count and every rank of [nth] agree
+   with the model's sorted members. Capacities cover 0, 1, powers of
+   two and their neighbours. *)
+let test_order_set_model () =
+  let rng = Rng.create 91 in
+  List.iter
+    (fun capacity ->
+      let set = Order_set.create capacity and model = Array.make capacity false in
+      for _ = 1 to 4 * capacity do
+        let i = Rng.int_below rng capacity in
+        if Rng.bool rng then begin
+          Order_set.add set i;
+          model.(i) <- true
+        end
+        else begin
+          Order_set.remove set i;
+          model.(i) <- false
+        end;
+        let sorted = List.filter (fun v -> model.(v)) (List.init capacity Fun.id) in
+        Alcotest.(check int) "count" (List.length sorted) (Order_set.count set);
+        List.iteri (fun j v -> Alcotest.(check int) "nth" v (Order_set.nth set j)) sorted
+      done;
+      Alcotest.check_raises "nth past count" (Invalid_argument "Order_set.nth: rank out of range")
+        (fun () -> ignore (Order_set.nth set (Order_set.count set))))
+    [ 0; 1; 2; 3; 7; 8; 9; 16; 33; 100 ];
+  Alcotest.check_raises "add out of range" (Invalid_argument "Order_set.add: out of range")
+    (fun () -> Order_set.add (Order_set.create 4) 4);
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Order_set.create: negative capacity") (fun () ->
+      ignore (Order_set.create (-1)))
+
 (* --- Churn driver -------------------------------------------------- *)
 
 let test_churn_run () =
@@ -361,6 +395,7 @@ let suites =
         Alcotest.test_case "validation" `Quick test_join_validation;
         Alcotest.test_case "first node" `Quick test_first_node_join;
       ] );
+    ("order-set", [ Alcotest.test_case "model" `Quick test_order_set_model ]);
     ( "churn",
       [
         Alcotest.test_case "driver run" `Quick test_churn_run;
