@@ -43,6 +43,22 @@ let micro_benchmarks () =
   in
   let rng = Rng.create 7 in
   let random_node () = Rng.int_below rng n in
+  (* The replicated store's network: Crescendo over the 2040-router
+     transit-stub hierarchy with 10% of nodes crashed and 1% loss. *)
+  let ts_n = 8192 in
+  let ts_setup = Common.topology_setup ~seed in
+  let ts_pop = Common.topology_population ~seed:(seed + 1) ts_setup ~n:ts_n in
+  let ts_rings = Rings.build ts_pop in
+  let ts_root = Canon_hierarchy.Domain_tree.root ts_pop.Population.tree in
+  let ts_plan = Canon_net.Fault_plan.create ~loss:0.01 ~n:ts_n () in
+  Canon_net.Fault_plan.crash_random ts_plan (Rng.create 8) ~fraction:0.1 ();
+  let ts_alive v = not (Canon_net.Fault_plan.is_crashed ts_plan v) in
+  let ts_live = Array.of_list (List.filter ts_alive (List.init ts_n Fun.id)) in
+  let ts_net =
+    Canon_net.Net.create ~plan:ts_plan ~rings:ts_rings ~rng:(Rng.create 10)
+      ~node_latency:(Common.node_latency ts_setup ts_pop)
+      (Crescendo.build ts_rings)
+  in
   let tests =
     [
       Test.make ~name:"ring.successor_of_id"
@@ -71,6 +87,17 @@ let micro_benchmarks () =
          Staged.stage (fun () ->
              let src = random_node () and dst = random_node () in
              ignore (Router.greedy_xor kademlia ~src ~key:(Overlay.id kademlia dst))));
+      Test.make ~name:"replica_set.compute (sibling k=3, 2040 routers, n=8192, 10% dead)"
+        (Staged.stage (fun () ->
+             ignore
+               (Canon_storage.Replica_set.compute ~alive:ts_alive ts_rings
+                  ~spread:Canon_storage.Replica_set.Sibling ~k:3 ~domain:ts_root
+                  ~key:(Canon_idspace.Id.random rng))));
+      Test.make ~name:"net.lookup (2040 routers, n=8192, 10% dead, 1% loss)"
+        (Staged.stage (fun () ->
+             ignore
+               (Canon_net.Net.lookup ts_net ~src:(Rng.pick rng ts_live)
+                  ~key:(Canon_idspace.Id.random rng))));
     ]
   in
   let grouped = Test.make_grouped ~name:"canon" tests in

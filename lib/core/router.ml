@@ -162,30 +162,45 @@ let greedy_xor ?trace overlay ~src ~key =
 
 type step_outcome = Forward of int | Arrived | Blocked
 
+type step = { outcome : step_outcome; fault_free : int option }
+
 let step_clockwise_avoiding_generic ~id ~links ~dead ~at:u ~key =
-  let du = Id.distance (id u) key in
-  if du = 0 then Arrived
+  let id_u = id u in
+  let du = Id.distance id_u key in
+  if du = 0 then { outcome = Arrived; fault_free = None }
   else begin
-    let lnks = links u in
+    (* One pass over [u]'s links keeps two running minima of the
+       remaining distance among no-overshoot links (for those,
+       distance(v, key) = du - distance(u, v)): over the live links, and
+       over all links as if nothing were dead. Both use a strict [<], so
+       each keeps the first link of its minimum, exactly as two separate
+       passes would. *)
     let best = ref (-1) and best_remaining = ref du in
+    let free = ref (-1) and free_remaining = ref du in
+    let dead_useful = ref false in
     Array.iter
       (fun v ->
-        if not (dead v) then begin
-          let remaining = Id.distance (id v) key in
-          if Id.distance (id u) (id v) <= du && remaining < !best_remaining then begin
+        let d = Id.distance id_u (id v) in
+        if d <= du then begin
+          let remaining = du - d in
+          if remaining < !free_remaining then begin
+            free := v;
+            free_remaining := remaining
+          end;
+          if dead v then dead_useful := true
+          else if remaining < !best_remaining then begin
             best := v;
             best_remaining := remaining
           end
         end)
-      lnks;
-    if !best >= 0 then Forward !best
-    else if
-      (* Blocked, not arrived: a dead link of [u] would have made
-         progress, so a live owner closer to the key may exist but [u]
-         cannot see it. *)
-      Array.exists (fun v -> dead v && Id.distance (id u) (id v) <= du) lnks
-    then Blocked
-    else Arrived
+      (links u);
+    (* Blocked, not arrived: a dead link of [u] would have made
+       progress, so a live owner closer to the key may exist but [u]
+       cannot see it. *)
+    let outcome =
+      if !best >= 0 then Forward !best else if !dead_useful then Blocked else Arrived
+    in
+    { outcome; fault_free = (if !free >= 0 then Some !free else None) }
   end
 
 let step_clockwise_avoiding overlay ~dead ~at ~key =
@@ -197,11 +212,6 @@ let step_clockwise_avoiding overlay ~dead ~at ~key =
 let greedy_clockwise_avoiding ?trace overlay ~dead ~src ~key =
   if dead src then invalid_arg "Router.greedy_clockwise_avoiding: dead source";
   let max_hops = budget overlay in
-  let step u =
-    match step_clockwise_avoiding overlay ~dead ~at:u ~key with
-    | Forward v -> Some v
-    | Arrived | Blocked -> None
-  in
   let record outcome nodes =
     match trace with
     | None -> ()
@@ -210,29 +220,23 @@ let greedy_clockwise_avoiding ?trace overlay ~dead ~src ~key =
           ~level:(level_of_edge overlay) ()
   in
   (* Unlike the infallible engines we must distinguish "arrived at the
-     key's live predecessor among reachable nodes" from "stranded":
-     stranded means a live link toward the key exists somewhere but this
-     node cannot see it — detectable as: some dead link of [u] would
-     have made progress. *)
+     key's live predecessor among reachable nodes" from "stranded": the
+     step's own outcome tells the two apart. *)
   let rec go u acc hops =
-    match step u with
-    | Some v ->
+    match (step_clockwise_avoiding overlay ~dead ~at:u ~key).outcome with
+    | Forward v ->
         if hops >= max_hops then begin
           let path = Array.of_list (List.rev (u :: acc)) in
           record Span.Stuck path;
           raise (Stuck { at = u; key; hops; path })
         end;
         go v (u :: acc) (hops + 1)
-    | None ->
-        let blocked = step_clockwise_avoiding overlay ~dead ~at:u ~key = Blocked in
+    | Blocked ->
+        record Span.Stranded (Array.of_list (List.rev (u :: acc)));
+        None
+    | Arrived ->
         let nodes = Array.of_list (List.rev (u :: acc)) in
-        if blocked then begin
-          record Span.Stranded nodes;
-          None
-        end
-        else begin
-          record Span.Arrived nodes;
-          Some Route.{ nodes }
-        end
+        record Span.Arrived nodes;
+        Some Route.{ nodes }
   in
   go src [] 0

@@ -102,13 +102,30 @@ type step_outcome =
   | Blocked  (** every useful link is dead — a live owner may exist but
                  [at] cannot see it (the stranded condition) *)
 
+type step = {
+  outcome : step_outcome;  (** what [at] does, avoiding [dead] links *)
+  fault_free : int option;
+      (** the best no-overshoot link ignoring [dead] — the hop the
+          fault-free router ({!greedy_clockwise}) takes from [at] — or
+          [None] when [at] has no link in [(at, key]] *)
+}
+(** One routing decision and, from the same pass over the links, the
+    decision a fault-free node would have made. A caller forwarding on
+    a link other than [fault_free] knows its route has deviated from
+    the fault-free path without running the step a second time. *)
+
 val step_clockwise_avoiding :
-  Overlay.t -> dead:(int -> bool) -> at:int -> key:Id.t -> step_outcome
+  Overlay.t -> dead:(int -> bool) -> at:int -> key:Id.t -> step
 (** One step of {!greedy_clockwise_avoiding}: what the node [at] does
     with a message for [key] given its local knowledge of dead nodes.
     Exposed so that message-level simulations ([canon_net]) can drive
     the same forwarding rule hop by hop, interleaved with timeouts and
-    retries, instead of routing a whole path at once. *)
+    retries, instead of routing a whole path at once.
+
+    A single pass over [at]'s links: both choices minimise the remaining
+    clockwise distance with a strict [<], so ties go to the earlier link
+    and [fault_free] equals the [Forward] target of the step with
+    [dead = fun _ -> false] ([None] when that step arrives). *)
 
 val step_clockwise_avoiding_generic :
   id:(int -> Id.t) ->
@@ -116,7 +133,7 @@ val step_clockwise_avoiding_generic :
   dead:(int -> bool) ->
   at:int ->
   key:Id.t ->
-  step_outcome
+  step
 (** {!step_clockwise_avoiding} over caller-supplied [id]/[links]
     accessors instead of a frozen {!Overlay.t} — the hop decision a node
     makes against {e live} link state, e.g. a membership view mutated by

@@ -254,33 +254,26 @@ let transmit t ~now ~push m =
   then push ~time:(now +. lat) (Deliver m);
   push ~time:(now +. t.policy.Rpc.timeout_ms) (Timeout m)
 
-let fault_free_next t u ~key =
-  match
-    Router.step_clockwise_avoiding_generic
-      ~id:(fun v -> Overlay.id t.overlay v)
-      ~links:(node_links t)
-      ~dead:(fun _ -> false)
-      ~at:u ~key
-  with
-  | Router.Forward w -> Some w
-  | Router.Arrived | Router.Blocked -> None
-
 let forward t p ~now ~push u v =
-  if fault_free_next t u ~key:p.p_key <> Some v then p.p_st.deviated <- true;
   transmit t ~now ~push { lk = p; from_ = u; to_ = v; attempt = 0; got_through = false }
 
 (* What the node holding the message does next, given its current
    knowledge of suspects and the membership of this moment. *)
 let step_at t p ~now ~push u =
   let st = p.p_st in
-  match
+  let step =
     Router.step_clockwise_avoiding_generic
       ~id:(fun v -> Overlay.id t.overlay v)
       ~links:(node_links t)
       ~dead:(fun v -> t.suspected.(v))
       ~at:u ~key:p.p_key
-  with
-  | Router.Forward v -> forward t p ~now ~push u v
+  in
+  match step.Router.outcome with
+  | Router.Forward v ->
+      (* A hop off the fault-free router's choice makes the lookup a
+         detour. *)
+      (match step.Router.fault_free with Some w when w = v -> () | _ -> st.deviated <- true);
+      forward t p ~now ~push u v
   | Router.Arrived -> finish t p ~now (if st.deviated then Rerouted else Delivered)
   | Router.Blocked -> (
       match reanchor_candidate t ~at:u ~key:p.p_key with

@@ -23,7 +23,7 @@ let responsible_rank ring ~key =
   else (r - 1 + size) mod size
 
 (* Walk [ring] clockwise starting at the LIVE member responsible for
-   [key], offering each live, not-yet-taken member to [f]; stop after
+   [key], offering each live member not yet [taken] to [f]; stop after
    one full turn or when [f] returns [false].
 
    When the full-ring responsible is dead, the walk starts at the
@@ -44,28 +44,35 @@ let walk_ring ring ~key ~alive ~taken f =
     let i = ref 0 in
     while !continue && !i < size do
       let v = Ring.node_at ring ((!r0 + !i) mod size) in
-      if alive v && not (Hashtbl.mem taken v) then continue := f v;
+      if alive v && not (taken v) then continue := f v;
       incr i
     done
   end
 
-(* Every leaf domain except [from_leaf], ordered by hierarchical
-   closeness to it: leaves under the parent's other children first, then
-   under the grandparent's, and so on up to the root. *)
-let leaf_sequence tree ~from_leaf =
-  let out = ref [] in
-  let root = Domain_tree.root tree in
-  let d = ref from_leaf in
-  while !d <> root do
-    let p = Domain_tree.parent tree !d in
-    Array.iter
-      (fun c ->
-        if c <> !d then
-          Array.iter (fun l -> out := l :: !out) (Domain_tree.subtree_leaves tree c))
-      (Domain_tree.children tree p);
-    d := p
-  done;
-  List.rev !out
+(* Offer [visit] every leaf domain outside the subtree of [from], nearest
+   first: for each ancestor of [from] from the bottom up, the leaves of
+   its other children in [children] order, each child's leaves
+   depth-first. Stops as soon as [visit] returns [false], so the cost is
+   the leaves actually visited plus the ancestor chain, not the whole
+   tree. *)
+let iter_nearest_leaves tree ~from visit =
+  (* Each walker returns [false] once [visit] has asked to stop. *)
+  let rec leaves_of d =
+    if Domain_tree.is_leaf tree d then visit d else children_of d ~skip:(-1)
+  and children_of p ~skip =
+    let kids = Domain_tree.children tree p in
+    let rec go i =
+      i >= Array.length kids || ((kids.(i) = skip || leaves_of kids.(i)) && go (i + 1))
+    in
+    go 0
+  in
+  let rec up d =
+    d = Domain_tree.root tree
+    ||
+    let p = Domain_tree.parent tree d in
+    children_of p ~skip:d && up p
+  in
+  ignore (up from)
 
 let compute ?(alive = fun _ -> true) rings ~spread ~k ~domain ~key =
   if k < 1 then invalid_arg "Replica_set.compute: k must be >= 1";
@@ -73,11 +80,11 @@ let compute ?(alive = fun _ -> true) rings ~spread ~k ~domain ~key =
   let tree = pop.Population.tree in
   if domain < 0 || domain >= Domain_tree.num_domains tree then
     invalid_arg "Replica_set.compute: domain out of range";
-  let taken = Hashtbl.create 8 in
+  (* At most [k] holders: a list is the cheapest set. *)
   let holders = ref [] in
   let count = ref 0 in
+  let taken v = List.mem v !holders in
   let take v =
-    Hashtbl.replace taken v ();
     holders := v :: !holders;
     incr count
   in
@@ -88,41 +95,34 @@ let compute ?(alive = fun _ -> true) rings ~spread ~k ~domain ~key =
         false);
     !found
   in
+  let fill ring =
+    walk_ring ring ~key ~alive ~taken (fun v ->
+        take v;
+        !count < k)
+  in
   (match spread with
-  | Flat ->
-      walk_ring (Rings.ring rings domain) ~key ~alive ~taken (fun v ->
-          take v;
-          !count < k)
+  | Flat -> fill (Rings.ring rings domain)
   | Sibling ->
-      let primary = first_live (Rings.ring rings domain) in
-      let used_leaves = Hashtbl.create 8 in
-      let start_leaf =
-        match primary with
+      let from =
+        match first_live (Rings.ring rings domain) with
         | Some p ->
             take p;
-            let l = pop.Population.leaf_of_node.(p) in
-            Hashtbl.replace used_leaves l ();
-            l
+            pop.Population.leaf_of_node.(p)
         | None ->
-            (* The whole storage domain is dead or empty: spread from its
-               leftmost leaf as if the primary had lived there. *)
-            (Domain_tree.subtree_leaves tree domain).(0)
+            (* The whole storage domain is dead or empty: spread from the
+               domain itself. Every leaf inside it has no live node, so
+               this visits the live leaves in the same order as starting
+               from any one of its leaves would. *)
+            domain
       in
-      (* One replica per distinct leaf domain, nearest siblings first. *)
-      List.iter
-        (fun l ->
-          if !count < k && not (Hashtbl.mem used_leaves l) then
-            match first_live (Rings.ring rings l) with
-            | Some v ->
-                take v;
-                Hashtbl.replace used_leaves l ()
-            | None -> ())
-        (leaf_sequence tree ~from_leaf:start_leaf);
+      (* One replica per distinct leaf domain, nearest siblings first.
+         Every leaf is visited at most once and never the primary's, so
+         each live leaf contributes a node of its own. *)
+      if !count < k then
+        iter_nearest_leaves tree ~from (fun l ->
+            (match first_live (Rings.ring rings l) with Some v -> take v | None -> ());
+            !count < k);
       (* More replicas wanted than live leaf domains: degrade to flat on
          the global ring rather than under-replicate. *)
-      if !count < k then
-        walk_ring (Rings.ring rings (Domain_tree.root tree)) ~key ~alive ~taken
-          (fun v ->
-            take v;
-            !count < k));
+      if !count < k then fill (Rings.ring rings (Domain_tree.root tree)));
   Array.of_list (List.rev !holders)

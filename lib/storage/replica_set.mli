@@ -27,7 +27,23 @@
       nodes for sibling);
     - under [Sibling], the holders occupy
       [min (length holders) (live leaf domains)] distinct leaf domains —
-      no two forced-spread replicas share a leaf. *)
+      no two forced-spread replicas share a leaf.
+
+    {2 Cost}
+
+    [Sibling] visits leaf domains lazily, in the order above (for each
+    ancestor of the primary's leaf from the bottom up, its other
+    children in {!Canon_hierarchy.Domain_tree.children} order, each
+    child's leaves depth-first), and stops as soon as [k] holders are
+    taken. When the leaves it passes hold live nodes, a call costs
+    O(k · depth) tree steps and k ring walks (one per holder), however
+    many leaf domains the hierarchy has; each dead or empty leaf passed
+    on the way adds one ring walk. The order, and hence every holder
+    set, is unchanged from a scan of the full list of leaves: no leaf
+    after the [k]-th holder could add one. The taken set is a list of
+    at most [k] nodes, so no hashtable is built per call. The
+    global-ring fallback, reached only when live leaf domains run out,
+    walks that ring as [Flat] does. *)
 
 open Canon_idspace
 open Canon_overlay

@@ -171,13 +171,9 @@ let get t ~querier ~key =
       None
   | Some meta ->
       let hs = holders_of t meta ~key in
-      let is_holder = Hashtbl.create 8 in
-      Array.iter (fun h -> Hashtbl.replace is_holder h ()) hs;
       (* Live copies outside the holder set still count for freshness,
          and get garbage-collected once the holders are repaired. *)
-      let extras =
-        List.filter (fun v -> live t v && not (Hashtbl.mem is_holder v)) meta.copies
-      in
+      let extras = List.filter (fun v -> live t v && not (Array.mem v hs)) meta.copies in
       let probe v = (v, reachable t ~src:querier v, Hashtbl.find_opt t.tables.(v) key) in
       let probed_holders = Array.map probe hs in
       let probed_extras = List.map probe extras in
@@ -245,8 +241,6 @@ let rereplicate ?handoff t =
   Hashtbl.iter
     (fun key meta ->
       let hs = holders_of t meta ~key in
-      let is_holder = Hashtbl.create 8 in
-      Array.iter (fun h -> Hashtbl.replace is_holder h ()) hs;
       let best = ref (None : entry option) in
       List.iter
         (fun v ->
@@ -278,7 +272,7 @@ let rereplicate ?handoff t =
          until a read reaches them. *)
       List.iter
         (fun v ->
-          if (not (Hashtbl.mem is_holder v)) && (live t v || is_handoff v) then begin
+          if (not (Array.mem v hs)) && (live t v || is_handoff v) then begin
             Hashtbl.remove t.tables.(v) key;
             drop_copy meta v;
             Metrics.incr gc_counter

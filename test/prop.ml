@@ -964,6 +964,289 @@ let prop_churn_run_matches_reference sc =
       expected.final_population
   else check_hooks ~expected:expected_hooks ~got:(List.rev !hooks)
 
+(* --- placement reference ------------------------------------------- *)
+
+(* The historical placement, kept as the reference: hashtable sets for
+   taken nodes and used leaves, and for Sibling the full list of every
+   other leaf domain built from [Domain_tree.subtree_leaves] before the
+   first replica is chosen. *)
+let reference_responsible_rank ring ~key =
+  let size = Ring.size ring in
+  let r = Ring.rank_at_or_after ring key in
+  if r < size && Id.equal (Ring.id_at ring r) key then r
+  else (r - 1 + size) mod size
+
+let reference_walk_ring ring ~key ~alive ~taken f =
+  let size = Ring.size ring in
+  if size > 0 then begin
+    let r0 = ref (reference_responsible_rank ring ~key) in
+    let back = ref 0 in
+    while !back < size && not (alive (Ring.node_at ring !r0)) do
+      r0 := (!r0 - 1 + size) mod size;
+      incr back
+    done;
+    let continue = ref true in
+    let i = ref 0 in
+    while !continue && !i < size do
+      let v = Ring.node_at ring ((!r0 + !i) mod size) in
+      if alive v && not (Hashtbl.mem taken v) then continue := f v;
+      incr i
+    done
+  end
+
+let reference_leaf_sequence tree ~from_leaf =
+  let out = ref [] in
+  let root = Domain_tree.root tree in
+  let d = ref from_leaf in
+  while !d <> root do
+    let p = Domain_tree.parent tree !d in
+    Array.iter
+      (fun c ->
+        if c <> !d then
+          Array.iter (fun l -> out := l :: !out) (Domain_tree.subtree_leaves tree c))
+      (Domain_tree.children tree p);
+    d := p
+  done;
+  List.rev !out
+
+let reference_compute ~alive rings ~spread ~k ~domain ~key =
+  let pop = Rings.population rings in
+  let tree = pop.Population.tree in
+  let taken = Hashtbl.create 8 in
+  let holders = ref [] in
+  let count = ref 0 in
+  let take v =
+    Hashtbl.replace taken v ();
+    holders := v :: !holders;
+    incr count
+  in
+  let first_live ring =
+    let found = ref None in
+    reference_walk_ring ring ~key ~alive ~taken (fun v ->
+        found := Some v;
+        false);
+    !found
+  in
+  (match spread with
+  | Replica_set.Flat ->
+      reference_walk_ring (Rings.ring rings domain) ~key ~alive ~taken (fun v ->
+          take v;
+          !count < k)
+  | Replica_set.Sibling ->
+      let primary = first_live (Rings.ring rings domain) in
+      let used_leaves = Hashtbl.create 8 in
+      let start_leaf =
+        match primary with
+        | Some p ->
+            take p;
+            let l = pop.Population.leaf_of_node.(p) in
+            Hashtbl.replace used_leaves l ();
+            l
+        | None -> (Domain_tree.subtree_leaves tree domain).(0)
+      in
+      List.iter
+        (fun l ->
+          if !count < k && not (Hashtbl.mem used_leaves l) then
+            match first_live (Rings.ring rings l) with
+            | Some v ->
+                take v;
+                Hashtbl.replace used_leaves l ()
+            | None -> ())
+        (reference_leaf_sequence tree ~from_leaf:start_leaf);
+      if !count < k then
+        reference_walk_ring (Rings.ring rings (Domain_tree.root tree)) ~key ~alive ~taken
+          (fun v ->
+            take v;
+            !count < k));
+  Array.of_list (List.rev !holders)
+
+(* [cases] random placements over [rings], each compared with the
+   reference for both spreads and every k from 1 to (live leaf domains
+   + 2), so the global-ring fallback runs too. A case draws a storage
+   domain (any domain: root, inner, leaf, possibly empty), a key (random
+   or a member's id) and an alive mask: everyone, a random crash set, or
+   a random crash set plus the whole storage domain dead. *)
+let placement_matches_reference rng rings ~cases =
+  let pop = Rings.population rings in
+  let tree = pop.Population.tree in
+  let n = Population.size pop in
+  let case c () =
+    let domain = Rng.int_below rng (Domain_tree.num_domains tree) in
+    let key =
+      if n > 0 && Rng.bool rng then pop.Population.ids.(Rng.int_below rng n) else Id.random rng
+    in
+    let dead = Array.make n false in
+    let mode = Rng.int_below rng 3 in
+    if mode > 0 then begin
+      let frac = Rng.float rng *. 0.6 in
+      for v = 0 to n - 1 do
+        if Rng.float rng < frac then dead.(v) <- true
+      done
+    end;
+    if mode = 2 then Array.iter (fun v -> dead.(v) <- true) (Ring.members (Rings.ring rings domain));
+    let alive v = not dead.(v) in
+    let live_leaves =
+      Array.fold_left
+        (fun acc l -> if Array.exists alive (Ring.members (Rings.ring rings l)) then acc + 1 else acc)
+        0 (Domain_tree.leaves tree)
+    in
+    first_error
+      (List.concat_map
+         (fun spread ->
+           List.init (live_leaves + 2) (fun i () ->
+               let k = i + 1 in
+               compare_links
+                 (Printf.sprintf "case %d, %s, k %d, domain %d, alive mode %d, key %d" c
+                    (Replica_set.spread_to_string spread) k domain mode key)
+                 ~expected:(reference_compute ~alive rings ~spread ~k ~domain ~key)
+                 ~got:(Replica_set.compute ~alive rings ~spread ~k ~domain ~key)))
+         [ Replica_set.Sibling; Replica_set.Flat ])
+  in
+  first_error (List.init cases case)
+
+let prop_placement_reference_ragged sc =
+  placement_matches_reference (Rng.create (sc.case_seed + 51)) sc.rings ~cases:6
+
+(* Complete trees of every small shape, from the flat single leaf up to
+   4 levels of fanout 4, under both placement policies. *)
+let prop_placement_reference_uniform () =
+  for fanout = 1 to 4 do
+    for levels = 1 to 4 do
+      let seed = (100 * fanout) + levels in
+      let rng = Rng.create seed in
+      let tree = Domain_tree.of_spec (Domain_tree.uniform_spec ~fanout ~levels) in
+      let policy =
+        if Rng.bool rng then Placement.Uniform else Placement.Zipfian 1.25
+      in
+      let n = 1 + Rng.int_below rng 160 in
+      let rings = Rings.build (Population.create rng ~tree ~policy ~n) in
+      match placement_matches_reference rng rings ~cases:4 with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "fanout %d, levels %d, n %d: %s" fanout levels n msg
+    done
+  done
+
+(* The five-level hierarchy of the 2040-router transit-stub topology,
+   with far more leaf domains than nodes: most leaves are empty. *)
+let prop_placement_reference_transit_stub () =
+  List.iter
+    (fun seed ->
+      let setup = Canon_experiments.Common.topology_setup ~seed in
+      let pop = Canon_experiments.Common.topology_population ~seed:(seed + 1) setup ~n:300 in
+      match placement_matches_reference (Rng.create (seed + 2)) (Rings.build pop) ~cases:3 with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "transit-stub seed %d: %s" seed msg)
+    [ 3; 17 ]
+
+(* --- one-pass routing step ----------------------------------------- *)
+
+(* The historical two-pass step, kept as the reference: one pass for the
+   best live link, a second for "some dead link would have made
+   progress". The fault-free choice was this step with nothing dead. *)
+let reference_step ~id ~links ~dead ~at:u ~key =
+  let du = Id.distance (id u) key in
+  if du = 0 then Router.Arrived
+  else begin
+    let lnks = links u in
+    let best = ref (-1) and best_remaining = ref du in
+    Array.iter
+      (fun v ->
+        if not (dead v) then begin
+          let remaining = Id.distance (id v) key in
+          if Id.distance (id u) (id v) <= du && remaining < !best_remaining then begin
+            best := v;
+            best_remaining := remaining
+          end
+        end)
+      lnks;
+    if !best >= 0 then Router.Forward !best
+    else if Array.exists (fun v -> dead v && Id.distance (id u) (id v) <= du) lnks then
+      Router.Blocked
+    else Router.Arrived
+  end
+
+let show_outcome = function
+  | Router.Forward v -> Printf.sprintf "Forward %d" v
+  | Router.Arrived -> "Arrived"
+  | Router.Blocked -> "Blocked"
+
+let show_node = function None -> "none" | Some v -> string_of_int v
+
+(* The one-pass step against the reference at node [at] for [key]: the
+   same outcome under [dead], and a fault-free link equal to the
+   reference's forward target with nothing dead. *)
+let step_matches_reference ~id ~links ~dead ~at ~key =
+  let step = Router.step_clockwise_avoiding_generic ~id ~links ~dead ~at ~key in
+  let expected = reference_step ~id ~links ~dead ~at ~key in
+  let expected_free =
+    match reference_step ~id ~links ~dead:(fun _ -> false) ~at ~key with
+    | Router.Forward w -> Some w
+    | Router.Arrived | Router.Blocked -> None
+  in
+  if step.Router.outcome <> expected then
+    err "at %d, key %d: outcome %s, reference %s" at key (show_outcome step.Router.outcome)
+      (show_outcome expected)
+  else if step.Router.fault_free <> expected_free then
+    err "at %d, key %d: fault-free %s, reference %s" at key (show_node step.Router.fault_free)
+      (show_node expected_free)
+  else Ok ()
+
+(* Random keys, member ids and their neighbours, so that arrival at
+   distance 0 and distance-1 links both occur. *)
+let step_keys rng ~id ~n =
+  List.init 6 (fun i ->
+      match i mod 3 with
+      | 0 -> Id.random rng
+      | 1 -> id (Rng.int_below rng n)
+      | _ -> Id.add (id (Rng.int_below rng n)) (Rng.int_below rng 3 - 1))
+
+(* Chord and Crescendo overlays of the scenario, on random and corner
+   ids, from every node under a random dead mask. *)
+let prop_step_matches_reference_overlays sc =
+  let rng = Rng.create (sc.case_seed + 61) in
+  let on_pop pop () =
+    let rings = Rings.build pop in
+    let crashed = gen_crashes rng ~n:sc.n in
+    let dead v = crashed.(v) in
+    first_error
+      (List.concat_map
+         (fun overlay ->
+           let id = Overlay.id overlay and links = Overlay.links overlay in
+           List.concat_map
+             (fun at ->
+               List.map
+                 (fun key () -> step_matches_reference ~id ~links ~dead ~at ~key)
+                 (step_keys rng ~id ~n:sc.n))
+             (List.init sc.n Fun.id))
+         [ Chord.build pop; Crescendo.build rings ])
+  in
+  first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
+
+(* Arbitrary adjacencies over colliding identifiers: links repeat, point
+   back at their holder, and share ids with other nodes, so the strict
+   [<] tie rule decides many steps. *)
+let prop_step_matches_reference_ties () =
+  for case = 0 to 199 do
+    let rng = Rng.create (7000 + case) in
+    let n = 1 + Rng.int_below rng 12 in
+    let pool = Array.init (1 + Rng.int_below rng 4) (fun _ ->
+        if Rng.bool rng then corner_ids.(Rng.int_below rng (Array.length corner_ids))
+        else Id.random rng)
+    in
+    let ids = Array.init n (fun _ -> pool.(Rng.int_below rng (Array.length pool))) in
+    let adj = Array.init n (fun _ -> Array.init (Rng.int_below rng 9) (fun _ -> Rng.int_below rng n)) in
+    let crashed = Array.init n (fun _ -> Rng.int_below rng 3 = 0) in
+    let id v = ids.(v) and links v = adj.(v) and dead v = crashed.(v) in
+    for at = 0 to n - 1 do
+      List.iter
+        (fun key ->
+          match step_matches_reference ~id ~links ~dead ~at ~key with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "case %d: %s" case msg)
+        (Array.to_list pool @ step_keys rng ~id ~n)
+    done
+  done
+
 let suites =
   [
     ( "prop.latency",
@@ -989,6 +1272,12 @@ let suites =
         Alcotest.test_case "read-repair restores invariant after one fault" `Quick
           (check ~count:12 ~seed:9707 ~min_n:8 ~max_n:96
              prop_read_repair_restores_invariant);
+             Alcotest.test_case "placement = leaf_sequence reference, ragged trees" `Quick
+          (check ~count:30 ~seed:9949 ~min_n:1 ~max_n:160 prop_placement_reference_ragged);
+        Alcotest.test_case "placement = leaf_sequence reference, uniform trees" `Quick
+          prop_placement_reference_uniform;
+        Alcotest.test_case "placement = leaf_sequence reference, transit-stub" `Quick
+          prop_placement_reference_transit_stub;
       ] );
     ( "prop.churn-async",
       [
@@ -1010,5 +1299,12 @@ let suites =
         Alcotest.test_case "crescendo links = reference finger rule" `Quick
           (check ~count:30 ~seed:9939 ~min_n:1 ~max_n:200 prop_crescendo_matches_reference);
         Alcotest.test_case "finger rule id-space corners" `Quick prop_finger_corners;
+      ] );
+    ( "prop.router",
+      [
+        Alcotest.test_case "one-pass step = two-pass reference, overlays" `Quick
+          (check ~count:30 ~seed:9959 ~min_n:1 ~max_n:160 prop_step_matches_reference_overlays);
+        Alcotest.test_case "one-pass step = two-pass reference, ties" `Quick
+          prop_step_matches_reference_ties;
       ] );
   ]
