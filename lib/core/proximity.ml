@@ -165,27 +165,17 @@ let route t ~src ~dst =
   match t.kind with
   | Crescendo_groups ->
       Router.greedy_clockwise t.overlay ~src ~key:(Overlay.id t.overlay dst)
-  | Chord_groups t_bits ->
+  | Chord_groups t_bits -> (
       let ov = t.overlay in
       let group node = Id.prefix (Overlay.id ov node) t_bits in
       let ngroups = 1 lsl t_bits in
       let gdist a b = (b - a) land (ngroups - 1) in
       let dst_group = group dst in
-      let max_hops = Overlay.size ov + 1 in
-      let rec go u acc hops =
-        if u = dst then Route.{ nodes = Array.of_list (List.rev (u :: acc)) }
-        else if hops >= max_hops then
-          raise
-            (Router.Stuck
-               {
-                 at = u;
-                 key = Overlay.id ov dst;
-                 hops;
-                 path = Array.of_list (List.rev (u :: acc));
-               })
+      let step u =
+        if u = dst then Router.Arrived
         else if group u = dst_group then
           (* Intra-group clique: one hop to the destination. *)
-          go dst (u :: acc) (hops + 1)
+          Router.Forward dst
         else begin
           (* Group-greedy: largest group progress without overshooting
              the destination group. *)
@@ -199,16 +189,12 @@ let route t ~src ~dst =
                 best_remaining := dv
               end)
             (Overlay.links ov u);
-          if !best < 0 then
-            raise
-              (Router.Stuck
-                 {
-                   at = u;
-                   key = Overlay.id ov dst;
-                   hops;
-                   path = Array.of_list (List.rev (u :: acc));
-                 })
-          else go !best (u :: acc) (hops + 1)
+          if !best < 0 then Router.Blocked else Router.Forward !best
         end
       in
-      go src [] 0
+      let key = Overlay.id ov dst in
+      match Router.walk ~n:(Overlay.size ov) ~src ~key step with
+      | Ok route -> route
+      | Error { Route.nodes } ->
+          let hops = Array.length nodes - 1 in
+          raise (Router.Stuck { at = nodes.(hops); key; hops; path = nodes }))

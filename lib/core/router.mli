@@ -2,37 +2,51 @@
 
     All routing in the paper is greedy and memoryless: a node inspects
     only its own links (plus, with lookahead, its neighbours' links) and
-    forwards. Three engines cover every system in the repository:
+    forwards. Every engine is one {e step} — what the node holding the
+    message does next — walked hop by hop by one driver, {!walk}. There
+    is one step per metric:
 
-    - {!greedy_clockwise}: Chord, Crescendo, Symphony, Cacophony,
-      nondeterministic Chord/Crescendo. Routes toward a key by taking
-      the link that gets closest to the key clockwise without
-      overshooting it; terminates at the key's closest predecessor
-      among the reachable structure. Crescendo's hierarchical behaviour
-      (§2.2) — intra-domain locality, inter-domain convergence — is an
-      emergent property of this rule; no extra mechanism exists.
-    - {!greedy_clockwise_lookahead}: Symphony/Cacophony's 1-lookahead
-      variant (§3.1) that examines neighbours' neighbours and moves to
-      the first hop of the best 2-hop pair.
-    - {!greedy_xor}: Kademlia/Kandy/CAN/Can-Can bit-fixing: each hop
-      must strictly decrease the XOR distance to the key; terminates at
-      a local minimum (the key's owner when the adjacency is a valid
-      hypercube structure).
+    - clockwise ({!step_clockwise_avoiding_generic}): Chord, Crescendo,
+      Symphony, Cacophony, nondeterministic Chord/Crescendo, with or
+      without dead nodes ({!greedy_clockwise},
+      {!greedy_clockwise_generic}, {!greedy_clockwise_avoiding}, and
+      [canon_net]'s message-level lookups). Take the link that gets
+      closest to the key clockwise without overshooting it; the walk
+      ends at the key's closest predecessor among the reachable
+      structure. Crescendo's hierarchical behaviour (§2.2) —
+      intra-domain locality, inter-domain convergence — is an emergent
+      property of this rule; no extra mechanism exists.
+    - clockwise with lookahead ({!greedy_clockwise_lookahead}):
+      Symphony/Cacophony's 1-lookahead variant (§3.1) that examines
+      neighbours' neighbours and moves to the first hop of the best
+      2-hop pair.
+    - XOR ({!greedy_xor}): Kademlia/Kandy/CAN/Can-Can bit-fixing: each
+      hop must strictly decrease the XOR distance to the key; the walk
+      ends at a local minimum (the key's owner when the adjacency is a
+      valid hypercube structure).
+
+    {2 Routing with a custom step}
+
+    A system with its own forwarding rule (e.g. [Proximity]'s group
+    routing, [Skipnet]'s name routing) writes a function from the
+    current node to a {!step_outcome} — [Forward v], [Arrived] or
+    [Blocked] — and passes it to {!walk}, which owns the path, the hop
+    budget and the {!Stuck} exception.
 
     {2 Tracing}
 
     Every engine takes an optional [?trace] collector
     ({!Canon_telemetry.Trace.t}). When absent — the default — the
-    engine behaves exactly as before and allocates nothing for
-    telemetry; when present, one {!Canon_telemetry.Span} is offered to
-    the collector per lookup (subject to the collector's sampling),
-    carrying the full visited path, the hierarchy level of each link
-    used (depth of the LCA domain of its endpoints), and cumulative
-    physical latency when the collector holds a latency oracle. Routes
-    that exceed the hop budget emit a [Stuck] span with the partial
-    path before the exception propagates; {!greedy_clockwise_avoiding}
-    additionally emits [Stranded] spans for lookups that die at a node
-    with no live useful link. *)
+    engine builds no span; when present, one
+    {!Canon_telemetry.Span} is offered to the collector per lookup
+    (subject to the collector's sampling), carrying the full visited
+    path, the hierarchy level of each link used
+    ({!Canon_overlay.Population.link_level}), and cumulative physical
+    latency when the collector holds a latency oracle. The driver
+    records the span in one place: [Arrived] for a finished route,
+    [Stuck] with the partial path before the hop-budget exception
+    propagates, and [Stranded] for a walk that ends [Blocked] (of the
+    engines here, only {!greedy_clockwise_avoiding}'s step blocks). *)
 
 open Canon_idspace
 open Canon_overlay
@@ -96,11 +110,17 @@ val greedy_clockwise_avoiding :
     alive. *)
 
 type step_outcome =
-  | Forward of int  (** best live no-overshoot link toward the key *)
-  | Arrived  (** no node in [(at, key]] is linked at all: [at] is the
-                 key's predecessor among the reachable structure *)
-  | Blocked  (** every useful link is dead — a live owner may exist but
-                 [at] cannot see it (the stranded condition) *)
+  | Forward of int
+      (** move on to this neighbour — for the clockwise step, the best
+          live no-overshoot link toward the key *)
+  | Arrived
+      (** the walk ends here with a route — for the clockwise step, no
+          node in [(at, key]] is linked at all: [at] is the key's
+          predecessor among the reachable structure *)
+  | Blocked
+      (** the walk ends here with no route — for the clockwise step,
+          every useful link is dead: a live owner may exist but [at]
+          cannot see it (the stranded condition) *)
 
 type step = {
   outcome : step_outcome;  (** what [at] does, avoiding [dead] links *)
@@ -114,19 +134,6 @@ type step = {
     a link other than [fault_free] knows its route has deviated from
     the fault-free path without running the step a second time. *)
 
-val step_clockwise_avoiding :
-  Overlay.t -> dead:(int -> bool) -> at:int -> key:Id.t -> step
-(** One step of {!greedy_clockwise_avoiding}: what the node [at] does
-    with a message for [key] given its local knowledge of dead nodes.
-    Exposed so that message-level simulations ([canon_net]) can drive
-    the same forwarding rule hop by hop, interleaved with timeouts and
-    retries, instead of routing a whole path at once.
-
-    A single pass over [at]'s links: both choices minimise the remaining
-    clockwise distance with a strict [<], so ties go to the earlier link
-    and [fault_free] equals the [Forward] target of the step with
-    [dead = fun _ -> false] ([None] when that step arrives). *)
-
 val step_clockwise_avoiding_generic :
   id:(int -> Id.t) ->
   links:(int -> int array) ->
@@ -134,14 +141,27 @@ val step_clockwise_avoiding_generic :
   at:int ->
   key:Id.t ->
   step
-(** {!step_clockwise_avoiding} over caller-supplied [id]/[links]
-    accessors instead of a frozen {!Overlay.t} — the hop decision a node
-    makes against {e live} link state, e.g. a membership view mutated by
-    churn while messages are in flight. The overlay version is this with
-    [Overlay.id]/[Overlay.links]. *)
+(** The clockwise step: what the node [at] does with a message for
+    [key] given its local knowledge of dead nodes, over caller-supplied
+    [id]/[links] accessors — a frozen {!Overlay.t}'s, or {e live} link
+    state such as a membership view mutated by churn while messages are
+    in flight. Every clockwise engine walks this step; message-level
+    simulations ([canon_net]) drive it hop by hop, interleaved with
+    timeouts and retries, instead of routing a whole path at once.
 
-val level_of_edge : Overlay.t -> int -> int -> int
-(** [level_of_edge overlay u v] is the hierarchy depth of the link
-    (u, v): the depth of the lowest common ancestor domain of the two
-    endpoints (0 = top-level link). Exposed for instrumentation built
-    outside this module. *)
+    A single pass over [at]'s links: both choices minimise the remaining
+    clockwise distance with a strict [<], so ties go to the earlier link
+    and [fault_free] equals the [Forward] target of the step with
+    [dead = fun _ -> false] ([None] when that step arrives). *)
+
+val walk :
+  n:int -> src:int -> key:Id.t -> (int -> step_outcome) -> (Route.t, Route.t) result
+(** [walk ~n ~src ~key step] is the one hop loop every engine runs:
+    starting at [src], ask [step] what the current node does and follow
+    each [Forward]. [Ok route] when a node answers [Arrived], [Error
+    path] — the nodes visited, ending at the blocked node — when one
+    answers [Blocked]. [n] bounds the hop budget (the node count; the
+    budget is [n + 1] hops): forwarding past it raises {!Stuck} with the
+    partial path. [key] only labels that exception. *)
+
+

@@ -71,13 +71,8 @@ let mean_degree t =
 
 let route_by_name t ~src ~dst =
   let target = t.rank_of_node.(dst) in
-  let max_hops = size t + 1 in
-  let rec go u acc hops =
-    if u = dst then Route.{ nodes = Array.of_list (List.rev (u :: acc)) }
-    else if hops >= max_hops then
-      raise
-        (Router.Stuck
-           { at = u; key = target; hops; path = Array.of_list (List.rev (u :: acc)) })
+  let step u =
+    if u = dst then Router.Arrived
     else begin
       let ru = t.rank_of_node.(u) in
       (* Best monotone step toward the target rank over all levels. *)
@@ -95,14 +90,14 @@ let route_by_name t ~src ~dst =
             best_dist := abs (target - rc)
           end)
         t.pointers.(u);
-      if !best = u then
-        raise
-          (Router.Stuck
-             { at = u; key = target; hops; path = Array.of_list (List.rev (u :: acc)) })
-      else go !best (u :: acc) (hops + 1)
+      if !best = u then Router.Blocked else Router.Forward !best
     end
   in
-  go src [] 0
+  match Router.walk ~n:(size t) ~src ~key:target step with
+  | Ok route -> route
+  | Error { Route.nodes } ->
+      let hops = Array.length nodes - 1 in
+      raise (Router.Stuck { at = nodes.(hops); key = target; hops; path = nodes })
 
 let route_by_numeric t ~src ~key =
   let ids = t.pop.Population.ids in

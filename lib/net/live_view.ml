@@ -19,8 +19,6 @@ let crescendo m = { m; construction = Crescendo; generation = 0; memo = Hashtbl.
 
 let chord m = { m; construction = Chord_global; generation = 0; memo = Hashtbl.create 64 }
 
-let maintenance t = t.m
-
 let generation t = t.generation
 
 let bump t =

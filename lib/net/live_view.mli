@@ -33,8 +33,6 @@ val chord : Canon_sim.Maintenance.t -> t
     maintenance protocol tracks membership, and this view derives the
     flat link state each generation. *)
 
-val maintenance : t -> Canon_sim.Maintenance.t
-
 val is_live : t -> int -> bool
 
 val links : t -> int -> int array

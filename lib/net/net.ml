@@ -152,7 +152,6 @@ type lookup_state = {
 }
 
 type pending = {
-  p_src : int;
   p_key : Id.t;
   p_started : float;
   p_st : lookup_state;
@@ -171,10 +170,6 @@ type msg = {
 type event = Send of msg | Deliver of msg | Timeout of msg
 
 let result p = p.p_result
-
-let pending_src p = p.p_src
-
-let pending_key p = p.p_key
 
 let finalize t p ~now =
   let st = p.p_st in
@@ -207,7 +202,7 @@ let finalize t p ~now =
         | Async_route.Failed -> Span.Stranded
       in
       Trace.record tr ~kind:"canon_net.lookup" ~key:p.p_key ~outcome ~nodes:route.Route.nodes
-        ~level:(Router.level_of_edge t.overlay) ~latency:t.node_latency ());
+        ~level:(Population.link_level (Overlay.population t.overlay)) ~latency:t.node_latency ());
   let r =
     Async_route.
       {
@@ -302,7 +297,7 @@ let launch ?on_done t ~now ~push ~src ~key =
       finished = None;
     }
   in
-  let p = { p_src = src; p_key = key; p_started = now; p_st = st; p_on_done = on_done; p_result = None } in
+  let p = { p_key = key; p_started = now; p_st = st; p_on_done = on_done; p_result = None } in
   step_at t p ~now ~push src;
   p
 

@@ -13,7 +13,7 @@
       backoff, up to [max_retries] times;
     + {e reroute}: when the budget is exhausted the target is marked
       suspect and the sender re-runs the greedy rule avoiding suspects
-      ({!Canon_core.Router.step_clockwise_avoiding});
+      ({!Canon_core.Router.step_clockwise_avoiding_generic});
     + {e re-anchor}: when every useful link is suspect, the sender falls
       back to its per-level leaf sets ({!Canon_sim.Leaf_sets}) and
       forwards to the nearest non-suspect successor that makes clockwise
@@ -139,10 +139,6 @@ val abandon : t -> pending -> now:float -> Async_route.t
 (** Resolve an unresolved lookup as [Failed No_candidate] now (e.g. the
     shared queue drained with the lookup still waiting); returns the
     existing result if it already resolved. *)
-
-val pending_src : pending -> int
-
-val pending_key : pending -> Id.t
 
 val suspected_nodes : t -> int array
 (** Nodes the network currently believes dead (retry budgets exhausted

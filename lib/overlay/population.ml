@@ -41,3 +41,5 @@ let domain_of_node_at_depth t node k =
   Domain_tree.ancestor_at_depth t.tree leaf (min k leaf_depth)
 
 let lca_of_nodes t a b = Domain_tree.lca t.tree t.leaf_of_node.(a) t.leaf_of_node.(b)
+
+let link_level t a b = Domain_tree.depth t.tree (lca_of_nodes t a b)

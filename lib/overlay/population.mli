@@ -48,3 +48,9 @@ val domain_of_node_at_depth : t -> int -> int -> int
 
 val lca_of_nodes : t -> int -> int -> int
 (** Lowest common ancestor domain of two nodes' leaves. *)
+
+val link_level : t -> int -> int -> int
+(** [link_level t u v] is the hierarchy level of the link (u, v): the
+    depth of the lowest common ancestor domain of the two endpoints —
+    0 for a top-level link, deeper is more local. The level a trace
+    span records for each hop. *)

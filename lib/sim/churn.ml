@@ -32,15 +32,6 @@ type report = {
   sim_time : float;
 }
 
-let default_config =
-  {
-    initial_nodes = 256;
-    events = 200;
-    join_fraction = 0.5;
-    probes_per_event = 4;
-    mean_interarrival = 1.0;
-  }
-
 type event =
   | Arrival
   | Departure
@@ -180,9 +171,7 @@ let run ?on_event rng pop config =
       let route =
         Router.greedy_clockwise_generic
           ?trace:(Canon_telemetry.Trace.ambient ())
-          ~level:(fun u v ->
-            Canon_hierarchy.Domain_tree.depth pop.Population.tree
-              (Population.lca_of_nodes pop u v))
+          ~level:(Population.link_level pop)
           ~n
           ~id:(fun v -> pop.Population.ids.(v))
           ~links:(fun v -> if Maintenance.is_present m v then Maintenance.links m v else [||])

@@ -49,8 +49,6 @@ type hook =
           membership. Handlers run after the maintenance protocol
           settles and must not consume the churn RNG. *)
 
-val default_config : config
-
 val run :
   ?on_event:(hook -> unit) ->
   Canon_rng.Rng.t ->

@@ -62,17 +62,3 @@ let pop t =
     done;
     Some (top.time, top.payload)
   end
-
-let peek_time t = if t.size = 0 then None else Some (get t 0).time
-
-let pop_until t ~time =
-  if Float.is_nan time then invalid_arg "Event_queue.pop_until: bad time";
-  let rec go acc =
-    match peek_time t with
-    | Some earliest when earliest <= time -> (
-        match pop t with
-        | Some event -> go (event :: acc)
-        | None -> assert false)
-    | Some _ | None -> List.rev acc
-  in
-  go []

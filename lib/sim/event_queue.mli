@@ -15,11 +15,3 @@ val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** The earliest event, or [None] when empty. Events with equal
     timestamps come out in insertion order. *)
-
-val peek_time : 'a t -> float option
-
-val pop_until : 'a t -> time:float -> (float * 'a) list
-(** Drains every event with timestamp [<= time], earliest first, FIFO
-    among equal timestamps — the batch a virtual clock advancing to
-    [time] must process. The empty list when nothing is due. Raises
-    [Invalid_argument] on a NaN [time]. *)

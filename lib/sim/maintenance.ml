@@ -146,9 +146,7 @@ let join t m =
         let route =
           Router.greedy_clockwise_generic
             ?trace:(Canon_telemetry.Trace.ambient ())
-            ~level:(fun u v ->
-              Canon_hierarchy.Domain_tree.depth t.pop.Population.tree
-                (Population.lca_of_nodes t.pop u v))
+            ~level:(Population.link_level t.pop)
             ~n
             ~id:(fun v -> t.pop.Population.ids.(v))
             ~links:(fun v -> t.links.(v))

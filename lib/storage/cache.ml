@@ -144,9 +144,4 @@ let query t store overlay ~querier ~key =
         chain;
       Some { value; path; served_from_cache = from_cache; found_at }
 
-let cached_levels t ~node ~key =
-  match Hashtbl.find_opt t.caches.(node) key with
-  | None -> []
-  | Some entry -> [ entry.level ]
-
 let entries t ~node = Hashtbl.length t.caches.(node)

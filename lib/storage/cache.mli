@@ -39,9 +39,5 @@ val query : t -> Store.t -> Overlay.t -> querier:int -> key:Id.t -> result optio
     the querier's chain below the answer level, with level
     annotations. *)
 
-val cached_levels : t -> node:int -> key:Id.t -> int list
-(** Level annotations of copies of [key] cached at [node] (for tests
-    and inspection). *)
-
 val entries : t -> node:int -> int
 (** Number of cached entries held by a node. *)

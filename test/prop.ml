@@ -1247,6 +1247,410 @@ let prop_step_matches_reference_ties () =
     done
   done
 
+(* --- one path driver ------------------------------------------------ *)
+
+module Trace = Canon_telemetry.Trace
+module Span = Canon_telemetry.Span
+
+(* How a walk ended: a route, a stranded path (the avoiding engine's
+   [None]), or the fields of the hop-budget exception. *)
+type walked =
+  | Routed of int array
+  | Stranded of int array
+  | Stuck_at of { at : int; key : Id.t; hops : int; path : int array }
+
+let show_walked = function
+  | Routed p -> Printf.sprintf "route [%s]" (show_links p)
+  | Stranded p -> Printf.sprintf "stranded [%s]" (show_links p)
+  | Stuck_at { at; key; hops; path } ->
+      Printf.sprintf "stuck at %d, key %d, %d hops [%s]" at key hops (show_links path)
+
+let path_of u acc = Array.of_list (List.rev (u :: acc))
+
+(* The historical hop loop of the infallible engines, kept as the
+   reference: [step] answers the next node or [None] to stop. *)
+let reference_collect ~n ~src ~key step =
+  let max_hops = n + 1 in
+  let rec go u acc hops =
+    match step u with
+    | None -> Routed (path_of u acc)
+    | Some v ->
+        if hops >= max_hops then Stuck_at { at = u; key; hops; path = path_of u acc }
+        else go v (u :: acc) (hops + 1)
+  in
+  go src [] 0
+
+(* The historical two-distance clockwise step: the two-pass
+   [reference_step] with nothing dead. *)
+let reference_clockwise ~id ~links ~key u =
+  match reference_step ~id ~links ~dead:(fun _ -> false) ~at:u ~key with
+  | Router.Forward v -> Some v
+  | Router.Arrived | Router.Blocked -> None
+
+(* The historical lookahead step. *)
+let reference_lookahead overlay ~key u =
+  let du = Id.distance (Overlay.id overlay u) key in
+  if du = 0 then None
+  else begin
+    let remaining w = Id.distance (Overlay.id overlay w) key in
+    let no_overshoot a b =
+      Id.distance (Overlay.id overlay a) (Overlay.id overlay b) <= remaining a
+    in
+    let score v =
+      let best = ref (remaining v) in
+      Array.iter
+        (fun w -> if no_overshoot v w && remaining w < !best then best := remaining w)
+        (Overlay.links overlay v);
+      !best
+    in
+    let best = ref (-1) and best_score = ref du and best_progress = ref (-1) in
+    Array.iter
+      (fun v ->
+        if no_overshoot u v then begin
+          let s = score v and progress = du - remaining v in
+          if s < !best_score || (s = !best_score && progress > !best_progress) then begin
+            best := v;
+            best_score := s;
+            best_progress := progress
+          end
+        end)
+      (Overlay.links overlay u);
+    if !best < 0 then None else Some !best
+  end
+
+(* The historical XOR step. *)
+let reference_xor overlay ~key u =
+  let du = Id.xor_distance (Overlay.id overlay u) key in
+  if du = 0 then None
+  else begin
+    let best = ref (-1) and best_d = ref du in
+    Array.iter
+      (fun v ->
+        let d = Id.xor_distance (Overlay.id overlay v) key in
+        if d < !best_d then begin
+          best := v;
+          best_d := d
+        end)
+      (Overlay.links overlay u);
+    if !best < 0 then None else Some !best
+  end
+
+(* The historical loop of [greedy_clockwise_avoiding] over the two-pass
+   step. *)
+let reference_avoiding overlay ~dead ~src ~key =
+  let id = Overlay.id overlay and links = Overlay.links overlay in
+  let max_hops = Overlay.size overlay + 1 in
+  let rec go u acc hops =
+    match reference_step ~id ~links ~dead ~at:u ~key with
+    | Router.Forward v ->
+        if hops >= max_hops then Stuck_at { at = u; key; hops; path = path_of u acc }
+        else go v (u :: acc) (hops + 1)
+    | Router.Blocked -> Stranded (path_of u acc)
+    | Router.Arrived -> Routed (path_of u acc)
+  in
+  go src [] 0
+
+(* The historical Chord-groups loop of [Proximity.route]. *)
+let reference_chord_groups ov ~t_bits ~src ~dst =
+  let group node = Id.prefix (Overlay.id ov node) t_bits in
+  let ngroups = 1 lsl t_bits in
+  let gdist a b = (b - a) land (ngroups - 1) in
+  let dst_group = group dst in
+  let key = Overlay.id ov dst in
+  let max_hops = Overlay.size ov + 1 in
+  let rec go u acc hops =
+    if u = dst then Routed (path_of u acc)
+    else if hops >= max_hops then Stuck_at { at = u; key; hops; path = path_of u acc }
+    else if group u = dst_group then go dst (u :: acc) (hops + 1)
+    else begin
+      let du = gdist (group u) dst_group in
+      let best = ref (-1) and best_remaining = ref du in
+      Array.iter
+        (fun v ->
+          let dv = gdist (group v) dst_group in
+          if gdist (group u) (group v) <= du && dv < !best_remaining then begin
+            best := v;
+            best_remaining := dv
+          end)
+        (Overlay.links ov u);
+      if !best < 0 then Stuck_at { at = u; key; hops; path = path_of u acc }
+      else go !best (u :: acc) (hops + 1)
+    end
+  in
+  go src [] 0
+
+(* SkipNet's per-level (left, right) name neighbours, rebuilt from the
+   name order: the historical construction. *)
+let reference_skipnet_pointers pop sk =
+  let n = Population.size pop and ids = pop.Population.ids in
+  let levels = Array.make n [] in
+  let rec refine members bit =
+    let k = Array.length members in
+    if k >= 2 then begin
+      Array.iteri
+        (fun i node ->
+          levels.(node) <- (members.((i + k - 1) mod k), members.((i + 1) mod k)) :: levels.(node))
+        members;
+      if bit < Id.bits then begin
+        let side b =
+          Array.of_list
+            (List.filter
+               (fun m -> (ids.(m) lsr (Id.bits - 1 - bit)) land 1 = b)
+               (Array.to_list members))
+        in
+        refine (side 0) (bit + 1);
+        refine (side 1) (bit + 1)
+      end
+    end
+  in
+  refine (Array.init n (Skipnet.node_of_rank sk)) 0;
+  Array.map (fun l -> Array.of_list (List.rev l)) levels
+
+(* The historical loop of [Skipnet.route_by_name]. *)
+let reference_route_by_name sk ~pointers ~src ~dst =
+  let rank = Skipnet.name_rank sk in
+  let target = rank dst in
+  let max_hops = Skipnet.size sk + 1 in
+  let rec go u acc hops =
+    if u = dst then Routed (path_of u acc)
+    else if hops >= max_hops then Stuck_at { at = u; key = target; hops; path = path_of u acc }
+    else begin
+      let ru = rank u in
+      let best = ref u and best_dist = ref (abs (target - ru)) in
+      Array.iter
+        (fun (l, r) ->
+          let candidate = if target > ru then r else l in
+          let rc = rank candidate in
+          let between =
+            if target > ru then rc > ru && rc <= target else rc < ru && rc >= target
+          in
+          if between && abs (target - rc) < !best_dist then begin
+            best := candidate;
+            best_dist := abs (target - rc)
+          end)
+        pointers.(u);
+      if !best = u then Stuck_at { at = u; key = target; hops; path = path_of u acc }
+      else go !best (u :: acc) (hops + 1)
+    end
+  in
+  go src [] 0
+
+(* An untraced engine run as a [walked]. *)
+let walked_of run =
+  match run () with
+  | route -> Routed route.Route.nodes
+  | exception Router.Stuck { at; key; hops; path } -> Stuck_at { at; key; hops; path }
+
+(* An engine run under a fresh trace: how it ended, checked against the
+   one span it must record — kind, outcome, path, and the link level of
+   every hop (the reference's depth of the endpoints' LCA domain). A
+   stranded walk's path is the span's. *)
+let traced_walked pop ~kind run =
+  let trace = Trace.create () in
+  let ended =
+    match run trace with
+    | Some route -> Routed route.Route.nodes
+    | None -> Stranded [||]
+    | exception Router.Stuck { at; key; hops; path } -> Stuck_at { at; key; hops; path }
+  in
+  match Trace.spans trace with
+  | [ span ] -> (
+      let path = Span.path span in
+      let level u v = Domain_tree.depth pop.Population.tree (Population.lca_of_nodes pop u v) in
+      let levels_ok =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i (e : Span.event) -> i = 0 || e.level = level path.(i - 1) path.(i))
+             span.Span.events)
+      in
+      let walked, outcome, walked_path =
+        match ended with
+        | Routed p -> (ended, Span.Arrived, p)
+        | Stranded _ -> (Stranded path, Span.Stranded, path)
+        | Stuck_at { path = p; _ } -> (ended, Span.Stuck, p)
+      in
+      if span.Span.kind <> kind then err "span kind %s, expected %s" span.Span.kind kind
+      else if span.Span.outcome <> outcome || walked_path <> path then
+        err "%s span [%s] for %s" (Span.outcome_to_string span.Span.outcome) (show_links path)
+          (show_walked walked)
+      else if not levels_ok then err "%s: span link levels differ from the LCA depths" kind
+      else Ok walked)
+  | spans -> err "%s: %d spans recorded, expected 1" kind (List.length spans)
+
+let same what ~expected got =
+  match got with
+  | Error _ as e -> e
+  | Ok got when got = expected -> Ok ()
+  | Ok got -> err "%s: reference %s, got %s" what (show_walked expected) (show_walked got)
+
+(* The clockwise and avoiding engines (and, when asked, the lookahead
+   and XOR engines) from [src] toward [key], traced, against their
+   references; [dead] only applies to the avoiding engine, from a live
+   source. *)
+let overlay_engines_match ~lookahead ~xor overlay ~dead ~src ~key =
+  let pop = Overlay.population overlay in
+  let n = Overlay.size overlay in
+  let id = Overlay.id overlay and links = Overlay.links overlay in
+  let some f tr = Some (f tr) in
+  let clockwise () =
+    same "greedy_clockwise"
+      ~expected:(reference_collect ~n ~src ~key (reference_clockwise ~id ~links ~key))
+      (traced_walked pop ~kind:"greedy_clockwise"
+         (some (fun trace -> Router.greedy_clockwise ~trace overlay ~src ~key)))
+  in
+  let avoiding () =
+    if dead src then Ok ()
+    else
+      same "greedy_clockwise_avoiding"
+        ~expected:(reference_avoiding overlay ~dead ~src ~key)
+        (traced_walked pop ~kind:"greedy_clockwise_avoiding" (fun trace ->
+             Router.greedy_clockwise_avoiding ~trace overlay ~dead ~src ~key))
+  in
+  let lookahead () =
+    if not lookahead then Ok ()
+    else
+      same "greedy_clockwise_lookahead"
+        ~expected:(reference_collect ~n ~src ~key (reference_lookahead overlay ~key))
+        (traced_walked pop ~kind:"greedy_clockwise_lookahead"
+           (some (fun trace -> Router.greedy_clockwise_lookahead ~trace overlay ~src ~key)))
+  in
+  let xor () =
+    if not xor then Ok ()
+    else
+      same "greedy_xor"
+        ~expected:(reference_collect ~n ~src ~key (reference_xor overlay ~key))
+        (traced_walked pop ~kind:"greedy_xor"
+           (some (fun trace -> Router.greedy_xor ~trace overlay ~src ~key)))
+  in
+  first_error [ clockwise; avoiding; lookahead; xor ]
+
+(* The generic clockwise engine at the smallest hop budget its route
+   fits in and the two below it, where it must raise [Stuck] with the
+   reference's fields. *)
+let generic_matches ~n ~id ~links ~src ~key =
+  let route_hops =
+    match reference_collect ~n ~src ~key (reference_clockwise ~id ~links ~key) with
+    | Routed p -> Array.length p - 1
+    | Stranded _ | Stuck_at _ -> n
+  in
+  first_error
+    (List.init
+       (min (n + 1) 3)
+       (fun i () ->
+         let budget_n = max 0 (min n (route_hops - 1 - i)) in
+         same
+           (Printf.sprintf "greedy_clockwise_generic, n = %d" budget_n)
+           ~expected:
+             (reference_collect ~n:budget_n ~src ~key (reference_clockwise ~id ~links ~key))
+           (Ok
+              (walked_of (fun () ->
+                   Router.greedy_clockwise_generic ~n:budget_n ~id ~links ~src ~key ())))))
+
+(* Chord, Crescendo, Symphony, Cacophony (with lookahead) and Kademlia
+   (XOR) overlays of the scenario, on random and corner ids, under a
+   random dead mask; plus the generic engine over each clockwise
+   overlay's adjacency at shrinking hop budgets. *)
+let prop_driver_matches_reference_overlays sc =
+  let rng = Rng.create (sc.case_seed + 67) in
+  let on_pop pop () =
+    let rings = Rings.build pop in
+    let crashed = gen_crashes rng ~n:sc.n in
+    let dead v = crashed.(v) in
+    let clockwise =
+      [ Chord.build pop; Crescendo.build rings ]
+    and lookahead = [ Symphony.build rng pop; Cacophony.build rng rings ] in
+    let cases ~lookahead ~xor overlay =
+      let id = Overlay.id overlay and links = Overlay.links overlay in
+      List.concat_map
+        (fun key ->
+          let src = Rng.int_below rng sc.n in
+          [
+            (fun () -> overlay_engines_match ~lookahead ~xor overlay ~dead ~src ~key);
+            (fun () -> generic_matches ~n:sc.n ~id ~links ~src ~key);
+          ])
+        (List.concat (List.init 4 (fun _ -> step_keys rng ~id ~n:sc.n)))
+    in
+    first_error
+      (List.concat_map (cases ~lookahead:false ~xor:false) clockwise
+      @ List.concat_map (cases ~lookahead:true ~xor:false) lookahead
+      @ cases ~lookahead:false ~xor:true (Kademlia.build rng pop))
+  in
+  first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
+
+(* Arbitrary adjacencies over colliding identifiers. The generic engine
+   sees self-links and repeated links; the overlay engines see the same
+   adjacency without them (an overlay rejects both), where equal ids
+   let the lookahead step bounce between two nodes until the hop budget
+   runs out. *)
+let prop_driver_matches_reference_ties () =
+  let tree = Domain_tree.of_spec Domain_tree.Leaf in
+  for case = 0 to 299 do
+    let rng = Rng.create (7500 + case) in
+    let n = 1 + Rng.int_below rng 12 in
+    let pool = Array.init (1 + Rng.int_below rng 4) (fun _ ->
+        if Rng.bool rng then corner_ids.(Rng.int_below rng (Array.length corner_ids))
+        else Id.random rng)
+    in
+    let ids = Array.init n (fun _ -> pool.(Rng.int_below rng (Array.length pool))) in
+    let adj = Array.init n (fun _ -> Array.init (Rng.int_below rng 9) (fun _ -> Rng.int_below rng n)) in
+    let crashed = Array.init n (fun _ -> Rng.int_below rng 3 = 0) in
+    let pop =
+      { Population.ids; tree; leaf_of_node = Array.make n (Domain_tree.root tree); attach = None }
+    in
+    let overlay =
+      Overlay.create pop
+        ~links:
+          (Array.mapi
+             (fun u a -> Array.of_list (List.sort_uniq compare (List.filter (( <> ) u) (Array.to_list a))))
+             adj)
+    in
+    let id v = ids.(v) and links v = adj.(v) and dead v = crashed.(v) in
+    for src = 0 to n - 1 do
+      List.iter
+        (fun key ->
+          match
+            first_error
+              [
+                (fun () -> generic_matches ~n ~id ~links ~src ~key);
+                (fun () ->
+                  overlay_engines_match ~lookahead:true ~xor:true overlay ~dead ~src ~key);
+              ]
+          with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "case %d: %s" case msg)
+        (Array.to_list pool @ step_keys rng ~id ~n)
+    done
+  done
+
+(* Chord-groups proximity routing (group sizes 1 to 16) and SkipNet
+   name routing between random node pairs, on random and corner ids,
+   against their historical loops. *)
+let prop_driver_matches_reference_groups sc =
+  let rng = Rng.create (sc.case_seed + 71) in
+  let pairs () = List.init 40 (fun _ -> (Rng.int_below rng sc.n, Rng.int_below rng sc.n)) in
+  let on_pop pop () =
+    let group_size = 1 lsl Rng.int_below rng 5 in
+    let prox = Proximity.build_chord ~group_size pop ~node_latency:oracle in
+    let t_bits = Proximity.group_bits ~n:sc.n ~group_size in
+    let sk = Skipnet.build pop in
+    let pointers = reference_skipnet_pointers pop sk in
+    first_error
+      (List.concat_map
+         (fun (src, dst) ->
+           [
+             (fun () ->
+               same "Proximity.route"
+                 ~expected:(reference_chord_groups (Proximity.overlay prox) ~t_bits ~src ~dst)
+                 (Ok (walked_of (fun () -> Proximity.route prox ~src ~dst))));
+             (fun () ->
+               same "Skipnet.route_by_name"
+                 ~expected:(reference_route_by_name sk ~pointers ~src ~dst)
+                 (Ok (walked_of (fun () -> Skipnet.route_by_name sk ~src ~dst))));
+           ])
+         (pairs ()))
+  in
+  first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
+
 let suites =
   [
     ( "prop.latency",
@@ -1306,5 +1710,13 @@ let suites =
           (check ~count:30 ~seed:9959 ~min_n:1 ~max_n:160 prop_step_matches_reference_overlays);
         Alcotest.test_case "one-pass step = two-pass reference, ties" `Quick
           prop_step_matches_reference_ties;
+        Alcotest.test_case "one driver = historical engines, overlays" `Quick
+          (check ~count:30 ~seed:9969 ~min_n:1 ~max_n:160
+             prop_driver_matches_reference_overlays);
+        Alcotest.test_case "one driver = historical engines, ties" `Quick
+          prop_driver_matches_reference_ties;
+        Alcotest.test_case "one driver = historical group and name routing" `Quick
+          (check ~count:30 ~seed:9979 ~min_n:1 ~max_n:160
+             prop_driver_matches_reference_groups);
       ] );
   ]

@@ -1,5 +1,5 @@
-(* Tests for canon_net: the virtual clock, RPC policy, fault plans, and
-   the message-level lookup simulator. The central assertions: with no
+(* Tests for canon_net: RPC policy, fault plans, and the message-level
+   lookup simulator. The central assertions: with no
    faults the async lookup is byte-for-byte the synchronous greedy
    route (same path, wall clock = physical latency); with faults it
    degrades exactly through retry -> reroute -> leaf-set re-anchor. *)
@@ -21,26 +21,6 @@ let make_universe ?(fanout = 4) ?(levels = 3) ~n seed =
   let rng = Rng.create seed in
   let tree = Domain_tree.of_spec (Domain_tree.uniform_spec ~fanout ~levels) in
   Population.create rng ~tree ~policy:(Placement.Zipfian 1.25) ~n
-
-(* --- Clock --------------------------------------------------------- *)
-
-let test_clock () =
-  let c = Clock.create () in
-  Alcotest.(check (float 1e-9)) "starts at 0" 0.0 (Clock.now c);
-  Clock.advance_to c 5.0;
-  Clock.advance_to c 5.0;
-  Clock.advance_to c 7.5;
-  Alcotest.(check (float 1e-9)) "now" 7.5 (Clock.now c);
-  Alcotest.(check (float 1e-9)) "elapsed" 7.5 (Clock.elapsed c);
-  Alcotest.check_raises "backwards" (Invalid_argument "Clock.advance_to: time moved backwards")
-    (fun () -> Clock.advance_to c 6.0);
-  Alcotest.check_raises "nan" (Invalid_argument "Clock.advance_to: bad time") (fun () ->
-      Clock.advance_to c Float.nan);
-  let c2 = Clock.create ~start:100.0 () in
-  Clock.advance_to c2 130.0;
-  Alcotest.(check (float 1e-9)) "elapsed from start" 30.0 (Clock.elapsed c2);
-  Alcotest.check_raises "bad start" (Invalid_argument "Clock.create: bad start time")
-    (fun () -> ignore (Clock.create ~start:(-1.0) ()))
 
 (* --- Rpc ----------------------------------------------------------- *)
 
@@ -653,8 +633,6 @@ let test_net_merged_lookups_match_sequential () =
 
 let suites =
   [
-    ( "net-clock",
-      [ Alcotest.test_case "monotone virtual clock" `Quick test_clock ] );
     ( "net-rpc",
       [
         Alcotest.test_case "validate" `Quick test_rpc_validate;

@@ -17,7 +17,6 @@ let test_event_queue_order () =
   Event_queue.push q ~time:1.0 "a";
   Event_queue.push q ~time:2.0 "b";
   Alcotest.(check int) "size" 3 (Event_queue.size q);
-  Alcotest.(check (option (float 1e-9))) "peek" (Some 1.0) (Event_queue.peek_time q);
   let order = List.init 3 (fun _ -> match Event_queue.pop q with Some (_, x) -> x | None -> "?") in
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] order;
   Alcotest.(check bool) "drained" true (Event_queue.pop q = None)
@@ -35,31 +34,17 @@ let test_event_queue_invalid () =
   Alcotest.check_raises "nan" (Invalid_argument "Event_queue.push: bad time") (fun () ->
       Event_queue.push q ~time:Float.nan ())
 
-let test_event_queue_pop_until () =
-  let q = Event_queue.create () in
-  List.iter
-    (fun (t, x) -> Event_queue.push q ~time:t x)
-    [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (2.0, "b2"); (5.0, "e") ];
-  Alcotest.(check (list string)) "nothing due" []
-    (List.map snd (Event_queue.pop_until q ~time:0.5));
-  Alcotest.(check int) "nothing popped" 5 (Event_queue.size q);
-  Alcotest.(check (list string)) "due batch, FIFO among ties" [ "a"; "b"; "b2" ]
-    (List.map snd (Event_queue.pop_until q ~time:2.0));
-  Alcotest.(check int) "two left" 2 (Event_queue.size q);
-  Alcotest.(check (list string)) "rest" [ "c"; "e" ]
-    (List.map snd (Event_queue.pop_until q ~time:infinity));
-  Alcotest.(check bool) "drained" true (Event_queue.is_empty q);
-  Alcotest.(check (list string)) "empty queue" []
-    (List.map snd (Event_queue.pop_until q ~time:10.0));
-  Alcotest.check_raises "nan" (Invalid_argument "Event_queue.pop_until: bad time")
-    (fun () -> ignore (Event_queue.pop_until q ~time:Float.nan))
+(* Every event left in the queue, earliest first, through [pop]. *)
+let drain q =
+  let rec go acc = match Event_queue.pop q with Some e -> go (e :: acc) | None -> List.rev acc in
+  go []
 
 (* Randomized permutations of a batch with heavy ties: each round
    shuffles (timestamp, payload) pairs where every timestamp is shared
    by at least three events, pushes them in the shuffled order, and
-   drains through pop_until in two cuts. Among equal timestamps the
-   drain must reproduce the (shuffled) insertion order exactly. *)
-let test_pop_until_permuted_ties () =
+   drains the queue. Among equal timestamps the drain must reproduce
+   the (shuffled) insertion order exactly. *)
+let test_drain_permuted_ties () =
   let rng = Rng.create 41 in
   for round = 0 to 49 do
     let events =
@@ -68,35 +53,27 @@ let test_pop_until_permuted_ties () =
     Rng.shuffle_in_place rng events;
     let q = Event_queue.create () in
     Array.iter (fun (t, x) -> Event_queue.push q ~time:t x) events;
-    let drained =
-      Event_queue.pop_until q ~time:1.0 @ Event_queue.pop_until q ~time:infinity
-    in
     let expected =
       List.stable_sort
         (fun (a, _) (b, _) -> Float.compare a b)
         (Array.to_list events)
     in
-    if drained <> expected then
-      Alcotest.failf "round %d: pop_until broke FIFO order among >= 3-way ties" round
+    if drain q <> expected then
+      Alcotest.failf "round %d: pop broke FIFO order among >= 3-way ties" round
   done
 
-(* The FIFO tie-break pin: draining through pop_until must equal a
-   stable sort of the insertion sequence by timestamp — equal
-   timestamps stay in insertion order. Timestamps are drawn from a tiny
-   set so ties are plentiful. *)
-let prop_pop_until_is_stable_sort =
-  QCheck.Test.make ~count:300 ~name:"pop_until = stable sort by time"
-    QCheck.(pair (list (int_bound 3)) (int_bound 3))
-    (fun (times, cut) ->
+(* The FIFO tie-break pin: draining through pop must equal a stable
+   sort of the insertion sequence by timestamp — equal timestamps stay
+   in insertion order. Timestamps are drawn from a tiny set so ties are
+   plentiful. *)
+let prop_drain_is_stable_sort =
+  QCheck.Test.make ~count:300 ~name:"pop drain = stable sort by time"
+    QCheck.(list (int_bound 3))
+    (fun times ->
       let q = Event_queue.create () in
       let events = List.mapi (fun i t -> (Float.of_int t, i)) times in
       List.iter (fun (t, i) -> Event_queue.push q ~time:t i) events;
-      let cut = Float.of_int cut in
-      let drained =
-        Event_queue.pop_until q ~time:cut @ Event_queue.pop_until q ~time:infinity
-      in
-      let expected = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) events in
-      drained = expected)
+      drain q = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) events)
 
 let test_event_queue_stress () =
   let q = Event_queue.create () in
@@ -261,22 +238,6 @@ let test_event_queue_two_producer_ties () =
     [ "rpc:send"; "churn:leave"; "rpc:deliver"; "churn:join"; "rpc:timeout" ]
     order
 
-let test_event_queue_pop_until_boundary () =
-  let q = Event_queue.create () in
-  Event_queue.push q ~time:1.0 "a";
-  Event_queue.push q ~time:2.0 "b1";
-  Event_queue.push q ~time:2.0 "b2";
-  Event_queue.push q ~time:3.0 "c";
-  let batch = Event_queue.pop_until q ~time:2.0 in
-  Alcotest.(check (list string))
-    "boundary exactly equal to an event time is inclusive" [ "a"; "b1"; "b2" ]
-    (List.map snd batch);
-  Alcotest.(check (list string))
-    "same boundary again drains nothing" []
-    (List.map snd (Event_queue.pop_until q ~time:2.0));
-  Alcotest.(check (option (float 1e-9))) "later event untouched" (Some 3.0)
-    (Event_queue.peek_time q)
-
 (* --- Order-statistic set ------------------------------------------- *)
 
 (* Random adds and removes (repeats included) against a boolean-array
@@ -377,13 +338,10 @@ let suites =
         Alcotest.test_case "order" `Quick test_event_queue_order;
         Alcotest.test_case "fifo ties" `Quick test_event_queue_fifo_ties;
         Alcotest.test_case "invalid times" `Quick test_event_queue_invalid;
-        Alcotest.test_case "pop_until" `Quick test_event_queue_pop_until;
-        Alcotest.test_case "pop_until permuted ties" `Quick test_pop_until_permuted_ties;
-        QCheck_alcotest.to_alcotest prop_pop_until_is_stable_sort;
+        Alcotest.test_case "drain permuted ties" `Quick test_drain_permuted_ties;
+        QCheck_alcotest.to_alcotest prop_drain_is_stable_sort;
         Alcotest.test_case "stress" `Quick test_event_queue_stress;
         Alcotest.test_case "two-producer ties" `Quick test_event_queue_two_producer_ties;
-        Alcotest.test_case "pop_until exact boundary" `Quick
-          test_event_queue_pop_until_boundary;
       ] );
     ( "maintenance",
       [
