@@ -93,6 +93,18 @@ let micro_benchmarks () =
                (Canon_storage.Replica_set.compute ~alive:ts_alive ts_rings
                   ~spread:Canon_storage.Replica_set.Sibling ~k:3 ~domain:ts_root
                   ~key:(Canon_idspace.Id.random rng))));
+      Test.make ~name:"event_queue.push+pop (depth 64, integer-ms ties)"
+        (* Steady state: each run schedules one event at most 40 ms
+           after the one it pops, as Net's hops and timers do, so the
+           depth stays at 64 and timestamps tie often. *)
+        (let q = Canon_sim.Event_queue.create () in
+         for i = 0 to 63 do
+           Canon_sim.Event_queue.push q ~time:(Float.of_int (i mod 40)) i
+         done;
+         Staged.stage (fun () ->
+             let now = Canon_sim.Event_queue.min_time q in
+             let ev = Canon_sim.Event_queue.take q in
+             Canon_sim.Event_queue.push q ~time:(now +. Float.of_int (1 + (ev land 31))) ev));
       Test.make ~name:"net.lookup (2040 routers, n=8192, 10% dead, 1% loss)"
         (Staged.stage (fun () ->
              ignore

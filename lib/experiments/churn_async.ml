@@ -65,31 +65,27 @@ let run_phase ~chord ~pop ~node_latency ~config ~can_churn ~restrict ~lookups
   let pendings = Array.make lookups None in
   let push ~time ev = Event_queue.push q ~time (Rpc_event ev) in
   let last = ref 0.0 in
-  let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some (time, payload) ->
-        last := time;
-        (match payload with
-        | Membership ev ->
-            Churn.apply driver ev;
-            Metrics.incr m_events
-        | Launch i ->
-            let live =
-              Array.of_list
-                (List.filter (Live_view.is_live view) (Array.to_list candidates))
-            in
-            if Array.length live >= 2 then begin
-              let src = Rng.pick pick_rng live and dst = Rng.pick pick_rng live in
-              dsts.(i) <- dst;
-              Metrics.incr m_launches;
-              pendings.(i) <-
-                Some (Net.launch net ~now:time ~push ~src ~key:pop.Population.ids.(dst))
-            end
-        | Rpc_event ev -> Net.handle net ~now:time ~push ev);
-        drain ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    let time = Event_queue.min_time q in
+    last := time;
+    match Event_queue.take q with
+    | Membership ev ->
+        Churn.apply driver ev;
+        Metrics.incr m_events
+    | Launch i ->
+        let live =
+          Array.of_list
+            (List.filter (Live_view.is_live view) (Array.to_list candidates))
+        in
+        if Array.length live >= 2 then begin
+          let src = Rng.pick pick_rng live and dst = Rng.pick pick_rng live in
+          dsts.(i) <- dst;
+          Metrics.incr m_launches;
+          pendings.(i) <-
+            Some (Net.launch net ~now:time ~push ~src ~key:pop.Population.ids.(dst))
+        end
+    | Rpc_event ev -> Net.handle net ~now:time ~push ev
+  done;
   Metrics.set g_horizon !last;
   let launched = ref 0 and ok = ref 0 and walls = ref [] in
   Array.iteri

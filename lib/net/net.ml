@@ -9,6 +9,37 @@ module Span = Canon_telemetry.Span
 
 type suspicion = [ `Per_lookup | `Shared ]
 
+type lookup_state = {
+  mutable rev_path : int list;
+  mutable hops : int;
+  mutable messages : int;
+  mutable retries : int;
+  mutable timeouts : int;
+  mutable losses : int;
+  mutable reanchors : int;
+  mutable deviated : bool;
+  mutable newly_suspected : int list;
+  mutable finished : (Async_route.status * Async_route.failure option) option;
+}
+
+type pending = {
+  p_key : Id.t;
+  p_started : float;
+  p_st : lookup_state;
+  p_on_done : (Async_route.t -> unit) option;
+  mutable p_result : Async_route.t option;
+}
+
+type msg = {
+  lk : pending;
+  from_ : int;
+  to_ : int;
+  attempt : int;
+  mutable got_through : bool;
+}
+
+type event = Send of msg | Deliver of msg | Timeout of msg
+
 type t = {
   overlay : Overlay.t;
   node_latency : int -> int -> float;
@@ -22,6 +53,7 @@ type t = {
   suspected : bool array;
   leaf_cache : int array array option array;
   mutable leaf_cache_gen : int;
+  queue : event Event_queue.t;  (* [lookup]'s, empty between calls *)
 }
 
 (* Process-wide telemetry, bound once (see Metrics). *)
@@ -70,6 +102,7 @@ let create ?(policy = Rpc.default) ?plan ?rings ?live ?(leaf_width = 4)
     suspected = Array.make n false;
     leaf_cache = Array.make n None;
     leaf_cache_gen = 0;
+    queue = Event_queue.create ();
   }
 
 let overlay t = t.overlay
@@ -137,37 +170,6 @@ let reanchor_candidate t ~at ~key =
   end
 
 (* --- one lookup ---------------------------------------------------- *)
-
-type lookup_state = {
-  mutable rev_path : int list;
-  mutable hops : int;
-  mutable messages : int;
-  mutable retries : int;
-  mutable timeouts : int;
-  mutable losses : int;
-  mutable reanchors : int;
-  mutable deviated : bool;
-  mutable newly_suspected : int list;
-  mutable finished : (Async_route.status * Async_route.failure option) option;
-}
-
-type pending = {
-  p_key : Id.t;
-  p_started : float;
-  p_st : lookup_state;
-  p_on_done : (Async_route.t -> unit) option;
-  mutable p_result : Async_route.t option;
-}
-
-type msg = {
-  lk : pending;
-  from_ : int;
-  to_ : int;
-  attempt : int;
-  mutable got_through : bool;
-}
-
-type event = Send of msg | Deliver of msg | Timeout of msg
 
 let result p = p.p_result
 
@@ -242,12 +244,23 @@ let transmit t ~now ~push m =
      the timeout still wins the FIFO tie. Departure of the target while
      the message is in flight is checked at delivery time instead, since
      it may happen after this moment. *)
-  if
+  let delivered =
     (not lost)
     && (not (Fault_plan.is_crashed t.plan m.to_))
     && lat <= t.policy.Rpc.timeout_ms
-  then push ~time:(now +. lat) (Deliver m);
-  push ~time:(now +. t.policy.Rpc.timeout_ms) (Timeout m)
+  in
+  if delivered then push ~time:(now +. lat) (Deliver m);
+  (* On a frozen net a delivered message sets [got_through] before its
+     timer pops, so a timer within the deadline would be a no-op and is
+     not scheduled. Past the deadline it is the event that fails the
+     lookup, and in live mode the target may still depart in flight:
+     both keep it. The test mirrors [handle]'s deadline check exactly. *)
+  let expiry = now +. t.policy.Rpc.timeout_ms in
+  if
+    (not delivered)
+    || Option.is_some t.live
+    || expiry -. m.lk.p_started > t.policy.Rpc.deadline_ms
+  then push ~time:expiry (Timeout m)
 
 let forward t p ~now ~push u v =
   transmit t ~now ~push { lk = p; from_ = u; to_ = v; attempt = 0; got_through = false }
@@ -361,18 +374,15 @@ let abandon t p ~now =
   match p.p_result with Some r -> r | None -> assert false
 
 let lookup t ~src ~key =
-  let q = Event_queue.create () in
+  let q = t.queue in
+  Event_queue.clear q;
   let push ~time ev = Event_queue.push q ~time ev in
   let p = launch t ~now:0.0 ~push ~src ~key in
   let last = ref 0.0 in
-  let rec run () =
-    if p.p_result = None then
-      match Event_queue.pop q with
-      | None -> ()
-      | Some (time, ev) ->
-          last := time;
-          handle t ~now:time ~push ev;
-          run ()
-  in
-  run ();
+  while Option.is_none p.p_result && not (Event_queue.is_empty q) do
+    let time = Event_queue.min_time q in
+    last := time;
+    handle t ~now:time ~push (Event_queue.take q)
+  done;
+  Event_queue.clear q;
   match p.p_result with Some r -> r | None -> abandon t p ~now:!last

@@ -86,14 +86,15 @@ val lookup : t -> src:int -> key:Id.t -> Async_route.t
 (** Routes one message from [src] toward [key]'s responsible node,
     simulating every hop. Raises [Invalid_argument] when [src] is
     crashed (or, in live mode, not live). Deterministic given the
-    creation RNG's state. Implemented as {!launch} + {!handle} over a
-    private event queue; with a fault-free plan the RNG is never
-    consumed, so results are independent of other lookups' scheduling. *)
+    creation RNG's state. Implemented as {!launch} + {!handle} over one
+    event queue the net keeps and empties for every lookup; with a
+    fault-free plan the RNG is never consumed, so results are
+    independent of other lookups' scheduling. *)
 
 (** {2 Event-driven interface}
 
-    [lookup] owns its clock: it drains a private queue until the route
-    resolves. The functions below expose the same machinery with the
+    [lookup] owns its clock: it drains the net's own queue until the
+    route resolves. The functions below expose the same machinery with the
     {e caller} owning the queue, so lookups can be interleaved with
     other timestamped work — most importantly {!Canon_sim.Churn}
     membership events — on one shared {!Event_queue}/sim-time axis. The
@@ -127,10 +128,13 @@ val launch :
 
 val handle : t -> now:float -> push:(time:float -> event -> unit) -> event -> unit
 (** Process one event at its timestamp [now] (caller passes the time the
-    event popped at). Events of resolved lookups are ignored, so leftover
-    timeouts in the shared queue are harmless. An event popping after
-    its lookup's deadline resolves the lookup as [Failed Deadline] with
-    wall clamped to the deadline. *)
+    event popped at). Events of resolved lookups are ignored. An event
+    popping after its lookup's deadline resolves the lookup as [Failed
+    Deadline] with wall clamped to the deadline. A frozen net (no
+    [live] view) schedules no timeout for a message it delivers unless
+    the timeout would pop past the deadline, where it is the event that
+    fails the lookup; a live net keeps every timeout, since a target
+    may depart while the message is in flight. *)
 
 val result : pending -> Async_route.t option
 (** [None] while the lookup is still in flight. *)

@@ -185,18 +185,13 @@ let run ?on_event rng pop config =
       end
     end
   in
-  let rec drain () =
-    match Event_queue.pop queue with
-    | None -> ()
-    | Some (time, kind) ->
-        clock := time;
-        apply d kind;
-        for _ = 1 to config.probes_per_event do
-          probe ()
-        done;
-        drain ()
-  in
-  drain ();
+  while not (Event_queue.is_empty queue) do
+    clock := Event_queue.min_time queue;
+    apply d (Event_queue.take queue);
+    for _ = 1 to config.probes_per_event do
+      probe ()
+    done
+  done;
   {
     joins = d.d_joins;
     leaves = d.d_leaves;

@@ -1651,6 +1651,566 @@ let prop_driver_matches_reference_groups sc =
   in
   first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
 
+(* --- the event queue and the frozen Net's timer skip ---------------- *)
+
+module Leaf_sets = Canon_sim.Leaf_sets
+
+(* A sorted-list priority queue: the model [Event_queue] is checked
+   against, and the boxed queue of the reference event loop below. A
+   new entry goes after every entry with the same or an earlier time,
+   which is the (time, insertion index) order. *)
+module Model_queue = struct
+  type 'a t = { mutable entries : (float * 'a) list; mutable size : int }
+
+  let create () = { entries = []; size = 0 }
+
+  let push q ~time x =
+    let rec insert = function
+      | ((t, _) as e) :: rest when t <= time -> e :: insert rest
+      | rest -> (time, x) :: rest
+    in
+    q.entries <- insert q.entries;
+    q.size <- q.size + 1
+
+  let pop q =
+    match q.entries with
+    | [] -> None
+    | e :: rest ->
+        q.entries <- rest;
+        q.size <- q.size - 1;
+        Some e
+
+  let clear q =
+    q.entries <- [];
+    q.size <- 0
+end
+
+type queue_op = Push of int | Pop | Take | Clear
+
+let show_queue_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Pop -> "pop"
+  | Take -> "take"
+  | Clear -> "clear"
+
+(* Pushes at 16 integer times (so ties are everywhere) interleaved with
+   both pops and rare clears: depths reach the hundreds, far past the
+   initial capacity. The payload is the op's index, so FIFO order among
+   ties is visible. *)
+let prop_event_queue_matches_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 1500)
+        (frequency
+           [
+             (200, map (fun t -> Push t) (int_bound 15));
+             (50, return Pop);
+             (50, return Take);
+             (1, return Clear);
+           ]))
+  in
+  let arb =
+    QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops)) gen
+  in
+  QCheck.Test.make ~count:200 ~name:"Event_queue = sorted-list model" arb (fun ops ->
+      let q = Event_queue.create () and m = Model_queue.create () in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Push t ->
+              Event_queue.push q ~time:(Float.of_int t) i;
+              Model_queue.push m ~time:(Float.of_int t) i
+          | Pop ->
+              if Event_queue.pop q <> Model_queue.pop m then
+                QCheck.Test.fail_reportf "op %d: pop differs from the model" i
+          | Take -> (
+              match Model_queue.pop m with
+              | None -> (
+                  match Event_queue.take q with
+                  | _ -> QCheck.Test.fail_reportf "op %d: take on an empty queue returned" i
+                  | exception Invalid_argument _ -> ())
+              | Some (time, x) ->
+                  let time' = Event_queue.min_time q in
+                  let x' = Event_queue.take q in
+                  if time' <> time || x' <> x then
+                    QCheck.Test.fail_reportf "op %d: took (%g, %d), model (%g, %d)" i time' x'
+                      time x)
+          | Clear ->
+              Event_queue.clear q;
+              Model_queue.clear m);
+          if Event_queue.size q <> m.Model_queue.size || Event_queue.is_empty q <> (m.size = 0)
+          then QCheck.Test.fail_reportf "op %d: size %d, model %d" i (Event_queue.size q) m.size)
+        ops;
+      true)
+
+(* [Net]'s lookup loop as it was before frozen nets stopped scheduling
+   dead timers: every message pushes its Timeout, and each [lookup]
+   drains a fresh [Model_queue]. Metrics, trace spans and the leaf-set
+   cache are left out, since none of them feeds a result. *)
+module Reference_net = struct
+  type lookup = {
+    key : Id.t;
+    started : float;
+    on_done : Async_route.t -> unit;
+    mutable rev_path : int list;
+    mutable hops : int;
+    mutable messages : int;
+    mutable retries : int;
+    mutable timeouts : int;
+    mutable losses : int;
+    mutable reanchors : int;
+    mutable deviated : bool;
+    mutable newly_suspected : int list;
+    mutable result : Async_route.t option;
+  }
+
+  type msg = { lk : lookup; from_ : int; to_ : int; attempt : int; mutable got_through : bool }
+
+  type event = Send of msg | Deliver of msg | Timeout of msg
+
+  type t = {
+    overlay : Overlay.t;
+    plan : Fault_plan.t;
+    policy : Rpc.policy;
+    rng : Rng.t;
+    rings : Rings.t option;
+    live : Live_view.t option;
+    shared : bool;
+    suspected : bool array;
+  }
+
+  let leaf_width = 4
+
+  let node_latency = int_oracle
+
+  let node_live t v = match t.live with None -> true | Some lv -> Live_view.is_live lv v
+
+  let node_links t v =
+    match t.live with None -> Overlay.links t.overlay v | Some lv -> Live_view.links lv v
+
+  let leaf_sets t u =
+    match (t.live, t.rings) with
+    | Some lv, _ -> Leaf_sets.successors (Live_view.rings lv) ~node:u ~width:leaf_width
+    | None, Some rings -> Leaf_sets.successors rings ~node:u ~width:leaf_width
+    | None, None -> [||]
+
+  let reanchor_candidate t ~at ~key =
+    let id_at = Overlay.id t.overlay at in
+    let du = Id.distance id_at key in
+    if du = 0 then None
+    else begin
+      let best = ref (-1) and best_d = ref max_int in
+      Array.iter
+        (Array.iter (fun w ->
+             if (not t.suspected.(w)) && node_live t w then begin
+               let dw = Id.distance id_at (Overlay.id t.overlay w) in
+               if dw > 0 && dw <= du && dw < !best_d then begin
+                 best := w;
+                 best_d := dw
+               end
+             end))
+        (leaf_sets t at);
+      if !best < 0 then None else Some !best
+    end
+
+  let finish t p ~now ?failure status =
+    if p.result = None then begin
+      if not t.shared then List.iter (fun v -> t.suspected.(v) <- false) p.newly_suspected;
+      p.newly_suspected <- [];
+      let r =
+        Async_route.
+          {
+            status;
+            failure;
+            route = Route.{ nodes = Array.of_list (List.rev p.rev_path) };
+            wall_ms = Float.min (now -. p.started) t.policy.Rpc.deadline_ms;
+            messages = p.messages;
+            retries = p.retries;
+            timeouts = p.timeouts;
+            losses = p.losses;
+            reanchors = p.reanchors;
+          }
+      in
+      p.result <- Some r;
+      p.on_done r
+    end
+
+  let transmit t ~now ~push m =
+    let p = m.lk in
+    p.messages <- p.messages + 1;
+    let lost = Fault_plan.draw_lost t.plan t.rng in
+    if lost then p.losses <- p.losses + 1;
+    let lat = node_latency m.from_ m.to_ *. Fault_plan.edge_multiplier t.plan m.from_ m.to_ in
+    if
+      (not lost)
+      && (not (Fault_plan.is_crashed t.plan m.to_))
+      && lat <= t.policy.Rpc.timeout_ms
+    then push ~time:(now +. lat) (Deliver m);
+    push ~time:(now +. t.policy.Rpc.timeout_ms) (Timeout m)
+
+  let forward t p ~now ~push u v =
+    transmit t ~now ~push { lk = p; from_ = u; to_ = v; attempt = 0; got_through = false }
+
+  let step_at t p ~now ~push u =
+    let step =
+      Router.step_clockwise_avoiding_generic
+        ~id:(fun v -> Overlay.id t.overlay v)
+        ~links:(node_links t)
+        ~dead:(fun v -> t.suspected.(v))
+        ~at:u ~key:p.key
+    in
+    match step.Router.outcome with
+    | Router.Forward v ->
+        (match step.Router.fault_free with Some w when w = v -> () | _ -> p.deviated <- true);
+        forward t p ~now ~push u v
+    | Router.Arrived ->
+        finish t p ~now (if p.deviated then Async_route.Rerouted else Async_route.Delivered)
+    | Router.Blocked -> (
+        match reanchor_candidate t ~at:u ~key:p.key with
+        | Some v ->
+            p.reanchors <- p.reanchors + 1;
+            p.deviated <- true;
+            forward t p ~now ~push u v
+        | None -> finish t p ~now Async_route.Failed ~failure:Async_route.No_candidate)
+
+  let launch t ~now ~push ~src ~key ~on_done =
+    let p =
+      {
+        key;
+        started = now;
+        on_done;
+        rev_path = [ src ];
+        hops = 0;
+        messages = 0;
+        retries = 0;
+        timeouts = 0;
+        losses = 0;
+        reanchors = 0;
+        deviated = false;
+        newly_suspected = [];
+        result = None;
+      }
+    in
+    step_at t p ~now ~push src;
+    p
+
+  let handle t ~now ~push ev =
+    let m = match ev with Send m | Deliver m | Timeout m -> m in
+    let p = m.lk in
+    if p.result = None then
+      if now -. p.started > t.policy.Rpc.deadline_ms then
+        finish t p ~now Async_route.Failed ~failure:Async_route.Deadline
+      else
+        match ev with
+        | Send m -> transmit t ~now ~push m
+        | Deliver m ->
+            if node_live t m.to_ then begin
+              m.got_through <- true;
+              p.rev_path <- m.to_ :: p.rev_path;
+              p.hops <- p.hops + 1;
+              if p.hops > Overlay.size t.overlay + 1 then
+                finish t p ~now Async_route.Failed ~failure:Async_route.Hop_budget
+              else step_at t p ~now ~push m.to_
+            end
+        | Timeout m ->
+            if not m.got_through then begin
+              p.timeouts <- p.timeouts + 1;
+              if m.attempt < t.policy.Rpc.max_retries then begin
+                p.retries <- p.retries + 1;
+                let retry = m.attempt + 1 in
+                let delay = Rpc.backoff_ms t.policy ~retry t.rng in
+                push ~time:(now +. delay) (Send { m with attempt = retry; got_through = false })
+              end
+              else begin
+                p.deviated <- true;
+                if not t.suspected.(m.to_) then begin
+                  t.suspected.(m.to_) <- true;
+                  p.newly_suspected <- m.to_ :: p.newly_suspected
+                end;
+                if node_live t m.from_ then step_at t p ~now ~push m.from_
+                else finish t p ~now Async_route.Failed ~failure:Async_route.No_candidate
+              end
+            end
+
+  let lookup t ~src ~key =
+    let q = Model_queue.create () in
+    let push ~time ev = Model_queue.push q ~time ev in
+    let p = launch t ~now:0.0 ~push ~src ~key ~on_done:ignore in
+    let rec run last =
+      if p.result = None then
+        match Model_queue.pop q with
+        | None -> finish t p ~now:last Async_route.Failed ~failure:Async_route.No_candidate
+        | Some (time, ev) ->
+            handle t ~now:time ~push ev;
+            run time
+    in
+    run 0.0;
+    Option.get p.result
+end
+
+let show_route (r : Async_route.t) =
+  Printf.sprintf "%s%s [%s] %.17g ms, %d msgs, %d retries, %d timeouts, %d losses, %d reanchors"
+    (Async_route.status_to_string r.status)
+    (match r.failure with None -> "" | Some f -> "/" ^ Async_route.failure_to_string f)
+    (show_links r.route.Route.nodes) r.wall_ms r.messages r.retries r.timeouts r.losses
+    r.reanchors
+
+(* A net configuration for the timer-skip property: crashes, loss below
+   0.5, a quarter of the nodes slowed 2x (with the even timeout, edges of
+   base latency timeout/2 land exactly at it, as do unslowed edges of
+   base latency = timeout), and half the time a deadline just above the
+   timeout, so that delivered hops keep their timers and those timers
+   fail lookups. *)
+let gen_net_config rng ~n =
+  let timeout = Float.of_int (2 * (10 + Rng.int_below rng 13)) in
+  let loss = if Rng.bool rng then Rng.float rng *. 0.5 else 0.0 in
+  let plan = Fault_plan.create ~loss ~n () in
+  Array.iteri (fun v c -> if c then Fault_plan.crash plan v) (gen_crashes rng ~n);
+  for v = 0 to n - 1 do
+    if Rng.int_below rng 4 = 0 then Fault_plan.slow plan v ~factor:2.0
+  done;
+  let deadline =
+    if Rng.bool rng then timeout +. Float.of_int (1 + Rng.int_below rng 20) else 60_000.0
+  in
+  let policy =
+    {
+      Rpc.timeout_ms = timeout;
+      max_retries = Rng.int_below rng 3;
+      backoff_base_ms = 5.0;
+      backoff_factor = 2.0;
+      jitter = (if Rng.bool rng then 0.0 else 0.5);
+      deadline_ms = deadline;
+    }
+  in
+  (plan, policy, Rng.bool rng)
+
+(* A [Net] and its reference twin over the same overlay, plan and
+   policy, each with its own RNG from one seed. *)
+let net_pair rng ~n ?rings ?live overlay =
+  let plan, policy, shared = gen_net_config rng ~n in
+  let seed = Rng.int_below rng (1 lsl 30) in
+  let net_rng = Rng.create seed and ref_rng = Rng.create seed in
+  let suspicion = if shared then `Shared else `Per_lookup in
+  let net =
+    Net.create ~policy ~plan ?rings ?live ~suspicion ~rng:net_rng ~node_latency:int_oracle overlay
+  in
+  let reference =
+    Reference_net.
+      {
+        overlay;
+        plan;
+        policy;
+        rng = ref_rng;
+        rings;
+        live;
+        shared;
+        suspected = Array.make n false;
+      }
+  in
+  (net, net_rng, reference)
+
+let nodes_where n f = Array.of_list (List.filter f (List.init n Fun.id))
+
+(* Both nets leave their RNG at the same point and suspect the same
+   nodes. *)
+let same_afterwards what net net_rng (reference : Reference_net.t) =
+  let suspects = nodes_where (Array.length reference.suspected) (Array.get reference.suspected) in
+  let draw = Rng.int_below net_rng (1 lsl 30) in
+  let ref_draw = Rng.int_below reference.rng (1 lsl 30) in
+  if draw <> ref_draw then err "%s: next RNG draw %d, reference %d" what draw ref_draw
+  else compare_links (what ^ ": suspects") ~expected:suspects ~got:(Net.suspected_nodes net)
+
+let non_crashed plan nodes =
+  Array.of_list (List.filter (fun v -> not (Fault_plan.is_crashed plan v)) (Array.to_list nodes))
+
+(* Sequential [Net.lookup]s equal the reference's, whole [Async_route.t]
+   included. *)
+let lookups_match rng sc ~what ?rings overlay =
+  let net, net_rng, reference = net_pair rng ~n:sc.n ?rings overlay in
+  let up = non_crashed (Net.plan net) (Array.init sc.n Fun.id) in
+  let rec go i =
+    if i >= 12 then same_afterwards what net net_rng reference
+    else begin
+      let src = Rng.pick rng up in
+      let key =
+        if Rng.bool rng then Id.random rng
+        else sc.pop.Population.ids.(Rng.int_below rng sc.n)
+      in
+      let expected = Reference_net.lookup reference ~src ~key in
+      let got = Net.lookup net ~src ~key in
+      if expected <> got then
+        err "%s, lookup %d: reference %s, got %s" what i (show_route expected) (show_route got)
+      else go (i + 1)
+    end
+  in
+  go 0
+
+(* A queue payload shared by both sides of a merged run. *)
+type 'ev job = Start of int | Member of (unit -> unit) | Msg of 'ev
+
+(* Lookups [starts] (launch time, source picker, key) and membership
+   changes [members] on one caller-owned queue, drained to the end: the
+   time each lookup resolved at and its result, in launch order. *)
+let run_merged ~push ~pop ~launch ~handle ~members starts =
+  let resolved = Array.make (Array.length starts) None in
+  let clock = ref 0.0 in
+  let push_msg ~time ev = push ~time (Msg ev) in
+  List.iter (fun (time, change) -> push ~time (Member change)) members;
+  Array.iteri (fun i (time, _, _) -> push ~time (Start i)) starts;
+  let rec drain () =
+    match pop () with
+    | None -> ()
+    | Some (time, job) ->
+        clock := time;
+        (match job with
+        | Member change -> change ()
+        | Start i -> (
+            let _, pick_src, key = starts.(i) in
+            match pick_src () with
+            | None -> ()
+            | Some src ->
+                launch ~now:time ~push:push_msg ~src ~key ~on_done:(fun r ->
+                    resolved.(i) <- Some (!clock, r)))
+        | Msg ev -> handle ~now:time ~push:push_msg ev);
+        drain ()
+  in
+  drain ();
+  resolved
+
+let compare_merged what ~expected ~got =
+  let show = function
+    | None -> "unresolved"
+    | Some (time, r) -> Printf.sprintf "at %g: %s" time (show_route r)
+  in
+  let rec go i =
+    if i >= Array.length expected then Ok ()
+    else if expected.(i) <> got.(i) then
+      err "%s, lookup %d: reference %s, got %s" what i (show expected.(i)) (show got.(i))
+    else go (i + 1)
+  in
+  go 0
+
+(* Runs the same merged schedule through [Net.launch]/[handle] on an
+   [Event_queue] and through the reference on a [Model_queue]. [setup]
+   builds each side's membership: its overlay, live view and membership
+   changes, and a source picker per launch. Both sides are built from
+   the same seeds; the first runs its [Net], the second its reference. *)
+let merged_match rng sc ~what ?rings ~setup () =
+  let seed = Rng.int_below rng (1 lsl 30) in
+  let side () =
+    let overlay, live, members, pick = setup () in
+    let net, net_rng, reference = net_pair (Rng.create seed) ~n:sc.n ?rings ?live overlay in
+    let key_rng = Rng.create (seed + 1) in
+    let starts =
+      Array.init 10 (fun i ->
+          let draw = Rng.int_below key_rng (1 lsl 30) in
+          let key = Id.random key_rng in
+          let time = Float.of_int ((9 * i) + Rng.int_below key_rng 3) in
+          (time, pick reference.Reference_net.plan draw, key))
+    in
+    (net, net_rng, reference, members, starts)
+  in
+  let net, net_rng, _, members, starts = side () in
+  let q = Event_queue.create () in
+  let got =
+    run_merged
+      ~push:(fun ~time x -> Event_queue.push q ~time x)
+      ~pop:(fun () -> Event_queue.pop q)
+      ~launch:(fun ~now ~push ~src ~key ~on_done ->
+        ignore (Net.launch net ~on_done ~now ~push ~src ~key))
+      ~handle:(Net.handle net) ~members starts
+  in
+  let _, _, reference, members, starts = side () in
+  let mq = Model_queue.create () in
+  let expected =
+    run_merged
+      ~push:(fun ~time x -> Model_queue.push mq ~time x)
+      ~pop:(fun () -> Model_queue.pop mq)
+      ~launch:(fun ~now ~push ~src ~key ~on_done ->
+        ignore (Reference_net.launch reference ~now ~push ~src ~key ~on_done))
+      ~handle:(Reference_net.handle reference) ~members starts
+  in
+  match compare_merged what ~expected ~got with
+  | Error _ as e -> e
+  | Ok () -> same_afterwards what net net_rng reference
+
+(* A frozen net: no membership changes, sources drawn among the
+   non-crashed nodes. *)
+let frozen_setup sc overlay () =
+  let pick plan draw =
+    let up = non_crashed plan (Array.init sc.n Fun.id) in
+    fun () -> Some up.(draw mod Array.length up)
+  in
+  (overlay, None, [], pick)
+
+(* A live view with joins and leaves every few ms while lookups are in
+   flight, so targets depart mid-hop. Victims and joiners are pre-drawn
+   indices into the membership of the moment. *)
+let live_setup sc ~chord ~seed () =
+  let rng = Rng.create seed in
+  let present = nodes_where sc.n (fun _ -> Rng.int_below rng 4 <> 0) in
+  let present = if Array.length present >= 2 then present else [| 0; 1 |] in
+  let m = Maintenance.create sc.pop ~present in
+  let view = if chord then Live_view.chord m else Live_view.crescendo m in
+  let change ~joins draw () =
+    if joins then begin
+      let absent = nodes_where sc.n (fun v -> not (Maintenance.is_present m v)) in
+      if Array.length absent > 0 then begin
+        let v = absent.(draw mod Array.length absent) in
+        ignore (Maintenance.join m v);
+        Live_view.on_hook view (Churn.Join v)
+      end
+    end
+    else if Maintenance.count m > 2 then begin
+      let live = Maintenance.present m in
+      let v = live.(draw mod Array.length live) in
+      ignore (Maintenance.leave m v);
+      Live_view.on_hook view (Churn.Leave v)
+    end
+  in
+  let members =
+    List.init 40 (fun j ->
+        let time = Float.of_int ((3 * j) + Rng.int_below rng 3) in
+        let joins = Rng.bool rng in
+        (time, change ~joins (Rng.int_below rng (1 lsl 30))))
+  in
+  let pick plan draw () =
+    let up = non_crashed plan (Maintenance.present m) in
+    if Array.length up = 0 then None else Some up.(draw mod Array.length up)
+  in
+  (Maintenance.overlay m, Some view, members, pick)
+
+(* Skipping a frozen net's dead timers changes nothing a caller can see:
+   [Net.lookup] returns the reference's whole [Async_route.t], lookups
+   merged on a caller-owned queue resolve at the same times with the
+   same results, and the RNG and suspicions end in the same state. On
+   Chord and Crescendo, with and without leaf-set rings, and on live
+   views under churn, where every timer must stay. *)
+let prop_net_matches_reference sc =
+  let rng = Rng.create (sc.case_seed + 61) in
+  let frozen (name, overlay) =
+    List.concat_map
+      (fun rings ->
+        let what = if Option.is_some rings then name ^ " ~rings" else name in
+        [
+          (fun () -> lookups_match rng sc ~what ?rings overlay);
+          (fun () ->
+            merged_match rng sc ~what:(what ^ ", merged") ?rings
+              ~setup:(frozen_setup sc overlay) ());
+        ])
+      [ None; Some sc.rings ]
+  in
+  let live chord =
+    let name = if chord then "live chord" else "live crescendo" in
+    fun () ->
+      let seed = Rng.int_below rng (1 lsl 30) in
+      merged_match rng sc ~what:name ~setup:(live_setup sc ~chord ~seed) ()
+  in
+  first_error
+    (List.concat_map frozen
+       [ ("chord", Chord.build sc.pop); ("crescendo", Crescendo.build sc.rings) ]
+    @ [ live true; live false ])
+
 let suites =
   [
     ( "prop.latency",
@@ -1718,5 +2278,12 @@ let suites =
         Alcotest.test_case "one driver = historical group and name routing" `Quick
           (check ~count:30 ~seed:9979 ~min_n:1 ~max_n:160
              prop_driver_matches_reference_groups);
+      ] );
+    ( "prop.event-loop",
+      [
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 9989 |])
+          prop_event_queue_matches_model;
+        Alcotest.test_case "Net = always-timer reference loop" `Quick
+          (check ~count:20 ~seed:9999 ~min_n:8 ~max_n:120 prop_net_matches_reference);
       ] );
   ]
