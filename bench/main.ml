@@ -78,6 +78,16 @@ let micro_benchmarks () =
              let node = (3 * n / 4) + Rng.int_below rng (n / 4) in
              ignore (Canon_sim.Maintenance.join m node);
              ignore (Canon_sim.Maintenance.leave m node)));
+      Test.make ~name:"maintenance.join+leave (transit-stub, n=4096, 3072 live)"
+        (* live_churn's membership: the 5-level transit-stub hierarchy. *)
+        (let churn_pop = Common.topology_population ~seed:(seed + 2) ts_setup ~n in
+         let m =
+           Canon_sim.Maintenance.create churn_pop ~present:(Array.init (3 * n / 4) Fun.id)
+         in
+         Staged.stage (fun () ->
+             let node = (3 * n / 4) + Rng.int_below rng (n / 4) in
+             ignore (Canon_sim.Maintenance.join m node);
+             ignore (Canon_sim.Maintenance.leave m node)));
       Test.make ~name:"router.greedy_clockwise (n=4096)"
         (Staged.stage (fun () ->
              let src = random_node () and dst = random_node () in

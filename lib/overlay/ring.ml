@@ -96,19 +96,32 @@ let finger t id d =
   let i = if i < size t then i else 0 in
   if t.ids.(i) = id then None else Some t.nodes.(i)
 
+(* Moves [len] ints from [src] to [dst] (possibly overlapping, same
+   array) with plain typed stores: [Array.blit] on a major-heap array
+   goes through the write barrier for every element, even for ints. *)
+let move_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  if dst_pos > src_pos then
+    for i = len - 1 downto 0 do
+      dst.(dst_pos + i) <- src.(src_pos + i)
+    done
+  else
+    for i = 0 to len - 1 do
+      dst.(dst_pos + i) <- src.(src_pos + i)
+    done
+
 let insert t ~id ~node =
   let rank = lower_bound t id in
   if rank < t.size && t.ids.(rank) = id then invalid_arg "Ring.insert: duplicate identifier";
   if t.size = Array.length t.ids then begin
     let cap = 2 * t.size in
     let ids' = Array.make cap 0 and nodes' = Array.make cap 0 in
-    Array.blit t.ids 0 ids' 0 t.size;
-    Array.blit t.nodes 0 nodes' 0 t.size;
+    move_ints t.ids 0 ids' 0 t.size;
+    move_ints t.nodes 0 nodes' 0 t.size;
     t.ids <- ids';
     t.nodes <- nodes'
   end;
-  Array.blit t.ids rank t.ids (rank + 1) (t.size - rank);
-  Array.blit t.nodes rank t.nodes (rank + 1) (t.size - rank);
+  move_ints t.ids rank t.ids (rank + 1) (t.size - rank);
+  move_ints t.nodes rank t.nodes (rank + 1) (t.size - rank);
   t.ids.(rank) <- id;
   t.nodes.(rank) <- node;
   t.size <- t.size + 1
@@ -116,6 +129,6 @@ let insert t ~id ~node =
 let remove t ~id =
   let rank = lower_bound t id in
   if rank >= t.size || t.ids.(rank) <> id then invalid_arg "Ring.remove: identifier not present";
-  Array.blit t.ids (rank + 1) t.ids rank (t.size - rank - 1);
-  Array.blit t.nodes (rank + 1) t.nodes rank (t.size - rank - 1);
+  move_ints t.ids (rank + 1) t.ids rank (t.size - rank - 1);
+  move_ints t.nodes (rank + 1) t.nodes rank (t.size - rank - 1);
   t.size <- t.size - 1

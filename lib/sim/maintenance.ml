@@ -1,4 +1,5 @@
 open Canon_idspace
+open Canon_hierarchy
 open Canon_overlay
 open Canon_core
 module Metrics = Canon_telemetry.Metrics
@@ -15,7 +16,13 @@ type t = {
   present : bool array;
   mutable live : int; (* number of [true] entries of [present] *)
   links : int array array;
-  in_links : (int, unit) Hashtbl.t array; (* reverse adjacency *)
+  (* Reverse adjacency: the nodes linking to v are the first
+     [in_count.(v)] entries of [in_links.(v)], unordered. A node never
+     appears twice, since it holds each link once. *)
+  in_links : int array array;
+  in_count : int array;
+  visited : int array; (* per node: the last event that looked at it *)
+  mutable event : int;
 }
 
 type stats = {
@@ -30,12 +37,34 @@ let mem_link (v : int) links =
   let rec from i = i < Array.length links && (links.(i) = v || from (i + 1)) in
   from 0
 
+let add_in_link t v node =
+  let count = t.in_count.(v) in
+  if count = Array.length t.in_links.(v) then begin
+    let grown = Array.make (max 8 (2 * count)) 0 in
+    Array.blit t.in_links.(v) 0 grown 0 count;
+    t.in_links.(v) <- grown
+  end;
+  t.in_links.(v).(count) <- node;
+  t.in_count.(v) <- count + 1
+
+let remove_in_link t v node =
+  let holders = t.in_links.(v) and last = t.in_count.(v) - 1 in
+  let rec find i =
+    if i <= last then
+      if holders.(i) = node then begin
+        holders.(i) <- holders.(last);
+        t.in_count.(v) <- last
+      end
+      else find (i + 1)
+  in
+  find 0
+
 (* Only the links that actually come or go touch the reverse index: a
    refreshed node typically swaps one target out of ~20. *)
 let set_links t node new_links =
   let old = t.links.(node) in
-  Array.iter (fun v -> if not (mem_link v new_links) then Hashtbl.remove t.in_links.(v) node) old;
-  Array.iter (fun v -> if not (mem_link v old) then Hashtbl.replace t.in_links.(v) node ()) new_links;
+  Array.iter (fun v -> if not (mem_link v new_links) then remove_in_link t v node) old;
+  Array.iter (fun v -> if not (mem_link v old) then add_in_link t v node) new_links;
   t.links.(node) <- new_links
 
 let create pop ~present =
@@ -48,7 +77,10 @@ let create pop ~present =
       present = Array.make n false;
       live = Array.length present;
       links = Array.make n [||];
-      in_links = Array.init n (fun _ -> Hashtbl.create 8);
+      in_links = Array.make n [||];
+      in_count = Array.make n 0;
+      visited = Array.make n 0;
+      event = 0;
     }
   in
   Array.iter (fun node -> t.present.(node) <- true) present;
@@ -72,58 +104,114 @@ let rings t = t.rings
 
 let overlay t = Overlay.create t.pop ~links:(Array.map Array.copy t.links)
 
-(* Recompute the links of every candidate; count those that changed.
-   [Crescendo.links_of_node] returns a link set in one canonical order,
-   so equal sets are equal arrays. *)
-let refresh_candidates t candidates =
-  let changed = ref 0 in
-  Hashtbl.iter
-    (fun node () ->
-      if t.present.(node) then begin
-        let fresh = Crescendo.links_of_node t.rings node in
-        if fresh <> t.links.(node) then begin
-          set_links t node fresh;
-          incr changed
-        end
-      end)
-    candidates;
-  !changed
+(* --- the distance-band patch --------------------------------------- *)
 
-(* Nodes whose Chord-rule finger may now target [m]: per shared ring,
-   members at clockwise distance delta before m's ring predecessor p
-   with delta in [max(0, 2^k - d(p,m)), 2^k), for each k. *)
-let finger_candidates t m ~into =
-  let id_m = t.pop.Population.ids.(m) in
-  Array.iter
-    (fun domain ->
-      let ring = Rings.ring t.rings domain in
-      if Ring.size ring >= 2 then begin
-        let p = Ring.predecessor_of_id ring (Id.add id_m (-1)) in
-        if p <> m then begin
-          let id_p = t.pop.Population.ids.(p) in
-          let d_pm = Id.distance id_p id_m in
-          for k = 0 to Id.bits - 1 do
-            let hi = 1 lsl k in
-            let lo = max 0 (hi - d_pm) in
-            let len = hi - lo in
-            if len > 0 then begin
-              let start = Id.add id_p (-(hi - 1)) in
-              let first = Ring.rank_at_or_after ring start in
-              for i = 0 to Ring.arc_count ring ~start ~len - 1 do
-                let y = Ring.node_at ring ((first + i) mod Ring.size ring) in
-                if y <> m then Hashtbl.replace into y ()
-              done
-            end
-          done
-        end
-      end)
-    (Rings.chain t.rings m)
+(* Condition (b) makes [y]'s links whose LCA with [y] is a domain D
+   exactly the Chord fingers of D's ring closer than a cap: [y]'s
+   successor distance in its child domain under D, or the whole space
+   when D is [y]'s leaf. In the canonical order (leaf level first, then
+   clockwise distance) each level's run of fingers is therefore a
+   distance band, strictly closer than every run before it. *)
+
+(* The cap on [y]'s links whose LCA with [y] is its ancestor at depth
+   [depth]: its successor distance in its domain one level deeper, or
+   the whole space when its leaf sits at [depth]. *)
+let cap_below t y ~depth =
+  let tree = t.pop.Population.tree in
+  let leaf = t.pop.Population.leaf_of_node.(y) in
+  if Domain_tree.depth tree leaf = depth then Id.space
+  else
+    let child = Domain_tree.ancestor_at_depth tree leaf (depth + 1) in
+    Ring.successor_distance (Rings.ring t.rings child) t.pop.Population.ids.(y)
+
+(* Some power of two in (a, b], for 0 <= a < b: the highest one at most
+   [b] exceeds [a]. A member at distance b whose ring predecessor sits
+   at distance a is a Chord finger exactly then. *)
+let power_of_two_between a b = 1 lsl Id.log2_floor b > a
+
+(* [m] has just joined the ring where it is [y]'s LCA, between [p] and
+   [next], at distance [d] < [cap] from [y], with a power of two in
+   (d(y,p), d]: a new finger. It goes into its level's run in distance
+   order. [next] was the finger just after it and stays one only if a
+   power of two lies in (d, d(y,next)]. When [m] is [y]'s new successor
+   ([p] = y), every shallower level is capped at [d]: the links at a
+   distance in [d, d(y,next)) -- closer than the run's old successor,
+   so on shallower levels -- go, except links to crashed nodes, which
+   keep [y] stale until [repair]. *)
+let patch_join t y ~m ~d ~cap ~p ~next =
+  let ids = t.pop.Population.ids in
+  let id_y = ids.(y) in
+  let old = t.links.(y) in
+  let len = Array.length old in
+  let dist i = Id.distance id_y ids.(old.(i)) in
+  let rec run_start i = if i < len && dist i >= cap then run_start (i + 1) else i in
+  let start = run_start 0 in
+  (* Unless [m] is the new successor, the run opens on the successor,
+     its closest member, and shallower runs are closer still. *)
+  let pos =
+    if p = y || start = len then start
+    else
+      let succ = dist start in
+      let rec after i = if i < len && dist i < d && dist i >= succ then after (i + 1) else i in
+      after start
+  in
+  let d_next = if next = y then Id.space else Id.distance id_y ids.(next) in
+  (* On a stale [y] the slot after [m] may hold a crashed node instead. *)
+  let drop_next =
+    next <> y && d_next < cap && (not (power_of_two_between d d_next)) && pos < len
+    && old.(pos) = next
+  in
+  let out = Array.make (len + 1) m in
+  Array.blit old 0 out 0 pos;
+  let n = ref (pos + 1) in
+  for i = pos to len - 1 do
+    let v = old.(i) in
+    if (i = pos && drop_next) || (p = y && d <= dist i && dist i < d_next && t.present.(v)) then
+      remove_in_link t v y
+    else begin
+      out.(!n) <- v;
+      incr n
+    end
+  done;
+  add_in_link t m y;
+  t.links.(y) <- (if !n = len + 1 then out else Array.sub out 0 !n)
+
+(* [m] has left the ring where it was [y]'s LCA, so [next] now follows
+   [m]'s predecessor there: [next] takes [m]'s place in the run unless
+   it is [y] itself, lies at or beyond [cap], or is a finger already. *)
+let patch_leave t y ~m ~next ~cap =
+  let ids = t.pop.Population.ids in
+  let old = t.links.(y) in
+  let takes_over =
+    next <> y && Id.distance ids.(y) ids.(next) < cap && not (mem_link next old)
+  in
+  t.links.(y) <-
+    (if takes_over then begin
+       add_in_link t next y;
+       Array.map (fun v -> if v = m then next else v) old
+     end
+     else begin
+       let out = Array.make (Array.length old - 1) 0 in
+       let n = ref 0 in
+       Array.iter
+         (fun v ->
+           if v <> m then begin
+             out.(!n) <- v;
+             incr n
+           end)
+         old;
+       out
+     end)
 
 let join t m =
   let n = Population.size t.pop in
   if m < 0 || m >= n then invalid_arg "Maintenance.join: node out of range";
   if t.present.(m) then invalid_arg "Maintenance.join: already present";
-  let id_m = t.pop.Population.ids.(m) in
+  if t.in_count.(m) > 0 then
+    invalid_arg "Maintenance.join: crashed node not yet repaired";
+  let ids = t.pop.Population.ids in
+  let id_m = ids.(m) in
+  let chain = Rings.chain t.rings m in
   (* Bootstrap: a live node in the lowest non-empty domain of m's chain
      (paper: the new node knows an existing node of its lowest-level
      domain, or failing that of the lowest enclosing domain with any
@@ -137,7 +225,7 @@ let join t m =
         | None ->
             let ring = Rings.ring t.rings domain in
             if Ring.size ring > 0 then Some (Ring.node_at ring 0) else None)
-      None (Rings.chain t.rings m)
+      None chain
   in
   let routing_messages =
     match bootstrap with
@@ -148,7 +236,7 @@ let join t m =
             ?trace:(Canon_telemetry.Trace.ambient ())
             ~level:(Population.link_level t.pop)
             ~n
-            ~id:(fun v -> t.pop.Population.ids.(v))
+            ~id:(fun v -> ids.(v))
             ~links:(fun v -> t.links.(v))
             ~src:b ~key:id_m ()
         in
@@ -159,10 +247,56 @@ let join t m =
   t.live <- t.live + 1;
   let my_links = Crescendo.links_of_node t.rings m in
   set_links t m my_links;
-  let candidates = Hashtbl.create 64 in
-  finger_candidates t m ~into:candidates;
-  let notify_messages = refresh_candidates t candidates in
-  let stats = { routing_messages; link_messages = Array.length my_links; notify_messages } in
+  (* Nodes that may now finger m: per ring of m's chain, the members y
+     with d(y,p) < 2^k <= d(y,m) for m's predecessor p and some k, i.e.
+     d(y,p) in [max 0 (2^k - d(p,m)), 2^k). The arcs below 2^k =
+     d(p,m)'s highest bit nest inside that one. A y changes only if m
+     lies within its cap for the ring: that holds in the ring of y's
+     LCA with m alone, since in a shallower ring y's child domain holds
+     m and so caps y below d(y,m). *)
+  t.event <- t.event + 1;
+  let notify_messages = ref 0 in
+  Array.iter
+    (fun domain ->
+      let ring = Rings.ring t.rings domain in
+      let size = Ring.size ring in
+      if size >= 2 then begin
+        let p = Ring.predecessor_of_id ring (Id.add id_m (-1)) in
+        let next = Ring.successor_of_id ring id_m in
+        let id_p = ids.(p) in
+        let d_pm = Id.distance id_p id_m in
+        let depth = Domain_tree.depth t.pop.Population.tree domain in
+        let visit y =
+          if y <> m && t.visited.(y) <> t.event then begin
+            t.visited.(y) <- t.event;
+            let d = Id.distance ids.(y) id_m and cap = cap_below t y ~depth in
+            if d < cap then begin
+              patch_join t y ~m ~d ~cap ~p ~next;
+              incr notify_messages
+            end
+          end
+        in
+        for k = Id.log2_floor d_pm to Id.bits - 1 do
+          let hi = 1 lsl k in
+          let lo = max 0 (hi - d_pm) in
+          let first = Ring.rank_at_or_after ring (Id.add id_p (1 - hi)) in
+          let rec walk i =
+            if i < size then begin
+              let y = Ring.node_at ring ((first + i) mod size) in
+              let back = Id.distance ids.(y) id_p in
+              if back >= lo && back < hi then begin
+                visit y;
+                walk (i + 1)
+              end
+            end
+          in
+          walk 0
+        done
+      end)
+    chain;
+  let stats =
+    { routing_messages; link_messages = Array.length my_links; notify_messages = !notify_messages }
+  in
   Metrics.observe join_messages_hist (Float.of_int (total stats));
   stats
 
@@ -195,7 +329,7 @@ let repair t =
       set_links t node fresh)
     stale;
   (* Clear dangling reverse entries of crashed nodes. *)
-  Array.iteri (fun v present -> if not present then Hashtbl.reset t.in_links.(v)) t.present;
+  Array.iteri (fun v present -> if not present then t.in_count.(v) <- 0) t.present;
   let stats =
     { routing_messages = 0; link_messages = !link_messages; notify_messages = Array.length stale }
   in
@@ -206,23 +340,45 @@ let repair t =
 
 let leave t m =
   if not t.present.(m) then invalid_arg "Maintenance.leave: node not present";
-  let candidates = Hashtbl.create 64 in
-  (* Nodes pointing at m must re-target; per-ring predecessors may gain
-     links as their distance caps widen. *)
-  Hashtbl.iter (fun u () -> if u <> m then Hashtbl.replace candidates u ()) t.in_links.(m);
-  let id_m = t.pop.Population.ids.(m) in
-  Array.iter
-    (fun domain ->
-      let ring = Rings.ring t.rings domain in
-      if Ring.size ring >= 2 then begin
-        let p = Ring.predecessor_of_id ring (Id.add id_m (-1)) in
-        if p <> m then Hashtbl.replace candidates p ()
-      end)
-    (Rings.chain t.rings m);
+  let ids = t.pop.Population.ids in
+  let id_m = ids.(m) in
+  let chain = Rings.chain t.rings m in
+  let holders = Array.sub t.in_links.(m) 0 t.in_count.(m) in
   let link_messages = Array.length t.links.(m) in
   Rings.remove_node t.rings m;
   t.present.(m) <- false;
   t.live <- t.live - 1;
   set_links t m [||];
-  let notify_messages = refresh_candidates t candidates in
-  { routing_messages = 0; link_messages; notify_messages }
+  t.event <- t.event + 1;
+  let notify_messages = ref 0 in
+  (* m's ring predecessors: their caps widen, so the links of every
+     shallower level may grow. At most one per level; recomputed. *)
+  Array.iter
+    (fun domain ->
+      let ring = Rings.ring t.rings domain in
+      if Ring.size ring > 0 then begin
+        let p = Ring.predecessor_of_id ring id_m in
+        if t.visited.(p) <> t.event then begin
+          t.visited.(p) <- t.event;
+          let fresh = Crescendo.links_of_node t.rings p in
+          if fresh <> t.links.(p) then begin
+            set_links t p fresh;
+            incr notify_messages
+          end
+        end
+      end)
+    chain;
+  (* Every other node that linked to m loses exactly that link, and may
+     inherit m's ring successor in its LCA ring with m. *)
+  let leaf_depth = Array.length chain - 1 in
+  Array.iter
+    (fun y ->
+      if t.visited.(y) <> t.event then begin
+        let depth = Population.link_level t.pop y m in
+        let next = Ring.successor_of_id (Rings.ring t.rings chain.(leaf_depth - depth)) id_m in
+        patch_leave t y ~m ~next ~cap:(cap_below t y ~depth);
+        incr notify_messages
+      end)
+    holders;
+  t.in_count.(m) <- 0;
+  { routing_messages = 0; link_messages; notify_messages = !notify_messages }

@@ -3,8 +3,9 @@
     Simulates the join/leave protocol at message granularity and keeps
     the overlay's link state {e exactly} consistent: after any sequence
     of joins and leaves, every live node's links equal what the static
-    Crescendo construction would build over the surviving population
-    (this equivalence is asserted by the test suite).
+    Crescendo construction would build over the surviving population,
+    in its canonical order (this equivalence is asserted by the test
+    suite after every event).
 
     A join routes a query for the new node's own identifier through a
     bootstrap node — greedy routing visits the new identifier's
@@ -13,6 +14,22 @@
     notification). A leave notifies in-neighbours and the per-level
     predecessors, whose distance caps may have widened.
 
+    {b What an event touches, and at what host cost.} Condition (b)
+    makes a node's links at each level the Chord fingers of that level's
+    ring within a distance band, so an event patches link arrays in
+    place instead of recomputing them:
+    - a join of [m] finds, per ring of [m]'s chain, the members that may
+      now finger [m] — one ring search per power of two plus a walk over
+      the hits — and patches those for which [m] is within their band:
+      [m] goes in, the finger just after [m] may go, and [m]'s new ring
+      predecessor drops its shallower links beyond [m];
+    - a leave of [m] patches each node that linked to [m] (the link goes,
+      or [m]'s successor takes its place) and recomputes only [m]'s ring
+      predecessors, at most one per level, whose bands widen.
+    So the host work of an event is O(levels · log n) searches plus
+    O(links) per node whose links change — the [notify_messages] it
+    reports.
+
     Costs are reported per operation:
     - [routing_messages]: hops of the bootstrap lookup;
     - [link_messages]: links the new node establishes (or, on leave,
@@ -20,7 +37,16 @@
     - [notify_messages]: existing nodes whose link sets changed.
 
     The paper's claim — O(log n) messages per join — is checked
-    experimentally by the maintenance benchmark. *)
+    experimentally by the maintenance benchmark.
+
+    {b Crash window.} Between {!crash} and {!repair}, joins and leaves
+    keep every node that holds no stale link exactly equal to the static
+    construction. The {e stale} nodes ({!stale_nodes}) are exactly those
+    whose links a join or leave may not patch correctly; a patch never
+    drops a link to a crashed node, so a node stays stale until
+    {!repair} recomputes it (or a leave recomputes it as a ring
+    predecessor, which makes it exact). After {!repair} every live node
+    is exact again. *)
 
 open Canon_overlay
 
@@ -49,7 +75,8 @@ val is_present : t -> int -> bool
 
 val join : t -> int -> stats
 (** Joins a population node. Raises [Invalid_argument] if already
-    present or out of range. *)
+    present or out of range, or if it crashed and a live node still
+    links to it (run {!repair} first). *)
 
 val leave : t -> int -> stats
 (** Graceful departure. Raises [Invalid_argument] if absent. *)

@@ -2211,6 +2211,350 @@ let prop_net_matches_reference sc =
        [ ("chord", Chord.build sc.pop); ("crescendo", Crescendo.build sc.rings) ]
     @ [ live true; live false ])
 
+(* --- ring shifts ---------------------------------------------------- *)
+
+(* [Ring.insert]/[remove] against a sorted association list, from rings
+   of 0 to 3 members (so the arrays grow many times over) through a few
+   hundred operations on corner and random identifiers. *)
+let prop_ring_matches_model () =
+  for case = 0 to 39 do
+    let rng = Rng.create (9990 + case) in
+    let pool =
+      Array.append corner_ids (Array.init (8 + Rng.int_below rng 120) (fun _ -> Id.random rng))
+    in
+    let pool = Array.of_list (List.sort_uniq compare (Array.to_list pool)) in
+    let k = Rng.int_below rng 4 in
+    let initial = Array.init k (fun i -> (i * 7) mod Array.length pool) in
+    let initial = List.sort_uniq compare (Array.to_list initial) in
+    let ring = Ring.of_members ~ids:pool ~members:(Array.of_list initial) in
+    let model = ref (List.map (fun v -> (pool.(v), v)) initial) in
+    let fail fmt = Printf.ksprintf (fun s -> Alcotest.failf "case %d: %s" case s) fmt in
+    for op = 0 to 299 do
+      let v = Rng.int_below rng (Array.length pool) in
+      let id = pool.(v) in
+      let member = List.mem_assoc id !model in
+      if Rng.int_below rng 3 > 0 then begin
+        if member then
+          Alcotest.check_raises "duplicate insert"
+            (Invalid_argument "Ring.insert: duplicate identifier")
+            (fun () -> Ring.insert ring ~id ~node:v)
+        else begin
+          Ring.insert ring ~id ~node:v;
+          model := List.sort compare ((id, v) :: !model)
+        end
+      end
+      else if member then begin
+        Ring.remove ring ~id;
+        model := List.remove_assoc id !model
+      end
+      else
+        Alcotest.check_raises "absent remove"
+          (Invalid_argument "Ring.remove: identifier not present")
+          (fun () -> Ring.remove ring ~id);
+      if Ring.size ring <> List.length !model then
+        fail "op %d: size %d, model %d" op (Ring.size ring) (List.length !model);
+      List.iteri
+        (fun rank (id, v) ->
+          if Ring.id_at ring rank <> id || Ring.node_at ring rank <> v then
+            fail "op %d: rank %d holds (%d, %d), model (%d, %d)" op rank (Ring.id_at ring rank)
+              (Ring.node_at ring rank) id v)
+        !model;
+      if Ring.members ring <> Array.of_list (List.map snd !model) then fail "op %d: members" op
+    done
+  done
+
+(* --- incremental maintenance ---------------------------------------- *)
+
+(* The historical [Maintenance] join and leave, kept as the reference:
+   after a membership event, recompute the links of every node that
+   may have changed -- a leaver's in-link holders and ring
+   predecessors, a joiner's finger candidates found by three ring
+   searches per (ring, k) -- and count those whose set differs. *)
+module Reference_maintenance = struct
+  type t = {
+    pop : Population.t;
+    rings : Rings.t;
+    present : bool array;
+    links : int array array;
+    in_links : (int, unit) Hashtbl.t array;
+  }
+
+  let mem_link (v : int) links = Array.exists (fun w -> w = v) links
+
+  let set_links t node new_links =
+    let old = t.links.(node) in
+    Array.iter
+      (fun v -> if not (mem_link v new_links) then Hashtbl.remove t.in_links.(v) node)
+      old;
+    Array.iter
+      (fun v -> if not (mem_link v old) then Hashtbl.replace t.in_links.(v) node ())
+      new_links;
+    t.links.(node) <- new_links
+
+  let create pop ~present =
+    let n = Population.size pop in
+    let rings = Rings.build_partial pop ~present in
+    let t =
+      {
+        pop;
+        rings;
+        present = Array.make n false;
+        links = Array.make n [||];
+        in_links = Array.init n (fun _ -> Hashtbl.create 8);
+      }
+    in
+    Array.iter (fun node -> t.present.(node) <- true) present;
+    Array.iter (fun node -> set_links t node (Crescendo.links_of_node rings node)) present;
+    t
+
+  let refresh t candidates =
+    Hashtbl.fold
+      (fun node () changed ->
+        if not t.present.(node) then changed
+        else
+          let fresh = Crescendo.links_of_node t.rings node in
+          if fresh = t.links.(node) then changed
+          else begin
+            set_links t node fresh;
+            changed + 1
+          end)
+      candidates 0
+
+  let finger_candidates t m ~into =
+    let id_m = t.pop.Population.ids.(m) in
+    Array.iter
+      (fun domain ->
+        let ring = Rings.ring t.rings domain in
+        if Ring.size ring >= 2 then begin
+          let p = Ring.predecessor_of_id ring (Id.add id_m (-1)) in
+          if p <> m then begin
+            let d_pm = Id.distance t.pop.Population.ids.(p) id_m in
+            for k = 0 to Id.bits - 1 do
+              let hi = 1 lsl k in
+              let lo = max 0 (hi - d_pm) in
+              let len = hi - lo in
+              if len > 0 then begin
+                let start = Id.add t.pop.Population.ids.(p) (-(hi - 1)) in
+                let first = Ring.rank_at_or_after ring start in
+                for i = 0 to Ring.arc_count ring ~start ~len - 1 do
+                  let y = Ring.node_at ring ((first + i) mod Ring.size ring) in
+                  if y <> m then Hashtbl.replace into y ()
+                done
+              end
+            done
+          end
+        end)
+      (Rings.chain t.rings m)
+
+  let join t m =
+    let n = Population.size t.pop in
+    let id_m = t.pop.Population.ids.(m) in
+    let bootstrap =
+      Array.fold_left
+        (fun acc domain ->
+          match acc with
+          | Some _ -> acc
+          | None ->
+              let ring = Rings.ring t.rings domain in
+              if Ring.size ring > 0 then Some (Ring.node_at ring 0) else None)
+        None (Rings.chain t.rings m)
+    in
+    let routing_messages =
+      match bootstrap with
+      | None -> 0
+      | Some b ->
+          Route.hops
+            (Router.greedy_clockwise_generic ~level:(Population.link_level t.pop) ~n
+               ~id:(fun v -> t.pop.Population.ids.(v))
+               ~links:(fun v -> t.links.(v))
+               ~src:b ~key:id_m ())
+    in
+    Rings.add_node t.rings m;
+    t.present.(m) <- true;
+    let my_links = Crescendo.links_of_node t.rings m in
+    set_links t m my_links;
+    let candidates = Hashtbl.create 64 in
+    finger_candidates t m ~into:candidates;
+    {
+      Maintenance.routing_messages;
+      link_messages = Array.length my_links;
+      notify_messages = refresh t candidates;
+    }
+
+  let leave t m =
+    let candidates = Hashtbl.create 64 in
+    Hashtbl.iter (fun u () -> if u <> m then Hashtbl.replace candidates u ()) t.in_links.(m);
+    let id_m = t.pop.Population.ids.(m) in
+    Array.iter
+      (fun domain ->
+        let ring = Rings.ring t.rings domain in
+        if Ring.size ring >= 2 then begin
+          let p = Ring.predecessor_of_id ring (Id.add id_m (-1)) in
+          if p <> m then Hashtbl.replace candidates p ()
+        end)
+      (Rings.chain t.rings m);
+    let link_messages = Array.length t.links.(m) in
+    Rings.remove_node t.rings m;
+    t.present.(m) <- false;
+    set_links t m [||];
+    { Maintenance.routing_messages = 0; link_messages; notify_messages = refresh t candidates }
+end
+
+let show_stats (s : Maintenance.stats) =
+  Printf.sprintf "(%d, %d, %d)" s.routing_messages s.link_messages s.notify_messages
+
+type membership_event = Join of int | Leave of int
+
+let show_event = function
+  | Join v -> Printf.sprintf "join %d" v
+  | Leave v -> Printf.sprintf "leave %d" v
+
+(* Every node's links, [||] for absent ones. *)
+let link_snapshot m n =
+  Array.init n (fun v -> if Maintenance.is_present m v then Maintenance.links m v else [||])
+
+(* A random starting membership: empty, one to three nodes (so rings of
+   one to three members are everywhere), or a random fraction. *)
+let gen_membership rng n =
+  match Rng.int_below rng 3 with
+  | 0 -> [||]
+  | 1 ->
+      let picks = List.init (1 + Rng.int_below rng 3) (fun _ -> Rng.int_below rng n) in
+      Array.of_list (List.sort_uniq compare picks)
+  | _ ->
+      let frac = Rng.float rng in
+      Array.of_list (List.filter (fun _ -> Rng.float rng < frac) (List.init n Fun.id))
+
+(* The next event: a join of a random node that [can_join], or a leave
+   of a random one that [can_leave], whichever is possible. *)
+let gen_event rng ~n ~can_join ~can_leave =
+  let nodes = List.init n Fun.id in
+  let pick ok =
+    let pool = List.filter ok nodes in
+    List.nth pool (Rng.int_below rng (List.length pool))
+  in
+  let joinable = List.exists can_join nodes and leavable = List.exists can_leave nodes in
+  if joinable && ((not leavable) || Rng.bool rng) then Join (pick can_join)
+  else Leave (pick can_leave)
+
+(* Patched membership events are exact. Over random join/leave sequences
+   on ragged hierarchies, corner-id populations and tiny memberships:
+   after every event each live node's links are byte-equal to the
+   static construction, [notify_messages] counts exactly the other
+   nodes whose links changed, and all three costs equal those of the
+   full-recompute reference. A failure names the first failing event,
+   i.e. the shortest failing prefix of the sequence. *)
+let prop_patched_maintenance_exact sc =
+  let rng = Rng.create (sc.case_seed + 67) in
+  let pop = if Rng.bool rng then sc.pop else corner_population rng sc.pop in
+  let initial = gen_membership rng sc.n in
+  let m = Maintenance.create pop ~present:initial in
+  let r = Reference_maintenance.create pop ~present:initial in
+  let events = 1 + Rng.int_below rng 120 in
+  let rec step i prefix =
+    if i = events then Ok ()
+    else begin
+      let ev =
+        gen_event rng ~n:sc.n
+          ~can_join:(fun v -> not (Maintenance.is_present m v))
+          ~can_leave:(Maintenance.is_present m)
+      in
+      let prefix = ev :: prefix in
+      let before = link_snapshot m sc.n in
+      let got, expected, mover =
+        match ev with
+        | Join v -> (Maintenance.join m v, Reference_maintenance.join r v, v)
+        | Leave v -> (Maintenance.leave m v, Reference_maintenance.leave r v, v)
+      in
+      let after = link_snapshot m sc.n in
+      let changed = ref 0 in
+      Array.iteri (fun v a -> if v <> mover && a <> before.(v) then incr changed) after;
+      let live = Maintenance.present m in
+      let static = Crescendo.links_of_node (Rings.build_partial pop ~present:live) in
+      let wrong = List.find_opt (fun v -> after.(v) <> static v) (Array.to_list live) in
+      let fail fmt =
+        Printf.ksprintf
+          (fun s ->
+            err "after event %d of [%s]: %s" (i + 1)
+              (String.concat "; " (List.rev_map show_event prefix))
+              s)
+          fmt
+      in
+      match wrong with
+      | Some v ->
+          fail "node %d: links [%s], static [%s]" v (show_links after.(v)) (show_links (static v))
+      | None ->
+          if got.notify_messages <> !changed then
+            fail "notify_messages %d, %d nodes changed" got.notify_messages !changed
+          else if got <> expected then
+            fail "stats %s, reference %s" (show_stats got) (show_stats expected)
+          else step (i + 1) prefix
+    end
+  in
+  step 0 []
+
+(* The crash-window contract: between a crash and [repair], joins and
+   leaves keep every node that holds no stale link exactly equal to the
+   static construction, and [repair] -- which recomputes the stale
+   nodes -- restores it everywhere. A crashed node that a live node
+   still links to may not rejoin before the repair. *)
+let prop_crash_window_contract sc =
+  let rng = Rng.create (sc.case_seed + 71) in
+  let pop = if Rng.bool rng then sc.pop else corner_population rng sc.pop in
+  let initial = gen_membership rng sc.n in
+  let m = Maintenance.create pop ~present:initial in
+  let crashed = Array.make sc.n false in
+  Array.iter
+    (fun v ->
+      if Rng.int_below rng 6 = 0 then begin
+        Maintenance.crash m v;
+        crashed.(v) <- true
+      end)
+    initial;
+  let exact v = Maintenance.links m v = Crescendo.links_of_node (Maintenance.rings m) v in
+  let live () = List.filter (Maintenance.is_present m) (List.init sc.n Fun.id) in
+  let rec step i =
+    if i = 20 then Ok ()
+    else
+      let ev =
+        gen_event rng ~n:sc.n
+          ~can_join:(fun v -> not (crashed.(v) || Maintenance.is_present m v))
+          ~can_leave:(Maintenance.is_present m)
+      in
+      (match ev with
+      | Join v -> ignore (Maintenance.join m v)
+      | Leave v -> ignore (Maintenance.leave m v));
+      let stale = Maintenance.stale_nodes m in
+      match List.find_opt (fun v -> not (Array.mem v stale || exact v)) (live ()) with
+      | Some v ->
+          err "after event %d (%s): node %d holds no stale link, links [%s], static [%s]"
+            (i + 1) (show_event ev) v
+            (show_links (Maintenance.links m v))
+            (show_links (Crescendo.links_of_node (Maintenance.rings m) v))
+      | None -> step (i + 1)
+  in
+  let rejoin_refused () =
+    let held v =
+      Array.exists (fun u -> Array.mem v (Maintenance.links m u)) (Maintenance.present m)
+    in
+    match List.find_opt (fun v -> crashed.(v) && held v) (List.init sc.n Fun.id) with
+    | None -> Ok ()
+    | Some v -> (
+        match Maintenance.join m v with
+        | _ -> err "crashed node %d rejoined before repair" v
+        | exception Invalid_argument _ -> Ok ())
+  in
+  first_error
+    [
+      rejoin_refused;
+      (fun () -> step 0);
+      (fun () ->
+        ignore (Maintenance.repair m);
+        match List.find_opt (fun v -> not (exact v)) (live ()) with
+        | Some v -> err "node %d wrong after repair" v
+        | None -> Ok ());
+    ]
+
 let suites =
   [
     ( "prop.latency",
@@ -2263,6 +2607,15 @@ let suites =
         Alcotest.test_case "crescendo links = reference finger rule" `Quick
           (check ~count:30 ~seed:9939 ~min_n:1 ~max_n:200 prop_crescendo_matches_reference);
         Alcotest.test_case "finger rule id-space corners" `Quick prop_finger_corners;
+        Alcotest.test_case "Ring insert/remove = sorted-list model" `Quick
+          prop_ring_matches_model;
+      ] );
+    ( "prop.maintenance",
+      [
+        Alcotest.test_case "patched links = static construction, stats = reference" `Quick
+          (check ~count:80 ~seed:10009 ~min_n:1 ~max_n:160 prop_patched_maintenance_exact);
+        Alcotest.test_case "crash window: non-stale nodes exact, repair heals" `Quick
+          (check ~count:80 ~seed:10019 ~min_n:1 ~max_n:160 prop_crash_window_contract);
       ] );
     ( "prop.router",
       [

@@ -452,6 +452,40 @@ let test_routing_during_crash_window () =
   ignore (Maintenance.repair m);
   check_equivalence m pop
 
+(* Joins and leaves in the crash window leave the stale nodes for
+   [repair], which then restores the static construction byte for byte;
+   a crashed node still linked to cannot rejoin first. *)
+let test_events_in_crash_window_then_repair () =
+  let pop = make_universe ~n:300 24 in
+  let order = Array.init 300 Fun.id in
+  Rng.shuffle_in_place (Rng.create 25) order;
+  let m = Maintenance.create pop ~present:(Array.sub order 0 200) in
+  Array.iter (Maintenance.crash m) (Array.sub order 0 10);
+  Alcotest.check_raises "rejoin before repair"
+    (Invalid_argument "Maintenance.join: crashed node not yet repaired") (fun () ->
+      ignore (Maintenance.join m order.(0)));
+  let rng = Rng.create 26 in
+  let joiners = ref (Array.to_list (Array.sub order 200 100)) in
+  for _ = 1 to 20 do
+    match !joiners with
+    | v :: rest when Rng.bool rng ->
+        joiners := rest;
+        ignore (Maintenance.join m v)
+    | _ -> ignore (Maintenance.leave m (Rng.pick rng (Maintenance.present m)))
+  done;
+  Alcotest.(check bool) "stale nodes await repair" true
+    (Array.length (Maintenance.stale_nodes m) > 0);
+  ignore (Maintenance.repair m);
+  let live = Maintenance.present m in
+  let fresh_rings = Rings.build_partial pop ~present:live in
+  Array.iter
+    (fun node ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "node %d after repair" node)
+        (Crescendo.links_of_node fresh_rings node)
+        (Maintenance.links m node))
+    live
+
 let test_repair_idempotent () =
   let pop = make_universe ~n:100 36 in
   let m = Maintenance.create pop ~present:(Array.init 100 Fun.id) in
@@ -473,6 +507,8 @@ let extra_suites =
           test_crash_leaves_stale_links_and_repair_fixes;
         Alcotest.test_case "routing in crash window" `Quick test_routing_during_crash_window;
         Alcotest.test_case "repair idempotent" `Quick test_repair_idempotent;
+        Alcotest.test_case "events in crash window, then repair" `Quick
+          test_events_in_crash_window_then_repair;
       ] );
   ]
 
