@@ -54,10 +54,23 @@ let micro_benchmarks () =
   Canon_net.Fault_plan.crash_random ts_plan (Rng.create 8) ~fraction:0.1 ();
   let ts_alive v = not (Canon_net.Fault_plan.is_crashed ts_plan v) in
   let ts_live = Array.of_list (List.filter ts_alive (List.init ts_n Fun.id)) in
+  let ts_overlay = Crescendo.build ts_rings in
   let ts_net =
     Canon_net.Net.create ~plan:ts_plan ~rings:ts_rings ~rng:(Rng.create 10)
       ~node_latency:(Common.node_latency ts_setup ts_pop)
-      (Crescendo.build ts_rings)
+      ts_overlay
+  in
+  let ts_dead = Array.init ts_n (Canon_net.Fault_plan.is_crashed ts_plan) in
+  (* Pre-drawn inputs, replayed in a cycle by each row that takes them
+     (so rows on the same inputs see them in the same order). *)
+  let cycle inputs =
+    let i = ref (-1) in
+    fun () ->
+      i := (!i + 1) mod Array.length inputs;
+      inputs.(!i)
+  in
+  let step_inputs =
+    Array.init 4096 (fun _ -> (Rng.pick rng ts_live, Canon_idspace.Id.random rng))
   in
   let tests =
     [
@@ -92,6 +105,19 @@ let micro_benchmarks () =
         (Staged.stage (fun () ->
              let src = random_node () and dst = random_node () in
              ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))));
+      Test.make ~name:"router.step (clockwise table, Crescendo n=8192, 10% dead)"
+        (let table = Overlay.clockwise ts_overlay and next = cycle step_inputs in
+         Staged.stage (fun () ->
+             let u, key = next () in
+             let du = Canon_idspace.Id.distance (Overlay.id ts_overlay u) key in
+             ignore (Router.step_clockwise_table table ~at:u ~dead:ts_dead ~du)));
+      Test.make ~name:"router.step (closure scan, Crescendo n=8192, 10% dead)"
+        (let next = cycle step_inputs in
+         Staged.stage (fun () ->
+             let u, key = next () in
+             ignore
+               (Router.step_clockwise_avoiding_generic ~id:(Overlay.id ts_overlay)
+                  ~links:(Overlay.links ts_overlay) ~dead:(Array.get ts_dead) ~at:u ~key)));
       Test.make ~name:"router.greedy_xor (kademlia n=4096)"
         (let kademlia = Kademlia.build (Rng.create 9) flat_pop in
          Staged.stage (fun () ->
@@ -103,6 +129,17 @@ let micro_benchmarks () =
                (Canon_storage.Replica_set.compute ~alive:ts_alive ts_rings
                   ~spread:Canon_storage.Replica_set.Sibling ~k:3 ~domain:ts_root
                   ~key:(Canon_idspace.Id.random rng))));
+      Test.make ~name:"latency.node_latency (warm, 2040 routers)"
+        (* Router pairs as Net's hops query them; every intra-domain
+           table they touch is built before timing starts. *)
+        (let oracle = ts_setup.Common.latency in
+         let stubs = Canon_topology.Transit_stub.stub_routers ts_setup.Common.ts in
+         let pairs = Array.init 4096 (fun _ -> (Rng.pick rng stubs, Rng.pick rng stubs)) in
+         Array.iter (fun (a, b) -> ignore (Canon_topology.Latency.node_latency oracle a b)) pairs;
+         let next = cycle pairs in
+         Staged.stage (fun () ->
+             let a, b = next () in
+             ignore (Canon_topology.Latency.node_latency oracle a b)));
       Test.make ~name:"event_queue.push+pop (depth 64, integer-ms ties)"
         (* Steady state: each run schedules one event at most 40 ms
            after the one it pops, as Net's hops and timers do, so the

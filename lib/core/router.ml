@@ -48,6 +48,31 @@ let step_clockwise_avoiding_generic ~id ~links ~dead ~at:u ~key =
     { outcome; fault_free = (if !free >= 0 then Some !free else None) }
   end
 
+let step_clockwise_table (table : Overlay.clockwise) ~at ~dead ~du =
+  (* The last entry at distance <= du is the no-overshoot link closest
+     to the key: the fault-free hop. Entries below it make less
+     progress, so the first live one going down is the hop avoiding
+     [dead]. Distances in a slice are distinct and non-zero (the table
+     rejects colliding ids), so no tie rule is needed. *)
+  let entries = table.Overlay.entries and lo = table.Overlay.offsets.(at) in
+  let a = ref lo and b = ref table.Overlay.offsets.(at + 1) in
+  while !a < !b do
+    let mid = (!a + !b) lsr 1 in
+    if Overlay.entry_distance entries.(mid) <= du then a := mid + 1 else b := mid
+  done;
+  let last = !a - 1 in
+  if last < lo then { outcome = Arrived; fault_free = None }
+  else begin
+    let j = ref last in
+    while !j >= lo && dead.(Overlay.entry_target entries.(!j)) do
+      decr j
+    done;
+    {
+      outcome = (if !j >= lo then Forward (Overlay.entry_target entries.(!j)) else Blocked);
+      fault_free = Some (Overlay.entry_target entries.(last));
+    }
+  end
+
 (* The single hop loop. A generous hop budget: any genuine route is
    O(log n); if we exceed the node count something is structurally
    wrong. [record] sees every finished walk — its span outcome and the

@@ -10,8 +10,9 @@
       Symphony, Cacophony, nondeterministic Chord/Crescendo, with or
       without dead nodes ({!greedy_clockwise},
       {!greedy_clockwise_generic}, {!greedy_clockwise_avoiding}, and
-      [canon_net]'s message-level lookups). Take the link that gets
-      closest to the key clockwise without overshooting it; the walk
+      [canon_net]'s message-level lookups, which over a frozen overlay
+      take it from a table: {!step_clockwise_table}). Take the link that
+      gets closest to the key clockwise without overshooting it; the walk
       ends at the key's closest predecessor among the reachable
       structure. Crescendo's hierarchical behaviour (§2.2) —
       intra-domain locality, inter-domain convergence — is an emergent
@@ -145,14 +146,39 @@ val step_clockwise_avoiding_generic :
     [key] given its local knowledge of dead nodes, over caller-supplied
     [id]/[links] accessors — a frozen {!Overlay.t}'s, or {e live} link
     state such as a membership view mutated by churn while messages are
-    in flight. Every clockwise engine walks this step; message-level
-    simulations ([canon_net]) drive it hop by hop, interleaved with
-    timeouts and retries, instead of routing a whole path at once.
+    in flight. Every synchronous clockwise engine walks this step, and a
+    message-level lookup ([canon_net]) over live membership takes it hop
+    by hop; over a frozen overlay it takes {!step_clockwise_table}.
 
     A single pass over [at]'s links: both choices minimise the remaining
     clockwise distance with a strict [<], so ties go to the earlier link
     and [fault_free] equals the [Forward] target of the step with
     [dead = fun _ -> false] ([None] when that step arrives). *)
+
+val step_clockwise_table :
+  Overlay.clockwise -> at:int -> dead:bool array -> du:int -> step
+(** [step_clockwise_table table ~at ~dead ~du] is the clockwise step of
+    node [at] for a key at clockwise distance [du] from it, read from
+    its slice of the overlay's {!Canon_overlay.Overlay.clockwise} table
+    (its links sorted by clockwise distance) instead of a pass over its
+    links, and with no closure call:
+    - [fault_free] is the last entry at distance [<= du];
+    - [Forward] goes to the first entry at or below it whose target is
+      not [dead];
+    - with no such entry, the outcome is [Blocked] when a fault-free
+      link exists and [Arrived] otherwise.
+
+    O(log degree), plus one read per skipped dead link. The table
+    admits only distinct ids among a node and its links; with them,
+    this is the decision of {!step_clockwise_avoiding_generic} (the
+    [prop.router] property "clockwise table step = one-pass step").
+
+    This is the step of every [canon_net] hop over a frozen overlay. The
+    synchronous engines keep the one-pass step: a table is one more
+    resident int per link (about 8 MB over the two n = 32768 overlays
+    the static lookup benchmark routes on) that a router walking each
+    path once has no use for; and a live net's links change between
+    hops, where sorting them on every hop costs more than it saves. *)
 
 val walk :
   n:int -> src:int -> key:Id.t -> (int -> step_outcome) -> (Route.t, Route.t) result

@@ -113,9 +113,6 @@ let plan t = t.plan
    overlay snapshot by default, the live view when one is installed. *)
 let node_live t v = match t.live with None -> true | Some lv -> Live_view.is_live lv v
 
-let node_links t v =
-  match t.live with None -> Overlay.links t.overlay v | Some lv -> Live_view.links lv v
-
 let suspected_nodes t =
   let out = ref [] in
   for v = Array.length t.suspected - 1 downto 0 do
@@ -266,15 +263,22 @@ let forward t p ~now ~push u v =
   transmit t ~now ~push { lk = p; from_ = u; to_ = v; attempt = 0; got_through = false }
 
 (* What the node holding the message does next, given its current
-   knowledge of suspects and the membership of this moment. *)
+   knowledge of suspects and the membership of this moment: one binary
+   search in the overlay's clockwise table on a frozen net, one pass
+   over the current links on a live one. *)
 let step_at t p ~now ~push u =
   let st = p.p_st in
   let step =
-    Router.step_clockwise_avoiding_generic
-      ~id:(fun v -> Overlay.id t.overlay v)
-      ~links:(node_links t)
-      ~dead:(fun v -> t.suspected.(v))
-      ~at:u ~key:p.p_key
+    match t.live with
+    | None ->
+        Router.step_clockwise_table (Overlay.clockwise t.overlay) ~at:u ~dead:t.suspected
+          ~du:(Id.distance (Overlay.id t.overlay u) p.p_key)
+    | Some lv ->
+        Router.step_clockwise_avoiding_generic
+          ~id:(fun v -> Overlay.id t.overlay v)
+          ~links:(Live_view.links lv)
+          ~dead:(fun v -> t.suspected.(v))
+          ~at:u ~key:p.p_key
   in
   match step.Router.outcome with
   | Router.Forward v ->

@@ -13,7 +13,8 @@
       backoff, up to [max_retries] times;
     + {e reroute}: when the budget is exhausted the target is marked
       suspect and the sender re-runs the greedy rule avoiding suspects
-      ({!Canon_core.Router.step_clockwise_avoiding_generic});
+      ({!Canon_core.Router.step_clockwise_avoiding_generic}, read from a
+      table on a frozen net);
     + {e re-anchor}: when every useful link is suspect, the sender falls
       back to its per-level leaf sets ({!Canon_sim.Leaf_sets}) and
       forwards to the nearest non-suspect successor that makes clockwise
@@ -30,6 +31,17 @@
     sender's timeout — and a message slower than the timeout is treated
     as undelivered, which is precisely what makes slow nodes get routed
     around.
+
+    {b Hop cost.} A hop on a frozen net is one binary search over the
+    holder's links sorted by clockwise distance
+    ({!Canon_core.Router.step_clockwise_table}), with no closure call,
+    read from the overlay's {!Canon_overlay.Overlay.clockwise} table. It
+    is built on the first hop of any net over the overlay (O(E x
+    degree), about 2 ms at n = 8192) and then shared, one int per link
+    for the overlay's lifetime. A hop on a live net is one pass over the
+    holder's current links
+    ({!Canon_core.Router.step_clockwise_avoiding_generic}), since they
+    change between events.
 
     Every lookup feeds the [net.*] telemetry counters and delivered-
     latency histogram, and emits a span to the ambient trace when one is
@@ -75,7 +87,15 @@ val create :
     membership never changes, behavior is identical to snapshot mode.
     Raises [Invalid_argument] on a plan/overlay size mismatch, a
     rings/live view over a different population, an invalid policy, or
-    [leaf_width < 1]. *)
+    [leaf_width < 1].
+
+    Without [live], the overlay's ids must be distinct among each node
+    and its links (as {!Canon_overlay.Population} ids are meant to be):
+    the first hop of the first lookup builds the overlay's clockwise
+    table, which raises [Invalid_argument "Overlay.clockwise: colliding
+    ids"] otherwise. The table is not built here because building it
+    before the caller's own set-up raised the peak heap of a replicated
+    store benchmark by up to 0.8 MiB. *)
 
 val overlay : t -> Overlay.t
 

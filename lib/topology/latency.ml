@@ -13,6 +13,7 @@ type t = {
   domain : int array; (* router -> its stub domain; -1 for a transit node *)
   up : int array; (* router -> its transit node (itself for a transit node) *)
   up_ms : float array; (* router -> distance to [up], through its gateway *)
+  first : int array; (* stub domain -> its first router (a domain's routers are contiguous) *)
   intra : float array array array; (* per stub domain, [||] until first queried *)
   mutable built : int; (* intra tables built = queries that built one *)
   mutable hit : int;
@@ -44,6 +45,7 @@ let create ts =
     domain;
     up;
     up_ms;
+    first = Array.init domains (fun d -> fst (Transit_stub.stub_domain_routers ts d));
     intra = Array.make domains [||];
     built = 0;
     hit = 0;
@@ -53,9 +55,10 @@ let create ts =
    the answer comes from the domain's own all-pairs table, built on the
    first such query by one bounded Dijkstra per member. *)
 let intra t d a b =
-  let first, count = Transit_stub.stub_domain_routers t.topology d in
+  let first = t.first.(d) in
   if Array.length t.intra.(d) = 0 then begin
     let g = Transit_stub.graph t.topology in
+    let _, count = Transit_stub.stub_domain_routers t.topology d in
     t.intra.(d) <- Array.init count (fun i -> Graph.dijkstra_within g ~first ~count (first + i));
     t.built <- t.built + 1;
     Metrics.incr m_rows;

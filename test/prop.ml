@@ -1247,6 +1247,107 @@ let prop_step_matches_reference_ties () =
     done
   done
 
+(* --- clockwise table step -------------------------------------------- *)
+
+let table_step_matches ~id ~links ~dead ~at ~key (s : Router.step) =
+  let step = Router.step_clockwise_avoiding_generic ~id ~links ~dead:(Array.get dead) ~at ~key in
+  if s.Router.outcome <> step.Router.outcome then
+    err "at %d, key %d: outcome %s, one-pass %s" at key (show_outcome s.Router.outcome)
+      (show_outcome step.Router.outcome)
+  else if s.Router.fault_free <> step.Router.fault_free then
+    err "at %d, key %d: fault-free %s, one-pass %s" at key (show_node s.Router.fault_free)
+      (show_node step.Router.fault_free)
+  else Ok ()
+
+(* [n] distinct identifiers; each of the extreme ids 0, 1, 2^31 and
+   2^32 - 1 is among them with probability 1/2. *)
+let table_ids rng n =
+  let seen = Hashtbl.create n and ids = Array.make n 0 and filled = ref 0 in
+  let add id =
+    if !filled < n && not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      ids.(!filled) <- id;
+      incr filled
+    end
+  in
+  Array.iter (fun id -> if Rng.bool rng then add id) [| 0; 1; Id.space / 2; Id.space - 1 |];
+  while !filled < n do
+    add (Id.random rng)
+  done;
+  Rng.shuffle_in_place rng ids;
+  ids
+
+let flat_population ids =
+  let tree = Domain_tree.of_spec Domain_tree.Leaf in
+  let n = Array.length ids in
+  { Population.ids; tree; leaf_of_node = Array.make n (Domain_tree.root tree); attach = None }
+
+(* The table step against the one-pass step on random adjacencies of
+   degree 0 to 64, links in random order, under a random dead mask (none
+   to all dead), for keys at the holder's own id and at every link's id
+   and its neighbours. *)
+let prop_table_step_matches_one_pass () =
+  for case = 0 to 149 do
+    let rng = Rng.create (8000 + case) in
+    let n = 1 + Rng.int_below rng 100 in
+    let ids = table_ids rng n in
+    let adj =
+      Array.init n (fun u ->
+          let others = Array.of_list (List.filter (( <> ) u) (List.init n Fun.id)) in
+          Rng.shuffle_in_place rng others;
+          Array.sub others 0 (min (Array.length others) (Rng.int_below rng 65)))
+    in
+    let density = Rng.int_below rng 5 in
+    let dead = Array.init n (fun _ -> Rng.int_below rng 4 < density) in
+    let table = Overlay.clockwise (Overlay.create (flat_population ids) ~links:adj) in
+    let id v = ids.(v) and links v = adj.(v) in
+    for at = 0 to n - 1 do
+      let keys =
+        id at :: Id.random rng
+        :: List.concat_map
+             (fun v -> [ Id.add (id v) (-1); id v; Id.add (id v) 1 ])
+             (Array.to_list adj.(at))
+      in
+      List.iter
+        (fun key ->
+          let s = Router.step_clockwise_table table ~at ~dead ~du:(Id.distance (id at) key) in
+          match table_step_matches ~id ~links ~dead ~at ~key s with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "case %d: %s" case msg)
+        keys
+    done
+  done
+
+(* Two links at one clockwise distance, or a link at distance 0, would
+   need a tie rule: the table refuses them. *)
+let prop_table_rejects_colliding_ids () =
+  let colliding = Invalid_argument "Overlay.clockwise: colliding ids" in
+  let table ids links () = ignore (Overlay.clockwise (Overlay.create (flat_population ids) ~links)) in
+  Alcotest.check_raises "two links, one id" colliding
+    (table [| 5; 9; 9 |] [| [| 1; 2 |]; [||]; [||] |]);
+  Alcotest.check_raises "a link with the holder's id" colliding
+    (table [| 5; 5; 9 |] [| [||]; [||]; [| 0; 1 |] |]);
+  Alcotest.check_raises "a link with the holder's id, wrapping" colliding
+    (table [| Id.space - 1; 3; Id.space - 1 |] [| [| 1; 2 |]; [||]; [||] |]);
+  (* A frozen net over such an overlay is created, and raises at its
+     first hop. *)
+  let net =
+    Net.create ~rng:(Rng.create 1) ~node_latency:(fun _ _ -> 1.0)
+      (Overlay.create (flat_population [| 5; 9; 9 |]) ~links:[| [| 1; 2 |]; [||]; [||] |])
+  in
+  Alcotest.check_raises "a frozen net's first hop" colliding (fun () ->
+      ignore (Net.lookup net ~src:0 ~key:8));
+  (* Distinct ids build, and the build is shared. *)
+  let ov = Overlay.create (flat_population [| 5; 9; 7 |]) ~links:[| [| 1; 2 |]; [||]; [| 0 |] |] in
+  let t = Overlay.clockwise ov in
+  Alcotest.(check bool) "built once" true (t == Overlay.clockwise ov);
+  Alcotest.(check (array int)) "offsets" [| 0; 2; 2; 3 |] t.Overlay.offsets;
+  Alcotest.(check (list (pair int int)))
+    "entries ascending" [ (2, 2); (4, 1); (Id.space - 2, 0) ]
+    (List.map
+       (fun e -> (Overlay.entry_distance e, Overlay.entry_target e))
+       (Array.to_list t.Overlay.entries))
+
 (* --- one path driver ------------------------------------------------ *)
 
 module Trace = Canon_telemetry.Trace
@@ -1583,7 +1684,6 @@ let prop_driver_matches_reference_overlays sc =
    let the lookahead step bounce between two nodes until the hop budget
    runs out. *)
 let prop_driver_matches_reference_ties () =
-  let tree = Domain_tree.of_spec Domain_tree.Leaf in
   for case = 0 to 299 do
     let rng = Rng.create (7500 + case) in
     let n = 1 + Rng.int_below rng 12 in
@@ -1594,11 +1694,8 @@ let prop_driver_matches_reference_ties () =
     let ids = Array.init n (fun _ -> pool.(Rng.int_below rng (Array.length pool))) in
     let adj = Array.init n (fun _ -> Array.init (Rng.int_below rng 9) (fun _ -> Rng.int_below rng n)) in
     let crashed = Array.init n (fun _ -> Rng.int_below rng 3 = 0) in
-    let pop =
-      { Population.ids; tree; leaf_of_node = Array.make n (Domain_tree.root tree); attach = None }
-    in
     let overlay =
-      Overlay.create pop
+      Overlay.create (flat_population ids)
         ~links:
           (Array.mapi
              (fun u a -> Array.of_list (List.sort_uniq compare (List.filter (( <> ) u) (Array.to_list a))))
@@ -2623,6 +2720,10 @@ let suites =
           (check ~count:30 ~seed:9959 ~min_n:1 ~max_n:160 prop_step_matches_reference_overlays);
         Alcotest.test_case "one-pass step = two-pass reference, ties" `Quick
           prop_step_matches_reference_ties;
+        Alcotest.test_case "clockwise table step = one-pass step" `Quick
+          prop_table_step_matches_one_pass;
+        Alcotest.test_case "clockwise table rejects colliding ids" `Quick
+          prop_table_rejects_colliding_ids;
         Alcotest.test_case "one driver = historical engines, overlays" `Quick
           (check ~count:30 ~seed:9969 ~min_n:1 ~max_n:160
              prop_driver_matches_reference_overlays);

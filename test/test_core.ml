@@ -875,18 +875,29 @@ let suites =
 
 let test_overlay_validation () =
   let pop = make_pop ~seed:99 ~fanout:3 ~levels:1 ~n:4 () in
-  Alcotest.(check bool) "self link rejected" true
-    (try ignore (Overlay.create pop ~links:[| [| 0 |]; [||]; [||]; [||] |]); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "duplicate rejected" true
-    (try ignore (Overlay.create pop ~links:[| [| 1; 1 |]; [||]; [||]; [||] |]); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "out of range rejected" true
-    (try ignore (Overlay.create pop ~links:[| [| 9 |]; [||]; [||]; [||] |]); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "size mismatch rejected" true
-    (try ignore (Overlay.create pop ~links:[| [||] |]); false
-     with Invalid_argument _ -> true);
+  let rejects what msg links =
+    Alcotest.check_raises what (Invalid_argument ("Overlay.create: " ^ msg)) (fun () ->
+        ignore (Overlay.create pop ~links))
+  in
+  rejects "self link" "self-link" [| [| 0 |]; [||]; [||]; [||] |];
+  rejects "duplicate" "duplicate link" [| [| 1; 1 |]; [||]; [||]; [||] |];
+  rejects "duplicate, not adjacent" "duplicate link" [| [||]; [| 2; 0; 2 |]; [||]; [||] |];
+  rejects "out of range" "target out of range" [| [| 9 |]; [||]; [||]; [||] |];
+  rejects "negative target" "target out of range" [| [||]; [||]; [| -1 |]; [||] |];
+  rejects "size mismatch" "adjacency size mismatch" [| [||] |];
+  (* The same target from two nodes is no duplicate. *)
+  ignore (Overlay.create pop ~links:[| [| 3 |]; [| 3 |]; [| 3 |]; [||] |]);
+  (* The first offending link decides, in node order, then link order. *)
+  rejects "duplicate before a later self-link" "duplicate link"
+    [| [| 1; 1 |]; [| 1 |]; [||]; [||] |];
+  rejects "self-link before a later duplicate" "self-link" [| [| 0; 1; 1 |]; [||]; [||]; [||] |];
+  rejects "out of range before a later self-link" "target out of range"
+    [| [| 7; 0 |]; [||]; [||]; [||] |];
+  rejects "self-link before a later out of range" "self-link" [| [||]; [| 1; 7 |]; [||]; [||] |];
+  rejects "out of range before a later duplicate" "target out of range"
+    [| [| 2; 9; 2 |]; [||]; [||]; [||] |];
+  rejects "duplicate before a later out of range" "duplicate link"
+    [| [||]; [||]; [| 3; 3; 9 |]; [||] |];
   let ov = Overlay.create pop ~links:[| [| 1 |]; [| 0; 2 |]; [||]; [||] |] in
   Alcotest.(check int) "degree" 2 (Overlay.degree ov 1);
   Alcotest.(check (float 1e-9)) "mean degree" 0.75 (Overlay.mean_degree ov);
