@@ -105,12 +105,11 @@ let micro_benchmarks () =
         (Staged.stage (fun () ->
              let src = random_node () and dst = random_node () in
              ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))));
-      Test.make ~name:"router.step (clockwise table, Crescendo n=8192, 10% dead)"
-        (let table = Overlay.clockwise ts_overlay and next = cycle step_inputs in
+      Test.make ~name:"router.step (sorted links, Crescendo n=8192, 10% dead)"
+        (let next = cycle step_inputs and dead = Array.get ts_dead in
          Staged.stage (fun () ->
              let u, key = next () in
-             let du = Canon_idspace.Id.distance (Overlay.id ts_overlay u) key in
-             ignore (Router.step_clockwise_table table ~at:u ~dead:ts_dead ~du)));
+             ignore (Router.step_clockwise ts_overlay ~dead ~at:u ~key)));
       Test.make ~name:"router.step (closure scan, Crescendo n=8192, 10% dead)"
         (let next = cycle step_inputs in
          Staged.stage (fun () ->
@@ -152,6 +151,31 @@ let micro_benchmarks () =
              let now = Canon_sim.Event_queue.min_time q in
              let ev = Canon_sim.Event_queue.take q in
              Canon_sim.Event_queue.push q ~time:(now +. Float.of_int (1 + (ev land 31))) ev));
+      Test.make ~name:"net.handle per event (2040 routers, n=8192, 10% dead, 1% loss)"
+        (* Each run handles one event of a caller-owned queue; a run that
+           finds the queue empty first launches the next lookup. *)
+        (let q = Canon_sim.Event_queue.create () in
+         let push ~time ev = Canon_sim.Event_queue.push q ~time ev in
+         let next = cycle step_inputs in
+         Staged.stage (fun () ->
+             if Canon_sim.Event_queue.is_empty q then begin
+               let src, key = next () in
+               ignore (Canon_net.Net.launch ts_net ~now:0.0 ~push ~src ~key)
+             end;
+             if not (Canon_sim.Event_queue.is_empty q) then begin
+               let now = Canon_sim.Event_queue.min_time q in
+               Canon_net.Net.handle ts_net ~now ~push (Canon_sim.Event_queue.take q)
+             end));
+      Test.make ~name:"live_view.links (Chord view, n=4096, 3072 live, bump every 2nd call)"
+        (* live_churn's Chord view misses its memo on about every other
+           call, since each membership event resets it. *)
+        (let m = Canon_sim.Maintenance.create pop ~present:(Array.init (3 * n / 4) Fun.id) in
+         let view = Canon_net.Live_view.chord m in
+         let calls = ref 0 in
+         Staged.stage (fun () ->
+             incr calls;
+             if !calls land 1 = 0 then Canon_net.Live_view.bump view;
+             ignore (Canon_net.Live_view.links view (Rng.int_below rng (3 * n / 4)))));
       Test.make ~name:"net.lookup (2040 routers, n=8192, 10% dead, 1% loss)"
         (Staged.stage (fun () ->
              ignore

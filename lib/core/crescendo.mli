@@ -24,7 +24,10 @@ open Canon_overlay
 
 val build : Rings.t -> Overlay.t
 (** Deterministic given the rings. Domains with no nodes contribute
-    nothing. *)
+    nothing. Each node's links are handed to {!Overlay.create} in its
+    clockwise order, so it sorts none: condition (b) makes every
+    level's targets closer than all targets below it, so the level
+    blocks of {!links_of_node}, root first, ascend. *)
 
 val links_of_node : Rings.t -> int -> int array
 (** The link set of a single node (used by dynamic maintenance to

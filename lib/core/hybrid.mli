@@ -15,4 +15,7 @@
 open Canon_overlay
 
 val build : Rings.t -> Overlay.t
-(** Clique leaf domains, Crescendo merges above. Deterministic. *)
+(** Clique leaf domains, Crescendo merges above. Deterministic. Links
+    are handed to {!Overlay.create} in its clockwise order (the merge
+    levels root first, then the clique from the node's successor), so
+    it sorts none. *)

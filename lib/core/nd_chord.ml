@@ -11,7 +11,9 @@ let add_bucket_links rng ring id ~cap acc =
        lo + len <= min(2^(k+1), cap). *)
     let start = Id.add id lo in
     let count = Ring.arc_count ring ~start ~len in
-    if count > 0 then Link_set.add acc (Ring.arc_nth ring ~start ~len (Rng.int_below rng count));
+    if count > 0 then
+      Link_set.add acc
+        (Ring.nth_from ring (Ring.rank_at_or_after ring start) (Rng.int_below rng count));
     incr k
   done
 

@@ -23,9 +23,9 @@ let shift_of_bits bits = Id.bits - bits
 let iter_group ring ~t_bits g f =
   let shift = shift_of_bits t_bits in
   let start = g lsl shift and len = 1 lsl shift in
-  let count = Ring.arc_count ring ~start ~len in
-  for i = 0 to count - 1 do
-    f (Ring.arc_nth ring ~start ~len i)
+  let first = Ring.rank_at_or_after ring start in
+  for i = 0 to Ring.arc_count ring ~start ~len - 1 do
+    f (Ring.nth_from ring first i)
   done
 
 let min_latency_member ring ~t_bits g ~node_latency ~self =
@@ -138,9 +138,10 @@ let build_crescendo ?(group_size = default_group_size) rings ~node_latency =
                   (* Sample at most 32 candidates, as the paper notes
                      s = 32 suffices. *)
                   let stride = max 1 (count / 32) in
+                  let first = Ring.rank_at_or_after root_ring start in
                   let i = ref 0 in
                   while !i < count do
-                    let peer = Ring.arc_nth root_ring ~start ~len !i in
+                    let peer = Ring.nth_from root_ring first !i in
                     if peer <> node then begin
                       let l = node_latency node peer in
                       if l < !best_lat then begin

@@ -48,29 +48,37 @@ let step_clockwise_avoiding_generic ~id ~links ~dead ~at:u ~key =
     { outcome; fault_free = (if !free >= 0 then Some !free else None) }
   end
 
-let step_clockwise_table (table : Overlay.clockwise) ~at ~dead ~du =
-  (* The last entry at distance <= du is the no-overshoot link closest
-     to the key: the fault-free hop. Entries below it make less
-     progress, so the first live one going down is the hop avoiding
-     [dead]. Distances in a slice are distinct and non-zero (the table
-     rejects colliding ids), so no tie rule is needed. *)
-  let entries = table.Overlay.entries and lo = table.Overlay.offsets.(at) in
-  let a = ref lo and b = ref table.Overlay.offsets.(at + 1) in
+(* The sorted step's search: the index in [row] (links ascending by
+   clockwise distance from [id_u]) of the last link at distance <= du,
+   the no-overshoot link closest to the key; -1 when there is none. *)
+let last_within ids (row : int array) ~id_u ~du =
+  let a = ref 0 and b = ref (Array.length row) in
   while !a < !b do
     let mid = (!a + !b) lsr 1 in
-    if Overlay.entry_distance entries.(mid) <= du then a := mid + 1 else b := mid
+    if Id.distance id_u ids.(row.(mid)) <= du then a := mid + 1 else b := mid
   done;
-  let last = !a - 1 in
-  if last < lo then { outcome = Arrived; fault_free = None }
+  !a - 1
+
+let step_clockwise overlay ~dead ~at ~key =
+  if Overlay.ids_collide overlay then
+    step_clockwise_avoiding_generic ~id:(Overlay.id overlay) ~links:(Overlay.links overlay)
+      ~dead ~at ~key
   else begin
-    let j = ref last in
-    while !j >= lo && dead.(Overlay.entry_target entries.(!j)) do
-      decr j
-    done;
-    {
-      outcome = (if !j >= lo then Forward (Overlay.entry_target entries.(!j)) else Blocked);
-      fault_free = Some (Overlay.entry_target entries.(last));
-    }
+    (* Distances in a row are distinct and non-zero, so the last link
+       within reach is the fault-free hop, and links below it make less
+       progress: the first live one going down is the hop avoiding
+       [dead]. *)
+    let ids = (Overlay.population overlay).Population.ids and row = Overlay.links overlay at in
+    let id_u = ids.(at) in
+    let last = last_within ids row ~id_u ~du:(Id.distance id_u key) in
+    if last < 0 then { outcome = Arrived; fault_free = None }
+    else begin
+      let j = ref last in
+      while !j >= 0 && dead row.(!j) do
+        decr j
+      done;
+      { outcome = (if !j >= 0 then Forward row.(!j) else Blocked); fault_free = Some row.(last) }
+    end
   end
 
 (* The single hop loop. A generous hop budget: any genuine route is
@@ -120,21 +128,19 @@ let on_overlay ~trace ~kind overlay ~src ~key step =
     ~record:(recorder trace ~kind ~key ~level:(Population.link_level (Overlay.population overlay)))
     ~n:(Overlay.size overlay) ~src ~key step
 
-let clockwise ~id ~links ~dead ~key u =
-  (step_clockwise_avoiding_generic ~id ~links ~dead ~at:u ~key).outcome
+let never _ = false
 
 let greedy_clockwise_generic ?trace ?(level = fun _ _ -> 0) ~n ~id ~links ~src ~key () =
   route
     (drive
        ~record:(recorder trace ~kind:"greedy_clockwise_generic" ~key ~level)
        ~n ~src ~key
-       (clockwise ~id ~links ~dead:(fun _ -> false) ~key))
+       (fun u -> (step_clockwise_avoiding_generic ~id ~links ~dead:never ~at:u ~key).outcome))
 
 let greedy_clockwise ?trace overlay ~src ~key =
   route
-    (on_overlay ~trace ~kind:"greedy_clockwise" overlay ~src ~key
-       (clockwise ~id:(Overlay.id overlay) ~links:(Overlay.links overlay)
-          ~dead:(fun _ -> false) ~key))
+    (on_overlay ~trace ~kind:"greedy_clockwise" overlay ~src ~key (fun u ->
+         (step_clockwise overlay ~dead:never ~at:u ~key).outcome))
 
 let greedy_clockwise_lookahead ?trace overlay ~src ~key =
   let step u =
@@ -199,7 +205,7 @@ let greedy_clockwise_avoiding ?trace overlay ~dead ~src ~key =
   if dead src then invalid_arg "Router.greedy_clockwise_avoiding: dead source";
   match
     on_overlay ~trace ~kind:"greedy_clockwise_avoiding" overlay ~src ~key
-      (clockwise ~id:(Overlay.id overlay) ~links:(Overlay.links overlay) ~dead ~key)
+      (fun u -> (step_clockwise overlay ~dead ~at:u ~key).outcome)
   with
   | Ok route -> Some route
   | Error _ -> None

@@ -6,17 +6,17 @@
     message does next — walked hop by hop by one driver, {!walk}. There
     is one step per metric:
 
-    - clockwise ({!step_clockwise_avoiding_generic}): Chord, Crescendo,
-      Symphony, Cacophony, nondeterministic Chord/Crescendo, with or
-      without dead nodes ({!greedy_clockwise},
-      {!greedy_clockwise_generic}, {!greedy_clockwise_avoiding}, and
-      [canon_net]'s message-level lookups, which over a frozen overlay
-      take it from a table: {!step_clockwise_table}). Take the link that
-      gets closest to the key clockwise without overshooting it; the walk
-      ends at the key's closest predecessor among the reachable
-      structure. Crescendo's hierarchical behaviour (§2.2) —
-      intra-domain locality, inter-domain convergence — is an emergent
-      property of this rule; no extra mechanism exists.
+    - clockwise ({!step_clockwise}, and {!step_clockwise_avoiding_generic}
+      over live link state): Chord, Crescendo, Symphony, Cacophony,
+      nondeterministic Chord/Crescendo, with or without dead nodes
+      ({!greedy_clockwise}, {!greedy_clockwise_generic},
+      {!greedy_clockwise_avoiding}, and [canon_net]'s message-level
+      lookups). Take the link that gets closest to the key clockwise
+      without overshooting it; the walk ends at the key's closest
+      predecessor among the reachable structure. Crescendo's
+      hierarchical behaviour (§2.2) — intra-domain locality,
+      inter-domain convergence — is an emergent property of this rule;
+      no extra mechanism exists.
     - clockwise with lookahead ({!greedy_clockwise_lookahead}):
       Symphony/Cacophony's 1-lookahead variant (§3.1) that examines
       neighbours' neighbours and moves to the first hop of the best
@@ -144,41 +144,35 @@ val step_clockwise_avoiding_generic :
   step
 (** The clockwise step: what the node [at] does with a message for
     [key] given its local knowledge of dead nodes, over caller-supplied
-    [id]/[links] accessors — a frozen {!Overlay.t}'s, or {e live} link
-    state such as a membership view mutated by churn while messages are
-    in flight. Every synchronous clockwise engine walks this step, and a
-    message-level lookup ([canon_net]) over live membership takes it hop
-    by hop; over a frozen overlay it takes {!step_clockwise_table}.
+    [id]/[links] accessors in any order — {e live} link state such as a
+    membership view mutated by churn while messages are in flight
+    ([canon_net] takes it hop by hop there), the adjacency of
+    {!greedy_clockwise_generic}, or a frozen overlay whose ids collide
+    ({!step_clockwise}).
 
     A single pass over [at]'s links: both choices minimise the remaining
     clockwise distance with a strict [<], so ties go to the earlier link
     and [fault_free] equals the [Forward] target of the step with
     [dead = fun _ -> false] ([None] when that step arrives). *)
 
-val step_clockwise_table :
-  Overlay.clockwise -> at:int -> dead:bool array -> du:int -> step
-(** [step_clockwise_table table ~at ~dead ~du] is the clockwise step of
-    node [at] for a key at clockwise distance [du] from it, read from
-    its slice of the overlay's {!Canon_overlay.Overlay.clockwise} table
-    (its links sorted by clockwise distance) instead of a pass over its
-    links, and with no closure call:
-    - [fault_free] is the last entry at distance [<= du];
-    - [Forward] goes to the first entry at or below it whose target is
-      not [dead];
-    - with no such entry, the outcome is [Blocked] when a fault-free
+val step_clockwise :
+  Overlay.t -> dead:(int -> bool) -> at:int -> key:Id.t -> step
+(** The clockwise step of node [at] of a frozen overlay, read from its
+    links in the overlay's clockwise order ({!Overlay.links}):
+    - [fault_free] is the last link at clockwise distance [<= du], the
+      distance from [at] to [key], found by one binary search;
+    - [Forward] goes to the first link at or below it that is not
+      [dead];
+    - with no such link, the outcome is [Blocked] when a fault-free
       link exists and [Arrived] otherwise.
 
-    O(log degree), plus one read per skipped dead link. The table
-    admits only distinct ids among a node and its links; with them,
-    this is the decision of {!step_clockwise_avoiding_generic} (the
-    [prop.router] property "clockwise table step = one-pass step").
-
-    This is the step of every [canon_net] hop over a frozen overlay. The
-    synchronous engines keep the one-pass step: a table is one more
-    resident int per link (about 8 MB over the two n = 32768 overlays
-    the static lookup benchmark routes on) that a router walking each
-    path once has no use for; and a live net's links change between
-    hops, where sorting them on every hop costs more than it saves. *)
+    O(log degree), plus one [dead] call per link scanned. This is the
+    decision of {!step_clockwise_avoiding_generic} over the same links
+    (the [prop.router] property "sorted step = one-pass step"), which
+    it calls instead when the overlay's ids collide
+    ({!Overlay.ids_collide}): there, equal distances need the one-pass
+    tie rule. {!greedy_clockwise}, {!greedy_clockwise_avoiding} and
+    every [canon_net] hop over a frozen overlay take this step. *)
 
 val walk :
   n:int -> src:int -> key:Id.t -> (int -> step_outcome) -> (Route.t, Route.t) result

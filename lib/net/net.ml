@@ -264,21 +264,17 @@ let forward t p ~now ~push u v =
 
 (* What the node holding the message does next, given its current
    knowledge of suspects and the membership of this moment: one binary
-   search in the overlay's clockwise table on a frozen net, one pass
-   over the current links on a live one. *)
+   search over the holder's sorted links on a frozen net, one pass over
+   the current links on a live one. *)
 let step_at t p ~now ~push u =
   let st = p.p_st in
+  let dead v = t.suspected.(v) in
   let step =
     match t.live with
-    | None ->
-        Router.step_clockwise_table (Overlay.clockwise t.overlay) ~at:u ~dead:t.suspected
-          ~du:(Id.distance (Overlay.id t.overlay u) p.p_key)
+    | None -> Router.step_clockwise t.overlay ~dead ~at:u ~key:p.p_key
     | Some lv ->
-        Router.step_clockwise_avoiding_generic
-          ~id:(fun v -> Overlay.id t.overlay v)
-          ~links:(Live_view.links lv)
-          ~dead:(fun v -> t.suspected.(v))
-          ~at:u ~key:p.p_key
+        Router.step_clockwise_avoiding_generic ~id:(Overlay.id t.overlay)
+          ~links:(Live_view.links lv) ~dead ~at:u ~key:p.p_key
   in
   match step.Router.outcome with
   | Router.Forward v ->

@@ -13,8 +13,9 @@
       backoff, up to [max_retries] times;
     + {e reroute}: when the budget is exhausted the target is marked
       suspect and the sender re-runs the greedy rule avoiding suspects
-      ({!Canon_core.Router.step_clockwise_avoiding_generic}, read from a
-      table on a frozen net);
+      ({!Canon_core.Router.step_clockwise} on a frozen net,
+      {!Canon_core.Router.step_clockwise_avoiding_generic} on a live
+      one);
     + {e re-anchor}: when every useful link is suspect, the sender falls
       back to its per-level leaf sets ({!Canon_sim.Leaf_sets}) and
       forwards to the nearest non-suspect successor that makes clockwise
@@ -33,15 +34,11 @@
     around.
 
     {b Hop cost.} A hop on a frozen net is one binary search over the
-    holder's links sorted by clockwise distance
-    ({!Canon_core.Router.step_clockwise_table}), with no closure call,
-    read from the overlay's {!Canon_overlay.Overlay.clockwise} table. It
-    is built on the first hop of any net over the overlay (O(E x
-    degree), about 2 ms at n = 8192) and then shared, one int per link
-    for the overlay's lifetime. A hop on a live net is one pass over the
-    holder's current links
-    ({!Canon_core.Router.step_clockwise_avoiding_generic}), since they
-    change between events.
+    holder's links, which the overlay stores sorted by clockwise
+    distance ({!Canon_core.Router.step_clockwise}); nothing is built
+    for it. A hop on a live net is one pass over the holder's current
+    links ({!Canon_core.Router.step_clockwise_avoiding_generic}), since
+    they change between events.
 
     Every lookup feeds the [net.*] telemetry counters and delivered-
     latency histogram, and emits a span to the ambient trace when one is
@@ -89,13 +86,9 @@ val create :
     rings/live view over a different population, an invalid policy, or
     [leaf_width < 1].
 
-    Without [live], the overlay's ids must be distinct among each node
-    and its links (as {!Canon_overlay.Population} ids are meant to be):
-    the first hop of the first lookup builds the overlay's clockwise
-    table, which raises [Invalid_argument "Overlay.clockwise: colliding
-    ids"] otherwise. The table is not built here because building it
-    before the caller's own set-up raised the peak heap of a replicated
-    store benchmark by up to 0.8 MiB. *)
+    An overlay whose ids collide ({!Canon_overlay.Overlay.ids_collide})
+    routes by the one-pass step's tie rule, as the synchronous engines
+    do. *)
 
 val overlay : t -> Overlay.t
 

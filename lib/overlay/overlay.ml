@@ -1,33 +1,49 @@
 open Canon_idspace
 
-type clockwise = { offsets : int array; entries : int array }
-
 type t = {
   population : Population.t;
-  links : int array array;
-  mutable clockwise : clockwise option;  (* built on the first [clockwise] call *)
+  links : int array array;  (* each row ascending by clockwise distance *)
+  ids_collide : bool;
 }
 
 let create pop ~links =
   let n = Population.size pop in
   if Array.length links <> n then invalid_arg "Overlay.create: adjacency size mismatch";
+  let ids = pop.Population.ids in
   (* One byte per node, set for the targets of the node being checked
      and cleared after it. (An int stamp per node would need no
      clearing, but its 8n bytes raised the peak heap of a benchmark
      building two n = 32768 overlays by 0.4 MiB.) *)
   let marked = Bytes.make n '\000' in
+  let ids_collide = ref false in
   Array.iteri
     (fun src targets ->
+      let id_src = ids.(src) in
+      let sorted = ref true and prev = ref 0 in
       Array.iter
         (fun dst ->
           if dst = src then invalid_arg "Overlay.create: self-link";
           if dst < 0 || dst >= n then invalid_arg "Overlay.create: target out of range";
           if Bytes.get marked dst <> '\000' then invalid_arg "Overlay.create: duplicate link";
-          Bytes.set marked dst '\001')
+          Bytes.set marked dst '\001';
+          (* A link at distance 0, or two at one distance, means equal
+             ids. In a row out of order equal distances need not be
+             neighbours: they are looked for again once it is sorted. *)
+          let d = Id.distance id_src ids.(dst) in
+          if d = 0 || d = !prev then ids_collide := true;
+          if d < !prev then sorted := false;
+          prev := d)
         targets;
-      Array.iter (fun dst -> Bytes.set marked dst '\000') targets)
+      Array.iter (fun dst -> Bytes.set marked dst '\000') targets;
+      if not !sorted then begin
+        let distance dst = Id.distance id_src ids.(dst) in
+        Array.stable_sort (fun a b -> Int.compare (distance a) (distance b)) targets;
+        for i = 1 to Array.length targets - 1 do
+          if distance targets.(i) = distance targets.(i - 1) then ids_collide := true
+        done
+      end)
     links;
-  { population = pop; links; clockwise = None }
+  { population = pop; links; ids_collide = !ids_collide }
 
 let population t = t.population
 
@@ -50,54 +66,4 @@ let has_link t src dst = Array.exists (Int.equal dst) t.links.(src)
 let iter_links t f =
   Array.iteri (fun src targets -> Array.iter (fun dst -> f src dst) targets) t.links
 
-(* --- the clockwise table ------------------------------------------- *)
-
-let target_bits = 30
-
-let target_mask = (1 lsl target_bits) - 1
-
-let entry_distance e = e lsr target_bits
-
-let entry_target e = e land target_mask
-
-(* Writes the packed entries of [src]'s links into [into] from [pos],
-   ascending, by insertion sort (link lists are short, and Chord's come
-   already sorted). *)
-let sort_clockwise ids ~src targets ~into ~pos =
-  let id_src = ids.(src) in
-  let len = Array.length targets in
-  for i = 0 to len - 1 do
-    let v = targets.(i) in
-    let e = (Id.distance id_src ids.(v) lsl target_bits) lor v in
-    let j = ref (pos + i) in
-    while !j > pos && into.(!j - 1) > e do
-      into.(!j) <- into.(!j - 1);
-      decr j
-    done;
-    into.(!j) <- e
-  done;
-  (* Equal distances mean equal ids: the step would need a tie rule. *)
-  for i = pos to pos + len - 1 do
-    let d = entry_distance into.(i) in
-    if d = 0 || (i > pos && d = entry_distance into.(i - 1)) then
-      invalid_arg "Overlay.clockwise: colliding ids"
-  done
-
-let clockwise t =
-  match t.clockwise with
-  | Some table -> table
-  | None ->
-      let n = size t in
-      if n >= 1 lsl target_bits then invalid_arg "Overlay.clockwise: n >= 2^30";
-      let offsets = Array.make (n + 1) 0 in
-      for u = 0 to n - 1 do
-        offsets.(u + 1) <- offsets.(u) + Array.length t.links.(u)
-      done;
-      let entries = Array.make offsets.(n) 0 in
-      for u = 0 to n - 1 do
-        sort_clockwise t.population.Population.ids ~src:u t.links.(u) ~into:entries
-          ~pos:offsets.(u)
-      done;
-      let table = { offsets; entries } in
-      t.clockwise <- Some table;
-      table
+let ids_collide t = t.ids_collide

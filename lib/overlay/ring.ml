@@ -83,11 +83,9 @@ let arc_count t ~start ~len =
       size t - lo + lower_bound t (start + len - Id.space)
   end
 
-let arc_nth t ~start ~len i =
-  if i < 0 || i >= arc_count t ~start ~len then invalid_arg "Ring.arc_nth: index out of arc";
-  let lo = lower_bound t start in
-  let rank = lo + i in
-  t.nodes.(if rank < size t then rank else rank - size t)
+let nth_from t rank i =
+  let r = rank + i in
+  t.nodes.(if r < t.size then r else r - t.size)
 
 let finger t id d =
   require_non_empty t;

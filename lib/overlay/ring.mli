@@ -59,14 +59,17 @@ val arc_count : t -> start:Id.t -> len:int -> int
     members [x] with [distance start x < len]. Requires
     [0 <= len <= Id.space]. *)
 
-val arc_nth : t -> start:Id.t -> len:int -> int -> int
-(** [arc_nth t ~start ~len i] is the node at clockwise position [i]
-    (0-based) within that arc; requires [i < arc_count t ~start ~len]. *)
-
 val rank_at_or_after : t -> Id.t -> int
 (** Rank (in sorted order, not wrapping) of the first member with
-    identifier [>= q]; [size t] when none. Exposed for the XOR-bucket
-    bit-descent searches. *)
+    identifier [>= q]; [size t] when none. The start of a rank walk
+    ({!nth_from}) and of the XOR-bucket bit-descent searches. *)
+
+val nth_from : t -> int -> int -> int
+(** [nth_from t rank i] is the node [i] places clockwise of rank [rank],
+    wrapping. With [rank = rank_at_or_after t start] it is the member at
+    clockwise position [i] (0-based) of any arc from [start], so a walk
+    over an arc costs one binary search in all, not one per member.
+    Requires [0 <= rank + i < 2 * size t]. *)
 
 val insert : t -> id:Id.t -> node:int -> unit
 (** Adds a member (O(size) array shift). Rejects duplicate identifiers.

@@ -1,33 +1,6 @@
-(* Prints every quick-scale experiment table at seed 42, in the bench
-   harness's order, with nothing that varies between runs (no wall
-   times, no git revision). The output is the golden file the
-   [runtest] alias diffs against. *)
-
-open Canon_experiments
-
-let experiments =
-  [
-    ("fig3", Fig3.run);
-    ("fig4", Fig4.run);
-    ("fig5", Fig5.run);
-    ("fig6", Fig6.run);
-    ("fig7", Fig7.run);
-    ("fig8", Fig8.run);
-    ("fig9", Fig9.run);
-    ("theorems", Theorems.run);
-    ("variants", Variants.run);
-    ("lookahead", Lookahead_bench.run);
-    ("balance", Balance_bench.run);
-    ("maintenance", Maintenance_bench.run);
-    ("caching", Caching_bench.run);
-    ("isolation", Isolation.run);
-    ("hybrid", Hybrid_bench.run);
-    ("prefixcan", Prefix_can_bench.run);
-    ("skipnet", Skipnet_bench.run);
-    ("robustness", Robustness_bench.run);
-    ("durability", Durability.run);
-    ("churn_async", Churn_async.run);
-  ]
+(* Prints every quick-scale golden experiment table at seed 42, with
+   nothing that varies between runs (no wall times, no git revision).
+   The output is the golden file the [runtest] alias diffs against. *)
 
 let () =
   List.iter
@@ -35,4 +8,4 @@ let () =
       Printf.printf "== %s ==\n" name;
       Canon_stats.Table.print (run ~scale:`Quick ~seed:42);
       print_newline ())
-    experiments
+    Golden_experiments.all

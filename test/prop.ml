@@ -1247,9 +1247,9 @@ let prop_step_matches_reference_ties () =
     done
   done
 
-(* --- clockwise table step -------------------------------------------- *)
+(* --- sorted step ------------------------------------------------------ *)
 
-let table_step_matches ~id ~links ~dead ~at ~key (s : Router.step) =
+let sorted_step_matches ~id ~links ~dead ~at ~key (s : Router.step) =
   let step = Router.step_clockwise_avoiding_generic ~id ~links ~dead:(Array.get dead) ~at ~key in
   if s.Router.outcome <> step.Router.outcome then
     err "at %d, key %d: outcome %s, one-pass %s" at key (show_outcome s.Router.outcome)
@@ -1282,11 +1282,12 @@ let flat_population ids =
   let n = Array.length ids in
   { Population.ids; tree; leaf_of_node = Array.make n (Domain_tree.root tree); attach = None }
 
-(* The table step against the one-pass step on random adjacencies of
-   degree 0 to 64, links in random order, under a random dead mask (none
-   to all dead), for keys at the holder's own id and at every link's id
-   and its neighbours. *)
-let prop_table_step_matches_one_pass () =
+(* The sorted step against the one-pass step on random adjacencies of
+   degree 0 to 64, links in random order (the one-pass step reads that
+   order; the overlay sorts a copy), under a random dead mask (none to
+   all dead), for keys at the holder's own id and at every link's id and
+   its neighbours. *)
+let prop_sorted_step_matches_one_pass () =
   for case = 0 to 149 do
     let rng = Rng.create (8000 + case) in
     let n = 1 + Rng.int_below rng 100 in
@@ -1299,7 +1300,7 @@ let prop_table_step_matches_one_pass () =
     in
     let density = Rng.int_below rng 5 in
     let dead = Array.init n (fun _ -> Rng.int_below rng 4 < density) in
-    let table = Overlay.clockwise (Overlay.create (flat_population ids) ~links:adj) in
+    let overlay = Overlay.create (flat_population ids) ~links:(Array.map Array.copy adj) in
     let id v = ids.(v) and links v = adj.(v) in
     for at = 0 to n - 1 do
       let keys =
@@ -1310,43 +1311,115 @@ let prop_table_step_matches_one_pass () =
       in
       List.iter
         (fun key ->
-          let s = Router.step_clockwise_table table ~at ~dead ~du:(Id.distance (id at) key) in
-          match table_step_matches ~id ~links ~dead ~at ~key s with
+          let s = Router.step_clockwise overlay ~dead:(Array.get dead) ~at ~key in
+          match sorted_step_matches ~id ~links ~dead ~at ~key s with
           | Ok () -> ()
           | Error msg -> Alcotest.failf "case %d: %s" case msg)
         keys
     done
   done
 
-(* Two links at one clockwise distance, or a link at distance 0, would
-   need a tie rule: the table refuses them. *)
-let prop_table_rejects_colliding_ids () =
-  let colliding = Invalid_argument "Overlay.clockwise: colliding ids" in
-  let table ids links () = ignore (Overlay.clockwise (Overlay.create (flat_population ids) ~links)) in
-  Alcotest.check_raises "two links, one id" colliding
-    (table [| 5; 9; 9 |] [| [| 1; 2 |]; [||]; [||] |]);
-  Alcotest.check_raises "a link with the holder's id" colliding
-    (table [| 5; 5; 9 |] [| [||]; [||]; [| 0; 1 |] |]);
-  Alcotest.check_raises "a link with the holder's id, wrapping" colliding
-    (table [| Id.space - 1; 3; Id.space - 1 |] [| [| 1; 2 |]; [||]; [||] |]);
-  (* A frozen net over such an overlay is created, and raises at its
-     first hop. *)
-  let net =
-    Net.create ~rng:(Rng.create 1) ~node_latency:(fun _ _ -> 1.0)
-      (Overlay.create (flat_population [| 5; 9; 9 |]) ~links:[| [| 1; 2 |]; [||]; [||] |])
-  in
-  Alcotest.check_raises "a frozen net's first hop" colliding (fun () ->
-      ignore (Net.lookup net ~src:0 ~key:8));
-  (* Distinct ids build, and the build is shared. *)
-  let ov = Overlay.create (flat_population [| 5; 9; 7 |]) ~links:[| [| 1; 2 |]; [||]; [| 0 |] |] in
-  let t = Overlay.clockwise ov in
-  Alcotest.(check bool) "built once" true (t == Overlay.clockwise ov);
-  Alcotest.(check (array int)) "offsets" [| 0; 2; 2; 3 |] t.Overlay.offsets;
-  Alcotest.(check (list (pair int int)))
-    "entries ascending" [ (2, 2); (4, 1); (Id.space - 2, 0) ]
-    (List.map
-       (fun e -> (Overlay.entry_distance e, Overlay.entry_target e))
-       (Array.to_list t.Overlay.entries))
+(* Random adjacencies over colliding identifiers (the tie generator of
+   "one-pass step = two-pass reference, ties", without self-links and
+   repeats). A fault-free frozen net visits exactly the nodes of the
+   one-pass engine over the links in their given order: the overlay's
+   stable sort keeps the first link of every tie first. *)
+let prop_net_colliding_ids_matches_one_pass () =
+  for case = 0 to 199 do
+    let rng = Rng.create (8500 + case) in
+    let n = 1 + Rng.int_below rng 12 in
+    let pool = Array.init (1 + Rng.int_below rng 4) (fun _ ->
+        if Rng.bool rng then corner_ids.(Rng.int_below rng (Array.length corner_ids))
+        else Id.random rng)
+    in
+    let ids = Array.init n (fun _ -> pool.(Rng.int_below rng (Array.length pool))) in
+    let adj =
+      Array.init n (fun u ->
+          let others = Array.of_list (List.filter (( <> ) u) (List.init n Fun.id)) in
+          Rng.shuffle_in_place rng others;
+          Array.sub others 0 (Rng.int_below rng (Array.length others + 1)))
+    in
+    let overlay = Overlay.create (flat_population ids) ~links:(Array.map Array.copy adj) in
+    let net = Net.create ~rng:(Rng.create case) ~node_latency:(fun _ _ -> 1.0) overlay in
+    for src = 0 to n - 1 do
+      List.iter
+        (fun key ->
+          let r = Net.lookup net ~src ~key in
+          let expected =
+            Router.greedy_clockwise_generic ~n ~id:(Array.get ids) ~links:(Array.get adj) ~src
+              ~key ()
+          in
+          if
+            r.Async_route.status <> Async_route.Delivered
+            || r.Async_route.route.Route.nodes <> expected.Route.nodes
+          then
+            Alcotest.failf "case %d, src %d, key %d: net [%s], one-pass [%s]" case src key
+              (show_links r.Async_route.route.Route.nodes) (show_links expected.Route.nodes))
+        (Array.to_list pool @ step_keys rng ~id:(Array.get ids) ~n)
+    done
+  done
+
+(* --- overlay adjacency ------------------------------------------------ *)
+
+(* [Overlay.create] on random adjacencies, over distinct ids (some rows
+   given already sorted, as Chord's are) or ids drawn from a small pool
+   (so they collide): every row comes out a permutation of the input
+   row, ascending by clockwise distance from its holder, with links at
+   one distance in input order; the collision flag is set iff some
+   holder and link, or two links of one holder, share an id. *)
+let prop_create_sorts_clockwise () =
+  for case = 0 to 299 do
+    let rng = Rng.create (8800 + case) in
+    (* Small overlays half the time, where one collision decides the
+       flag. *)
+    let n = 1 + Rng.int_below rng (if case land 1 = 0 then 6 else 40) in
+    let ids =
+      if Rng.bool rng then table_ids rng n
+      else begin
+        let pool = Array.init (1 + Rng.int_below rng 6) (fun _ ->
+            if Rng.bool rng then corner_ids.(Rng.int_below rng (Array.length corner_ids))
+            else Id.random rng)
+        in
+        Array.init n (fun _ -> pool.(Rng.int_below rng (Array.length pool)))
+      end
+    in
+    let distance u v = Id.distance ids.(u) ids.(v) in
+    let presorted = Rng.bool rng in
+    let input =
+      Array.init n (fun u ->
+          let others = Array.of_list (List.filter (( <> ) u) (List.init n Fun.id)) in
+          Rng.shuffle_in_place rng others;
+          let row = Array.sub others 0 (Rng.int_below rng (Array.length others + 1)) in
+          if presorted then Array.stable_sort (fun a b -> compare (distance u a) (distance u b)) row;
+          row)
+    in
+    let overlay = Overlay.create (flat_population ids) ~links:(Array.map Array.copy input) in
+    let collide = ref false in
+    Array.iteri
+      (fun u row ->
+        let out = Overlay.links overlay u in
+        let position v =
+          let rec go i = if row.(i) = v then i else go (i + 1) in
+          go 0
+        in
+        if List.sort compare (Array.to_list out) <> List.sort compare (Array.to_list row) then
+          Alcotest.failf "case %d, node %d: links are not a permutation of the input" case u;
+        for i = 1 to Array.length out - 1 do
+          let d = distance u out.(i) and d' = distance u out.(i - 1) in
+          if d < d' then Alcotest.failf "case %d, node %d: link %d out of clockwise order" case u i;
+          if d = d' && position out.(i) < position out.(i - 1) then
+            Alcotest.failf "case %d, node %d: tie at link %d out of input order" case u i
+        done;
+        Array.iter
+          (fun v ->
+            if ids.(v) = ids.(u) || Array.exists (fun w -> w <> v && ids.(w) = ids.(v)) row then
+              collide := true)
+          row)
+      input;
+    if Overlay.ids_collide overlay <> !collide then
+      Alcotest.failf "case %d: collision flag %b, expected %b" case (Overlay.ids_collide overlay)
+        !collide
+  done
 
 (* --- one path driver ------------------------------------------------ *)
 
@@ -2714,16 +2787,21 @@ let suites =
         Alcotest.test_case "crash window: non-stale nodes exact, repair heals" `Quick
           (check ~count:80 ~seed:10019 ~min_n:1 ~max_n:160 prop_crash_window_contract);
       ] );
+    ( "prop.overlay",
+      [
+        Alcotest.test_case "create = stable clockwise sort, flag iff ids collide" `Quick
+          prop_create_sorts_clockwise;
+      ] );
     ( "prop.router",
       [
         Alcotest.test_case "one-pass step = two-pass reference, overlays" `Quick
           (check ~count:30 ~seed:9959 ~min_n:1 ~max_n:160 prop_step_matches_reference_overlays);
         Alcotest.test_case "one-pass step = two-pass reference, ties" `Quick
           prop_step_matches_reference_ties;
-        Alcotest.test_case "clockwise table step = one-pass step" `Quick
-          prop_table_step_matches_one_pass;
-        Alcotest.test_case "clockwise table rejects colliding ids" `Quick
-          prop_table_rejects_colliding_ids;
+        Alcotest.test_case "sorted step = one-pass step" `Quick
+          prop_sorted_step_matches_one_pass;
+        Alcotest.test_case "a frozen net over colliding ids routes like the one-pass reference"
+          `Quick prop_net_colliding_ids_matches_one_pass;
         Alcotest.test_case "one driver = historical engines, overlays" `Quick
           (check ~count:30 ~seed:9969 ~min_n:1 ~max_n:160
              prop_driver_matches_reference_overlays);

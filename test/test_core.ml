@@ -59,8 +59,9 @@ let test_ring_arcs () =
   Alcotest.(check int) "arc empty" 0 (Ring.arc_count ring ~start:31 ~len:100);
   (* wrapping arc from near the top: [4000000001, 2^32) U [0, ~5000000) *)
   Alcotest.(check int) "arc wrap" 3 (Ring.arc_count ring ~start:4000000001 ~len:300_000_000);
-  Alcotest.(check int) "arc nth" 1 (Ring.arc_nth ring ~start:10 ~len:15 1);
-  Alcotest.(check int) "arc nth wrap" 1 (Ring.arc_nth ring ~start:4000000001 ~len:300_000_000 1)
+  let nth start i = Ring.nth_from ring (Ring.rank_at_or_after ring start) i in
+  Alcotest.(check int) "arc nth" 1 (nth 10 1);
+  Alcotest.(check int) "arc nth wrap" 1 (nth 4000000001 1)
 
 let test_ring_duplicate_ids () =
   Alcotest.(check bool) "duplicate rejected" true
