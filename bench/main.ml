@@ -72,6 +72,24 @@ let micro_benchmarks () =
   let step_inputs =
     Array.init 4096 (fun _ -> (Rng.pick rng ts_live, Canon_idspace.Id.random rng))
   in
+  (* The whole-overlay builds of perfbench's static_lookup: n = 32768
+     over a transit-stub graph widened to about 3000 routers. *)
+  let sl_pop =
+    let ts =
+      Canon_topology.Transit_stub.generate (Rng.create seed)
+        (Latency_bench.scaled_params ~routers:3000)
+    in
+    let setup =
+      {
+        Common.ts;
+        latency = Canon_topology.Latency.create ts;
+        tree = Canon_topology.Transit_stub.hierarchy ts;
+        mean_direct = 0.0;
+      }
+    in
+    Common.topology_population ~seed:(seed + 1) setup ~n:32768
+  in
+  let sl_rings = Rings.build sl_pop in
   let tests =
     [
       Test.make ~name:"ring.successor_of_id"
@@ -83,6 +101,12 @@ let micro_benchmarks () =
              ignore (Chord.links_of_id flat_ring flat_pop.Population.ids.(node) ~self:node)));
       Test.make ~name:"crescendo.links_of_one_node (3 levels)"
         (Staged.stage (fun () -> ignore (Crescendo.links_of_node rings (random_node ()))));
+      Test.make ~name:"rings.build (transit-stub, n=32768)"
+        (Staged.stage (fun () -> ignore (Rings.build sl_pop)));
+      Test.make ~name:"chord.build (transit-stub, n=32768)"
+        (Staged.stage (fun () -> ignore (Chord.build sl_pop)));
+      Test.make ~name:"crescendo.build (transit-stub, n=32768)"
+        (Staged.stage (fun () -> ignore (Crescendo.build sl_rings)));
       Test.make ~name:"maintenance.join+leave (n=4096, 3 levels)"
         (* A quarter of the population stays absent; each run joins one
            of them and takes it out again, which restores the state. *)

@@ -12,7 +12,11 @@ open Canon_overlay
 
 val build : Population.t -> Overlay.t
 (** Deterministic given the population: the hierarchy, if any, is
-    ignored — Chord is flat. *)
+    ignored — Chord is flat. Each row is {!links_of_id} on the global
+    ring. Cost: one sort of the identifiers, then one {!sweep} of the
+    ring in rank order, amortised O([Id.bits]) cursor steps per node
+    and no search. Raises [Invalid_argument] if two nodes share an
+    identifier. *)
 
 val links_of_id :
   Ring.t -> Canon_idspace.Id.t -> self:int -> int array
@@ -31,4 +35,24 @@ val add_fingers :
     {!links_of_id} targets at clockwise distance [< below] into [buf]
     from index [len], nearest first, and returns the new length. [buf]
     needs room for one target per distance band [\[2{^k}, 2{^k+1})]
-    below [below]. The building block of {!Crescendo.links_of_node}. *)
+    below [below]. The building block of {!Crescendo.links_of_node}.
+    Each distinct target costs one binary search. *)
+
+type sweep
+(** Forward cursors over one ring: the finger rule of {!add_fingers}
+    for every member of a ring, met in rank order. *)
+
+val sweep : Ring.t -> sweep
+(** Fresh cursors at the start of the ring, one per [k] with [2{^k}]
+    above the ring's smallest gap between neighbours (below it every
+    target is the successor): about [2 log2 size] of them. O(size). *)
+
+val sweep_fingers : sweep -> rank:int -> below:int -> int array -> int -> int
+(** [sweep_fingers s ~rank ~below buf len] is
+    [add_fingers ring id ~self ~below buf len] for the member [self] at
+    [rank], with identifier [id]; the targets are found by walking the
+    cursors forward instead of by search. Successive calls on one sweep
+    may not decrease [rank]: over a whole ring the cursors then take
+    amortised O([Id.bits]) steps per member. Raises [Invalid_argument]
+    unless [rank < Ring.size ring] and [rank] is at least that of the
+    previous call (or 0). *)

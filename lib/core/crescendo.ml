@@ -1,23 +1,22 @@
 open Canon_idspace
+open Canon_hierarchy
 open Canon_overlay
 
-(* Writes [node]'s links into [buf] along its domain [chain], leaf level
-   first, each level by increasing clockwise distance. Level [l]'s
-   links end up at [starts.(l) .. starts.(l + 1) - 1]. *)
-let fill rings node chain buf starts =
-  let pop = Rings.population rings in
-  let id = pop.Population.ids.(node) in
-  (* Leaf level: plain Chord inside the leaf ring. *)
-  let leaf_ring = Rings.ring rings chain.(0) in
-  starts.(1) <- Chord.add_fingers leaf_ring id ~self:node ~below:Id.space buf 0;
-  (* Bottom-up merges: at each higher level only nodes strictly closer
-     than the closest own-ring node (condition (b)) are candidates. *)
-  let d_own = ref (Ring.successor_distance leaf_ring id) in
-  for level = 1 to Array.length chain - 1 do
-    let ring = Rings.ring rings chain.(level) in
-    starts.(level + 1) <- Chord.add_fingers ring id ~self:node ~below:!d_own buf starts.(level);
-    d_own := min !d_own (Ring.successor_distance ring id)
-  done
+(* Writes a node's links into [buf] along its domain chain from [leaf]
+   up, leaf level first, each level by increasing clockwise distance;
+   level [l]'s links end up at [starts.(l) .. starts.(l + 1) - 1].
+   [fingers d ~below buf len] adds the node's Chord fingers in domain
+   [d]'s ring closer than [below], and [gap d] is its successor distance
+   there. The leaf level is plain Chord; at each merge above it only
+   nodes strictly closer than the node's successor in its child ring
+   are candidates (condition (b)). Returns the number of levels. *)
+let fill tree leaf ~fingers ~gap buf starts =
+  let root = Domain_tree.root tree in
+  let rec level l d ~cap =
+    starts.(l + 1) <- fingers d ~below:cap buf starts.(l);
+    if d = root then l + 1 else level (l + 1) (Domain_tree.parent tree d) ~cap:(gap d)
+  in
+  level 0 leaf ~cap:Id.space
 
 (* Each level takes at most one target per distance band
    [2^k, 2^(k+1)), and condition (b) puts every level's targets strictly
@@ -25,29 +24,63 @@ let fill rings node chain buf starts =
    the targets therefore repeat a band at most once per level boundary:
    no more than [Id.bits + levels] of them. *)
 let links_of_node rings node =
-  let chain = Rings.chain rings node in
-  let levels = Array.length chain in
-  let buf = Array.make (Id.bits + levels) 0 and starts = Array.make (levels + 1) 0 in
-  fill rings node chain buf starts;
-  Array.sub buf 0 starts.(levels)
-
-let build rings =
   let pop = Rings.population rings in
-  let levels = Canon_hierarchy.Domain_tree.height pop.Population.tree + 1 in
+  let tree = pop.Population.tree and leaf = pop.Population.leaf_of_node.(node) in
+  let id = pop.Population.ids.(node) in
+  let levels = Domain_tree.depth tree leaf + 1 in
   let buf = Array.make (Id.bits + levels) 0 and starts = Array.make (levels + 1) 0 in
-  let links =
-    Array.init (Population.size pop) (fun node ->
-        let chain = Rings.chain rings node in
-        fill rings node chain buf starts;
-        (* Condition (b) again: the level blocks root first list the
-           links by increasing clockwise distance, the overlay's order. *)
-        let out = Array.make starts.(Array.length chain) 0 and pos = ref 0 in
-        for level = Array.length chain - 1 downto 0 do
-          for i = starts.(level) to starts.(level + 1) - 1 do
-            out.(!pos) <- buf.(i);
-            incr pos
-          done
-        done;
-        out)
+  let fingers d = Chord.add_fingers (Rings.ring rings d) id ~self:node in
+  let gap d = Ring.successor_distance (Rings.ring rings d) id in
+  Array.sub buf 0 starts.(fill tree leaf ~fingers ~gap buf starts)
+
+(* Every member's links, one sweep per ring: nodes are met in global
+   rank order, which is every ring's rank order, so the next member of
+   each ring is the next node met in it, and its rank there only grows.
+   [row buf starts levels] turns a node's blocks, as [fill] lays them
+   out, into its row. *)
+let sweep rings ~row =
+  let pop = Rings.population rings in
+  let tree = pop.Population.tree in
+  let global = Rings.ring rings (Domain_tree.root tree) in
+  let nd = Domain_tree.num_domains tree in
+  let sweeps = Array.init nd (fun d -> Chord.sweep (Rings.ring rings d)) in
+  let next_rank = Array.make nd 0 in
+  let fingers d ~below buf len =
+    let rank = next_rank.(d) in
+    next_rank.(d) <- rank + 1;
+    Chord.sweep_fingers sweeps.(d) ~rank ~below buf len
   in
-  Overlay.create pop ~links
+  (* Read at the rank [fingers] has just swept. *)
+  let gap d =
+    let ring = Rings.ring rings d and rank = next_rank.(d) - 1 in
+    let size = Ring.size ring in
+    if size = 1 then Id.space
+    else Id.distance (Ring.id_at ring rank) (Ring.id_at ring ((rank + 1) mod size))
+  in
+  let levels = Domain_tree.height tree + 1 in
+  let buf = Array.make (Id.bits + levels) 0 and starts = Array.make (levels + 1) 0 in
+  let links = Array.make (Population.size pop) [||] in
+  for g = 0 to Ring.size global - 1 do
+    let node = Ring.node_at global g in
+    let levels = fill tree pop.Population.leaf_of_node.(node) ~fingers ~gap buf starts in
+    links.(node) <- row buf starts levels
+  done;
+  links
+
+let canonical_links rings =
+  sweep rings ~row:(fun buf starts levels -> Array.sub buf 0 starts.(levels))
+
+(* Condition (b) again: the level blocks root first list the links by
+   increasing clockwise distance, the overlay's order. *)
+let build rings =
+  let root_first buf starts levels =
+    let out = Array.make starts.(levels) 0 and pos = ref 0 in
+    for level = levels - 1 downto 0 do
+      for i = starts.(level) to starts.(level + 1) - 1 do
+        out.(!pos) <- buf.(i);
+        incr pos
+      done
+    done;
+    out
+  in
+  Overlay.create (Rings.population rings) ~links:(sweep rings ~row:root_first)

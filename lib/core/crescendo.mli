@@ -24,10 +24,19 @@ open Canon_overlay
 
 val build : Rings.t -> Overlay.t
 (** Deterministic given the rings. Domains with no nodes contribute
-    nothing. Each node's links are handed to {!Overlay.create} in its
-    clockwise order, so it sorts none: condition (b) makes every
-    level's targets closer than all targets below it, so the level
-    blocks of {!links_of_node}, root first, ascend. *)
+    nothing, and a node in no ring gets no links. Each node's links are
+    handed to {!Overlay.create} in its clockwise order, so it sorts
+    none: condition (b) makes every level's targets closer than all
+    targets below it, so the level blocks of {!links_of_node}, root
+    first, ascend. Cost: one {!Chord.sweep} per ring, amortised
+    O([Id.bits]) cursor steps per member and no search; each member's
+    cap is its successor gap in its child ring, read at its rank
+    there. *)
+
+val canonical_links : Rings.t -> int array array
+(** [canonical_links rings] is {!links_of_node} of every node in the
+    rings (empty for a node in none), at the cost of {!build}: the
+    initial links of the dynamic-maintenance simulator. *)
 
 val links_of_node : Rings.t -> int -> int array
 (** The link set of a single node (used by dynamic maintenance to

@@ -9,4 +9,8 @@
     routers compared bit for bit against a full {!Canon_topology.Graph.dijkstra}
     row (pairs checked, mismatches). *)
 
+val scaled_params : routers:int -> Canon_topology.Transit_stub.params
+(** The default transit skeleton with stub domains widened to reach
+    about [routers] routers. *)
+
 val run : scale:Common.scale -> seed:int -> Canon_stats.Table.t

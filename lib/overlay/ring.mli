@@ -3,8 +3,10 @@
     Every DHT construction in this repository reduces to queries on
     sorted rings: "the closest node at least distance d away from m",
     "the successor of id q", "the node responsible for key k". A ring is
-    an immutable sorted array of (identifier, node index) pairs with
-    O(log n) wrapping binary searches. *)
+    a sorted array of (identifier, node index) pairs with O(log n)
+    wrapping binary searches. Static constructions only read it;
+    {!insert} and {!remove} mutate it in place for the
+    dynamic-maintenance simulator. *)
 
 open Canon_idspace
 
@@ -12,8 +14,15 @@ type t
 
 val of_members : ids:Id.t array -> members:int array -> t
 (** [of_members ~ids ~members] builds the ring of the node indices in
-    [members], where [ids.(node)] is each node's identifier. Identifiers
-    of members must be pairwise distinct. *)
+    [members], where [ids.(node)] is each node's identifier: one sort,
+    then {!of_sorted_members}. Raises [Invalid_argument] if two members
+    share an identifier. *)
+
+val of_sorted_members : ids:Id.t array -> members:int array -> t
+(** {!of_members} for [members] already in increasing identifier order:
+    O(size), no sort. The ring takes ownership of [members]. Raises
+    [Invalid_argument] if two members share an identifier or are out of
+    order. *)
 
 val size : t -> int
 

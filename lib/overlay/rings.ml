@@ -5,27 +5,44 @@ type t = {
   rings : Ring.t array; (* indexed by domain *)
 }
 
-let build pop =
-  let tree = pop.Population.tree in
-  let nd = Domain_tree.num_domains tree in
-  (* Collect member lists bottom-up: credit each node to every ancestor
-     of its leaf. *)
-  let buckets = Array.make nd [] in
-  Array.iteri
-    (fun node leaf ->
-      let rec credit d =
-        buckets.(d) <- node :: buckets.(d);
-        if d <> Domain_tree.root tree then credit (Domain_tree.parent tree d)
-      in
-      credit leaf)
-    pop.Population.leaf_of_node;
+(* One sort for every ring: the root ring orders the present nodes, and
+   each other domain's members are dealt from it, in that order, into an
+   array sized by a counting pass. *)
+let build_partial pop ~present =
+  let tree = pop.Population.tree and ids = pop.Population.ids in
+  let leaf_of_node = pop.Population.leaf_of_node in
+  let root = Domain_tree.root tree in
+  let global = Ring.of_members ~ids ~members:present in
+  let count = Array.make (Domain_tree.num_domains tree) 0 in
+  let rec credit d =
+    if d <> root then begin
+      count.(d) <- count.(d) + 1;
+      credit (Domain_tree.parent tree d)
+    end
+  in
+  Array.iter (fun node -> credit leaf_of_node.(node)) present;
+  let members = Array.map (fun c -> Array.make c 0) count in
+  (* Dealt from the largest id down, so [count] counts back to 0 as the
+     next free slot of each domain. *)
+  let rec deal node d =
+    if d <> root then begin
+      count.(d) <- count.(d) - 1;
+      members.(d).(count.(d)) <- node;
+      deal node (Domain_tree.parent tree d)
+    end
+  in
+  for rank = Ring.size global - 1 downto 0 do
+    let node = Ring.node_at global rank in
+    deal node leaf_of_node.(node)
+  done;
   let rings =
-    Array.map
-      (fun bucket ->
-        Ring.of_members ~ids:pop.Population.ids ~members:(Array.of_list bucket))
-      buckets
+    Array.mapi
+      (fun d members -> if d = root then global else Ring.of_sorted_members ~ids ~members)
+      members
   in
   { population = pop; rings }
+
+let build pop = build_partial pop ~present:(Array.init (Population.size pop) Fun.id)
 
 let population t = t.population
 
@@ -45,26 +62,6 @@ let chain t node =
   in
   go leaf 0;
   out
-
-let build_partial pop ~present =
-  let tree = pop.Population.tree in
-  let nd = Domain_tree.num_domains tree in
-  let buckets = Array.make nd [] in
-  Array.iter
-    (fun node ->
-      let leaf = pop.Population.leaf_of_node.(node) in
-      let rec credit d =
-        buckets.(d) <- node :: buckets.(d);
-        if d <> Domain_tree.root tree then credit (Domain_tree.parent tree d)
-      in
-      credit leaf)
-    present;
-  let rings =
-    Array.map
-      (fun bucket -> Ring.of_members ~ids:pop.Population.ids ~members:(Array.of_list bucket))
-      buckets
-  in
-  { population = pop; rings }
 
 let add_node t node =
   let id = t.population.Population.ids.(node) in

@@ -10,8 +10,8 @@
 type t
 
 val build : Population.t -> t
-(** O(n · depth) ring membership plus one sort per domain. Domains with
-    no nodes get empty rings. *)
+(** {!build_partial} over every node. Domains with no nodes get empty
+    rings. Raises [Invalid_argument] if two nodes share an identifier. *)
 
 val population : t -> Population.t
 
@@ -33,9 +33,12 @@ val responsible : t -> domain:int -> key:Canon_idspace.Id.t -> int
     Raises [Invalid_argument] if the domain has no nodes. *)
 
 val build_partial : Population.t -> present:int array -> t
-(** Like {!build} but only the listed nodes are members of their rings;
-    the rest of the population is treated as not (yet) joined. Used by
-    the dynamic-maintenance simulator. *)
+(** The rings of the listed nodes only; the rest of the population is
+    treated as not (yet) joined. Used by the dynamic-maintenance
+    simulator. Cost: one sort of [present] by identifier (the root
+    ring), then O(n · depth) to count each domain's members and deal
+    them, in that order, into their rings: no per-domain sort. Raises
+    [Invalid_argument] if two listed nodes share an identifier. *)
 
 val add_node : t -> int -> unit
 (** Inserts a node of the population into every ring of its chain

@@ -84,7 +84,8 @@ let create pop ~present =
     }
   in
   Array.iter (fun node -> t.present.(node) <- true) present;
-  Array.iter (fun node -> set_links t node (Crescendo.links_of_node rings node)) present;
+  let initial = Crescendo.canonical_links rings in
+  Array.iter (fun node -> set_links t node initial.(node)) present;
   t
 
 let present t =
@@ -311,13 +312,10 @@ let crash t m =
 (* note: in_links OF m are deliberately kept — they are the stale links *)
 
 let stale_nodes t =
-  let stale = Hashtbl.create 64 in
-  Array.iteri
-    (fun node links ->
-      if t.present.(node) then
-        Array.iter (fun v -> if not t.present.(v) then Hashtbl.replace stale node ()) links)
-    t.links;
-  Array.of_seq (Hashtbl.to_seq_keys stale)
+  let stale node =
+    t.present.(node) && Array.exists (fun v -> not t.present.(v)) t.links.(node)
+  in
+  Array.of_seq (Seq.filter stale (Seq.init (Array.length t.links) Fun.id))
 
 let repair t =
   let stale = stale_nodes t in

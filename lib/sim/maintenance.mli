@@ -89,7 +89,8 @@ val crash : t -> int -> unit
     leaf-set entries as §2.3 intends. *)
 
 val stale_nodes : t -> int array
-(** Live nodes currently holding at least one link to a crashed node. *)
+(** Live nodes currently holding at least one link to a crashed node,
+    in increasing node order. *)
 
 val repair : t -> stats
 (** Failure detection and repair: every live node holding a stale link

@@ -2725,6 +2725,176 @@ let prop_crash_window_contract sc =
         | None -> Ok ());
     ]
 
+(* --- whole-ring builds ------------------------------------------------ *)
+
+(* The whole-ring builds sweep each ring once with forward cursors; the
+   per-node rules search. They must agree on every node, on ragged trees,
+   and on ids packed just after 0 and just before [Id.space - 1], where
+   every cursor wraps (with a few random ids, so rings are not all one
+   cluster). *)
+let wrap_population rng pop =
+  let n = Population.size pop in
+  let spread = 1 + Rng.int_below rng (4 * n) in
+  let seen = Hashtbl.create n in
+  let ids = Array.make n 0 in
+  let filled = ref 0 in
+  while !filled < n do
+    let id =
+      match Rng.int_below rng 8 with
+      | 0 -> Id.random rng
+      | r when r land 1 = 0 -> Rng.int_below rng spread
+      | _ -> Id.space - 1 - Rng.int_below rng spread
+    in
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      ids.(!filled) <- id;
+      incr filled
+    end
+  done;
+  { pop with Population.ids }
+
+let sweep_populations rng sc = [ sc.pop; corner_population rng sc.pop; wrap_population rng sc.pop ]
+
+let every_node n f = first_error (List.init n (fun v () -> f v))
+
+let prop_chord_build_matches_per_node sc =
+  let rng = Rng.create (sc.case_seed + 51) in
+  first_error
+    (List.map
+       (fun pop () ->
+         let ids = pop.Population.ids in
+         let global = Ring.of_members ~ids ~members:(Array.init sc.n Fun.id) in
+         let overlay = Chord.build pop in
+         every_node sc.n (fun v ->
+             compare_links
+               (Printf.sprintf "node %d (id %d)" v ids.(v))
+               ~expected:(Chord.links_of_id global ids.(v) ~self:v)
+               ~got:(Overlay.links overlay v)))
+       (sweep_populations rng sc))
+
+(* [Crescendo.build] rows are [links_of_node] in clockwise order, and
+   [canonical_links] is [links_of_node] itself, on full rings and on
+   partial ones (where absent nodes get no links) -- the rings
+   [Maintenance.create] starts from. *)
+let prop_crescendo_build_matches_per_node sc =
+  let rng = Rng.create (sc.case_seed + 53) in
+  let clockwise ids v links =
+    let out = Array.copy links in
+    Array.stable_sort (fun a b -> compare (Id.distance ids.(v) ids.(a)) (Id.distance ids.(v) ids.(b))) out;
+    out
+  in
+  first_error
+    (List.map
+       (fun pop () ->
+         let ids = pop.Population.ids in
+         let rings = Rings.build pop in
+         let overlay = Crescendo.build rings in
+         let sub = random_subset rng sc.n in
+         let partial = Rings.build_partial pop ~present:sub in
+         let maintained = Canon_sim.Maintenance.create pop ~present:sub in
+         let in_sub = Array.make sc.n false in
+         Array.iter (fun v -> in_sub.(v) <- true) sub;
+         let all = Crescendo.canonical_links rings in
+         let some = Crescendo.canonical_links partial in
+         every_node sc.n (fun v ->
+             let expected = Crescendo.links_of_node rings v in
+             let expected_partial = if in_sub.(v) then Crescendo.links_of_node partial v else [||] in
+             first_error
+               [
+                 (fun () ->
+                   compare_links (Printf.sprintf "build, node %d" v)
+                     ~expected:(clockwise ids v expected) ~got:(Overlay.links overlay v));
+                 (fun () ->
+                   compare_links (Printf.sprintf "canonical, node %d" v) ~expected ~got:all.(v));
+                 (fun () ->
+                   compare_links (Printf.sprintf "canonical partial, node %d" v)
+                     ~expected:expected_partial ~got:some.(v));
+                 (fun () ->
+                   if not in_sub.(v) then Ok ()
+                   else
+                     compare_links (Printf.sprintf "Maintenance.create, node %d" v)
+                       ~expected:expected_partial ~got:(Canon_sim.Maintenance.links maintained v));
+               ]))
+       (sweep_populations rng sc))
+
+(* Every dealt ring equals [Ring.of_members] of its domain's present
+   members, for all nodes and for a random subset (maybe empty). *)
+let prop_rings_match_per_domain sc =
+  let rng = Rng.create (sc.case_seed + 55) in
+  let on_rings pop rings present () =
+    let ids = pop.Population.ids in
+    first_error
+      (List.init (Domain_tree.num_domains sc.tree) (fun d () ->
+           let members =
+             Array.of_list
+               (List.filter
+                  (fun v ->
+                    Domain_tree.is_ancestor sc.tree ~anc:d ~desc:pop.Population.leaf_of_node.(v))
+                  (Array.to_list present))
+           in
+           let expected = Ring.of_members ~ids ~members and got = Rings.ring rings d in
+           if Ring.members expected = Ring.members got then Ok ()
+           else
+             err "domain %d: expected [%s], got [%s]" d
+               (show_links (Ring.members expected))
+               (show_links (Ring.members got))))
+  in
+  first_error
+    (List.concat_map
+       (fun pop ->
+         let sub = random_subset rng sc.n in
+         [
+           on_rings pop (Rings.build pop) (Array.init sc.n Fun.id);
+           on_rings pop (Rings.build_partial pop ~present:sub) sub;
+         ])
+       (sweep_populations rng sc))
+
+(* A sweep only moves forward: a rank behind the last one swept, or past
+   the ring, is refused rather than answered from stale cursors. *)
+let prop_sweep_rejects_backward_ranks () =
+  let ids = [| 10; 20; 30; 40 |] in
+  let ring = Ring.of_members ~ids ~members:[| 0; 1; 2; 3 |] in
+  let s = Chord.sweep ring and buf = Array.make Id.bits 0 in
+  ignore (Chord.sweep_fingers s ~rank:2 ~below:Id.space buf 0);
+  ignore (Chord.sweep_fingers s ~rank:2 ~below:Id.space buf 0);
+  List.iter
+    (fun rank ->
+      match Chord.sweep_fingers s ~rank ~below:Id.space buf 0 with
+      | _ -> Alcotest.failf "rank %d accepted after rank 2" rank
+      | exception Invalid_argument _ -> ())
+    [ 1; 4 ]
+
+(* Two nodes with one id: every whole-ring build refuses the population,
+   as does a sorted-member ring given its members out of order. *)
+let prop_duplicate_ids_raise sc =
+  if sc.n < 2 then Ok ()
+  else begin
+    let rng = Rng.create (sc.case_seed + 57) in
+    let i = Rng.int_below rng sc.n in
+    let j = (i + 1 + Rng.int_below rng (sc.n - 1)) mod sc.n in
+    let ids = Array.copy sc.pop.Population.ids in
+    ids.(j) <- ids.(i);
+    let pop = { sc.pop with Population.ids } in
+    let raises what f =
+      match f () with
+      | _ -> err "%s accepted nodes %d and %d with one id" what i j
+      | exception Invalid_argument _ -> Ok ()
+    in
+    let sorted = Ring.members (Rings.ring sc.rings (Domain_tree.root sc.tree)) in
+    let swapped = Array.copy sorted in
+    swapped.(0) <- sorted.(1);
+    swapped.(1) <- sorted.(0);
+    first_error
+      [
+        (fun () -> raises "Rings.build" (fun () -> Rings.build pop));
+        (fun () -> raises "Rings.build_partial" (fun () -> Rings.build_partial pop ~present:[| j; i |]));
+        (fun () -> raises "Chord.build" (fun () -> Chord.build pop));
+        (fun () ->
+          raises "Ring.of_sorted_members, out of order" (fun () ->
+              Ring.of_sorted_members ~ids:sc.pop.Population.ids ~members:swapped));
+      ]
+  end
+
 let suites =
   [
     ( "prop.latency",
@@ -2810,6 +2980,19 @@ let suites =
         Alcotest.test_case "one driver = historical group and name routing" `Quick
           (check ~count:30 ~seed:9979 ~min_n:1 ~max_n:160
              prop_driver_matches_reference_groups);
+      ] );
+    ( "prop.sweep",
+      [
+        Alcotest.test_case "Chord.build rows = links_of_id per node" `Quick
+          (check ~count:40 ~seed:10109 ~min_n:1 ~max_n:200 prop_chord_build_matches_per_node);
+        Alcotest.test_case "Crescendo.build rows = links_of_node, clockwise" `Quick
+          (check ~count:40 ~seed:10119 ~min_n:1 ~max_n:200 prop_crescendo_build_matches_per_node);
+        Alcotest.test_case "Rings.build/build_partial = per-domain of_members" `Quick
+          (check ~count:40 ~seed:10129 ~min_n:1 ~max_n:200 prop_rings_match_per_domain);
+        Alcotest.test_case "duplicate ids raise Invalid_argument" `Quick
+          (check ~count:40 ~seed:10139 ~min_n:1 ~max_n:200 prop_duplicate_ids_raise);
+        Alcotest.test_case "sweep_fingers rejects ranks behind the sweep" `Quick
+          prop_sweep_rejects_backward_ranks;
       ] );
     ( "prop.event-loop",
       [
