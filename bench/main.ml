@@ -8,15 +8,14 @@
      dune exec bench/main.exe -- --json BENCH.json   # machine-readable export
      CANON_SCALE=quick dune exec bench/main.exe   # reduced sizes
 
-   Experiment ids: fig3 fig4 fig5 fig6 fig7 fig8 fig9 theorems variants
-   lookahead balance maintenance caching isolation hybrid prefixcan
-   skipnet robustness durability churn_async latency micro.
+   Experiment ids: every name in Canon_experiments.Registry.all, in its
+   order, then micro (the Bechamel suite below).
 
    Every run ends with a manifest (seed, scale, git revision, wall time
    per experiment) so pasted outputs are self-identifying; --json FILE
-   writes the same manifest, every table, and the telemetry metrics
-   registry as one JSON document — the perf-trajectory record compared
-   across commits. *)
+   writes the same manifest, with each experiment's own telemetry
+   metrics in its entry, and every table as one JSON document — the
+   perf-trajectory record compared across commits. *)
 
 open Canon_experiments
 module Table = Canon_stats.Table
@@ -224,31 +223,11 @@ let micro_benchmarks () =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   table
 
-let experiments =
-  [
-    ("fig3", Fig3.run);
-    ("fig4", Fig4.run);
-    ("fig5", Fig5.run);
-    ("fig6", Fig6.run);
-    ("fig7", Fig7.run);
-    ("fig8", Fig8.run);
-    ("fig9", Fig9.run);
-    ("theorems", Theorems.run);
-    ("variants", Variants.run);
-    ("lookahead", Lookahead_bench.run);
-    ("balance", Balance_bench.run);
-    ("maintenance", Maintenance_bench.run);
-    ("caching", Caching_bench.run);
-    ("isolation", Isolation.run);
-    ("hybrid", Hybrid_bench.run);
-    ("prefixcan", Prefix_can_bench.run);
-    ("skipnet", Skipnet_bench.run);
-    ("robustness", Robustness_bench.run);
-    ("durability", Durability.run);
-    ("churn_async", Churn_async.run);
-    ("latency", Latency_bench.run);
-    ("micro", fun ~scale:_ ~seed:_ -> micro_benchmarks ());
-  ]
+let micro =
+  let run ~scale:_ ~seed:_ = micro_benchmarks () in
+  { Registry.name = "micro"; doc = "Bechamel micro-benchmarks."; run; pinned = false }
+
+let experiments = Registry.all @ [ micro ]
 
 (* --- run manifest -------------------------------------------------- *)
 
@@ -261,17 +240,16 @@ let git_describe () =
     | _ -> "unknown"
   with _ -> "unknown"
 
+let scale_name = function `Paper -> "paper" | `Quick -> "quick"
+
 let manifest_table ~scale ~git ~timings ~total =
   let t =
     Table.create
-      ~title:
-        (Printf.sprintf "Run manifest (seed %d, scale %s, git %s)" seed
-           (match scale with `Paper -> "paper" | `Quick -> "quick")
-           git)
+      ~title:(Printf.sprintf "Run manifest (seed %d, scale %s, git %s)" seed (scale_name scale) git)
       ~columns:[ "experiment"; "seconds" ]
   in
   List.iter
-    (fun (name, secs) -> Table.add_row t [ name; Printf.sprintf "%.1f" secs ])
+    (fun (name, secs, _) -> Table.add_row t [ name; Printf.sprintf "%.1f" secs ])
     timings;
   Table.add_row t [ "total"; Printf.sprintf "%.1f" total ];
   t
@@ -280,14 +258,15 @@ let manifest_json ~scale ~git ~timings ~total =
   Json.Obj
     [
       ("seed", Json.Int seed);
-      ("scale", Json.String (match scale with `Paper -> "paper" | `Quick -> "quick"));
+      ("scale", Json.String (scale_name scale));
       ("git", Json.String git);
       ("total_seconds", Json.Float total);
       ( "experiments",
         Json.List
           (List.map
-             (fun (name, secs) ->
-               Json.Obj [ ("name", Json.String name); ("seconds", Json.Float secs) ])
+             (fun (name, secs, metrics) ->
+               Json.Obj
+                 [ ("name", Json.String name); ("seconds", Json.Float secs); ("metrics", metrics) ])
              timings) );
     ]
 
@@ -309,32 +288,34 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let requested =
-    match List.rev !requested with [] -> List.map fst experiments | names -> names
+    match List.rev !requested with
+    | [] -> experiments
+    | names ->
+        List.map
+          (fun name ->
+            match List.find_opt (fun (e : Registry.t) -> e.name = name) experiments with
+            | Some e -> e
+            | None ->
+                Printf.eprintf "unknown experiment %S; known: %s\n" name
+                  (String.concat " " (List.map (fun (e : Registry.t) -> e.name) experiments));
+                exit 1)
+          names
   in
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name experiments) then begin
-        Printf.eprintf "unknown experiment %S; known: %s\n" name
-          (String.concat " " (List.map fst experiments));
-        exit 1
-      end)
-    requested;
   let git = git_describe () in
   Printf.printf "Canon benchmark harness (scale: %s, seed: %d, git: %s)\n\n%!"
-    (match scale with `Paper -> "paper" | `Quick -> "quick")
-    seed git;
+    (scale_name scale) seed git;
   let t_start = Unix.gettimeofday () in
   let timings = ref [] and tables = ref [] in
   List.iter
-    (fun name ->
-      let build = List.assoc name experiments in
+    (fun (e : Registry.t) ->
       let t0 = Unix.gettimeofday () in
-      let table = build ~scale ~seed in
+      let table = Registry.run e ~scale ~seed in
       let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf "[%s finished in %.1f s]\n\n%!" name dt;
+      let metrics = Report.metrics_json () in
+      Printf.printf "[%s finished in %.1f s]\n\n%!" e.name dt;
       Table.print table;
       print_newline ();
-      timings := (name, dt) :: !timings;
+      timings := (e.name, dt, metrics) :: !timings;
       tables := table :: !tables)
     requested;
   let total = Unix.gettimeofday () -. t_start in
@@ -348,7 +329,6 @@ let () =
           [
             ("manifest", manifest_json ~scale ~git ~timings ~total);
             ("tables", Json.List (List.map Report.table_json tables));
-            ("metrics", Report.metrics_json ());
           ]
       in
       (match open_out file with

@@ -111,8 +111,14 @@ let run_phase ~chord ~pop ~node_latency ~config ~can_churn ~restrict ~lookups
 
 let run_with ?(churn_rate = 100.0) ?(lookup_rate = 200.0) ?events ?n ?lookups ~scale
     ~seed () =
-  if churn_rate <= 0.0 then invalid_arg "Churn_async.run_with: churn_rate <= 0";
-  if lookup_rate <= 0.0 then invalid_arg "Churn_async.run_with: lookup_rate <= 0";
+  (* A rate becomes a mean spacing of 1000 / rate ms: both must be finite. *)
+  let check_rate what r =
+    if r <= 0.0 then invalid_arg ("Churn_async.run_with: " ^ what ^ " <= 0");
+    if not (Float.is_finite r && Float.is_finite (1000.0 /. r)) then
+      invalid_arg ("Churn_async.run_with: " ^ what ^ " not finite")
+  in
+  check_rate "churn_rate" churn_rate;
+  check_rate "lookup_rate" lookup_rate;
   let n =
     match (n, scale) with Some n, _ -> n | None, `Paper -> 4096 | None, `Quick -> 1024
   in

@@ -44,5 +44,5 @@ val run_with :
     interarrival = 1000/rate ms; default 100), [lookup_rate] lookup
     launches per simulated second (default 200); [events], [n] and
     [lookups] override the scale defaults (400/4096/800 at paper scale,
-    120/1024/200 at quick). Raises [Invalid_argument] on non-positive
-    rates, [events < 0], [lookups < 1] or [n < 16]. *)
+    120/1024/200 at quick). Raises [Invalid_argument] on non-finite or
+    non-positive rates, [events < 0], [lookups < 1] or [n < 16]. *)

@@ -39,6 +39,11 @@ let run_with ?(fail_fracs = [ 0.1; 0.2; 0.3; 0.5 ])
   if ks = [] || spreads = [] then
     invalid_arg "Durability.run_with: empty configuration";
   List.iter (fun k -> if k < 1 then invalid_arg "Durability.run_with: k < 1") ks;
+  List.iter
+    (fun f ->
+      if not (f >= 0.0 && f <= 1.0) then
+        invalid_arg "Durability.run_with: fail_frac not in [0, 1]")
+    fail_fracs;
   let n =
     match (n, scale) with Some n, _ -> n | None, `Paper -> 4096 | None, `Quick -> 256
   in

@@ -37,5 +37,5 @@ val run_with :
 (** [run] restricted to the given fractions, replication degrees and
     policies (the CLI's [--fail-frac] / [--replicas] / [--spread]);
     [n] / [keys] override the scale's population and key count. Raises
-    [Invalid_argument] on an empty configuration, [k < 1], [n < 1] or
-    [keys < 1]. *)
+    [Invalid_argument] on an empty configuration, [k < 1], a fraction
+    outside \[0, 1\] (NaN included), [n < 1] or [keys < 1]. *)

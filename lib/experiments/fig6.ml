@@ -15,15 +15,11 @@ let mean_prox_latency rng prox ~node_latency ~samples =
   done;
   !total /. Float.of_int samples
 
-let run_with ?sizes ?samples ~scale ~seed () =
-  let setup = Common.topology_setup ~seed in
+let run_with ?sizes ~scale ~seed () =
   let sizes = match sizes with Some s -> s | None -> Common.topo_sizes scale in
-  let samples =
-    match (samples, scale) with
-    | Some s, _ -> s
-    | None, `Paper -> 4000
-    | None, `Quick -> 1500
-  in
+  List.iter (fun n -> if n < 2 then invalid_arg "Fig6.run_with: n < 2") sizes;
+  let samples = match scale with `Paper -> 4000 | `Quick -> 1500 in
+  let setup = Common.topology_setup ~seed in
   let table =
     Table.create
       ~title:

@@ -11,12 +11,7 @@
 val run : scale:Common.scale -> seed:int -> Canon_stats.Table.t
 
 val run_with :
-  ?sizes:int list ->
-  ?samples:int ->
-  scale:Common.scale ->
-  seed:int ->
-  unit ->
-  Canon_stats.Table.t
-(** [run] with the size sweep and per-size sample count overridden (the
-    CLI's [--n]); defaults are {!Common.topo_sizes} and 4000/1500
-    samples at paper/quick scale. *)
+  ?sizes:int list -> scale:Common.scale -> seed:int -> unit -> Canon_stats.Table.t
+(** [run] with the size sweep overridden (the CLI's [--n]); the default
+    is {!Common.topo_sizes}. Every size takes 4000/1500 route samples at
+    paper/quick scale. Raises [Invalid_argument] on a size below 2. *)

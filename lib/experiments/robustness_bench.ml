@@ -39,6 +39,14 @@ let run_with ?(fail_fracs = [ 0.0; 0.05; 0.1; 0.2; 0.3 ]) ?(loss = 0.01) ?n ?pro
     | None, `Paper -> 1500
     | None, `Quick -> 300
   in
+  let check_prob what p =
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg ("Robustness_bench.run_with: " ^ what ^ " not in [0, 1]")
+  in
+  List.iter (check_prob "fail_frac") fail_fracs;
+  check_prob "loss" loss;
+  if n < 1 then invalid_arg "Robustness_bench.run_with: n < 1";
+  if probes < 1 then invalid_arg "Robustness_bench.run_with: probes < 1";
   let setup = Common.topology_setup ~seed in
   let pop = Common.topology_population ~seed setup ~n in
   let node_latency = Common.node_latency setup pop in

@@ -31,4 +31,6 @@ val run_with :
 (** [run] with a custom failure-fraction list and loss probability
     (the CLI's [--fail-frac] / [--loss]); [n] / [probes] override the
     scale's population and probe count (the determinism regression test
-    runs a small sweep twice and compares traces byte for byte). *)
+    runs a small sweep twice and compares traces byte for byte). Raises
+    [Invalid_argument] on a fraction or [loss] outside \[0, 1\] (NaN
+    included), [n < 1] or [probes < 1]. *)

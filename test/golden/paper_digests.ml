@@ -1,4 +1,4 @@
-(* Paper-scale golden tables: runs every golden experiment at paper
+(* Paper-scale golden tables: runs every pinned experiment at paper
    scale and seed 42 and prints one line per table, the experiment name
    and the MD5 digest of its rendered table. Wall seconds per experiment
    go to stderr.
@@ -13,11 +13,13 @@
    [dune exec --profile release test/golden/paper_digests.exe >
    test/golden/paper_digests.expected]. *)
 
-let digest (name, run) =
+open Canon_experiments
+
+let digest (e : Registry.t) =
   let t0 = Unix.gettimeofday () in
-  let table = run ~scale:`Paper ~seed:42 in
-  Printf.eprintf "%s %.1f s\n%!" name (Unix.gettimeofday () -. t0);
-  (name, Digest.to_hex (Digest.string (Canon_stats.Table.render table)))
+  let table = Registry.run e ~scale:`Paper ~seed:42 in
+  Printf.eprintf "%s %.1f s\n%!" e.name (Unix.gettimeofday () -. t0);
+  (e.name, Digest.to_hex (Digest.string (Canon_stats.Table.render table)))
 
 (* [name digest] lines as an association list. *)
 let read_digests file =
@@ -35,7 +37,7 @@ let () =
         prerr_endline "usage: paper_digests.exe [--check FILE]";
         exit 2
   in
-  let digests = List.map digest Golden_experiments.all in
+  let digests = List.map digest (List.filter (fun (e : Registry.t) -> e.pinned) Registry.all) in
   match check with
   | None -> List.iter (fun (name, hex) -> Printf.printf "%s %s\n" name hex) digests
   | Some file ->

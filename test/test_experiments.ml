@@ -244,7 +244,35 @@ let test_durability_validates () =
   Alcotest.check_raises "n = 0" (Invalid_argument "Durability.run_with: n < 1")
     (fun () -> run ~n:0 ());
   Alcotest.check_raises "k = 0" (Invalid_argument "Durability.run_with: k < 1")
-    (fun () -> run ~ks:[ 0 ] ())
+    (fun () -> run ~ks:[ 0 ] ());
+  let frac_error = Invalid_argument "Durability.run_with: fail_frac not in [0, 1]" in
+  let run_frac f () = ignore (Durability.run_with ~fail_fracs:[ f ] ~scale:`Quick ~seed:1 ()) in
+  Alcotest.check_raises "fail_frac = nan" frac_error (run_frac Float.nan);
+  Alcotest.check_raises "fail_frac = 2" frac_error (run_frac 2.0)
+
+(* Bad arguments are rejected on entry, before any set-up: the CLI turns
+   these messages into usage errors. *)
+let test_fig6_validates () =
+  Alcotest.check_raises "n = 1" (Invalid_argument "Fig6.run_with: n < 2") (fun () ->
+      ignore (Fig6.run_with ~sizes:[ 64; 1 ] ~scale:`Quick ~seed:1 ()))
+
+let test_robustness_validates () =
+  let run ?fail_fracs ?loss ?n ?probes () =
+    ignore (Robustness_bench.run_with ?fail_fracs ?loss ?n ?probes ~scale:`Quick ~seed:1 ())
+  in
+  let prob_error what =
+    Invalid_argument ("Robustness_bench.run_with: " ^ what ^ " not in [0, 1]")
+  in
+  Alcotest.check_raises "fail_frac = nan" (prob_error "fail_frac") (fun () ->
+      run ~fail_fracs:[ 0.1; Float.nan ] ());
+  Alcotest.check_raises "fail_frac < 0" (prob_error "fail_frac") (fun () ->
+      run ~fail_fracs:[ -0.1 ] ());
+  Alcotest.check_raises "loss = nan" (prob_error "loss") (fun () -> run ~loss:Float.nan ());
+  Alcotest.check_raises "loss > 1" (prob_error "loss") (fun () -> run ~loss:1.5 ());
+  Alcotest.check_raises "n = 0" (Invalid_argument "Robustness_bench.run_with: n < 1")
+    (fun () -> run ~n:0 ());
+  Alcotest.check_raises "probes = 0" (Invalid_argument "Robustness_bench.run_with: probes < 1")
+    (fun () -> run ~probes:0 ())
 
 let test_churn_async_shape () =
   let t = Churn_async.run_with ~n:256 ~events:60 ~lookups:80 ~scale:`Quick ~seed:11 () in
@@ -278,7 +306,20 @@ let test_churn_async_validates () =
   Alcotest.check_raises "n too small" (Invalid_argument "Churn_async.run_with: n < 16")
     (fun () -> run ~n:8 ());
   Alcotest.check_raises "lookups = 0"
-    (Invalid_argument "Churn_async.run_with: lookups < 1") (fun () -> run ~lookups:0 ())
+    (Invalid_argument "Churn_async.run_with: lookups < 1") (fun () -> run ~lookups:0 ());
+  Alcotest.check_raises "churn_rate = nan"
+    (Invalid_argument "Churn_async.run_with: churn_rate not finite") (fun () ->
+      run ~churn_rate:Float.nan ());
+  Alcotest.check_raises "churn_rate = inf"
+    (Invalid_argument "Churn_async.run_with: churn_rate not finite") (fun () ->
+      run ~churn_rate:Float.infinity ());
+  Alcotest.check_raises "lookup_rate = inf"
+    (Invalid_argument "Churn_async.run_with: lookup_rate not finite") (fun () ->
+      run ~lookup_rate:Float.infinity ());
+  (* finite, but 1000 / rate ms is not *)
+  Alcotest.check_raises "lookup_rate subnormal"
+    (Invalid_argument "Churn_async.run_with: lookup_rate not finite") (fun () ->
+      run ~lookup_rate:Float.min_float ())
 
 let suites =
   [
@@ -305,5 +346,7 @@ let suites =
         Alcotest.test_case "durability validation" `Quick test_durability_validates;
         Alcotest.test_case "churn_async shape" `Slow test_churn_async_shape;
         Alcotest.test_case "churn_async validation" `Quick test_churn_async_validates;
+        Alcotest.test_case "fig6 validation" `Quick test_fig6_validates;
+        Alcotest.test_case "robustness validation" `Quick test_robustness_validates;
       ] );
   ]
