@@ -16,7 +16,6 @@ let add t target =
     t.count <- t.count + 1
   end
 
-let cardinal t = t.count
 
 let to_array t =
   let out = Array.make t.count t.self in

@@ -12,7 +12,5 @@ val add : t -> int -> unit
 
 val mem : t -> int -> bool
 
-val cardinal : t -> int
-
 val to_array : t -> int array
 (** Targets in insertion order. *)

@@ -60,25 +60,20 @@ let last_within ids (row : int array) ~id_u ~du =
   !a - 1
 
 let step_clockwise overlay ~dead ~at ~key =
-  if Overlay.ids_collide overlay then
-    step_clockwise_avoiding_generic ~id:(Overlay.id overlay) ~links:(Overlay.links overlay)
-      ~dead ~at ~key
+  (* Distances in a row are distinct and non-zero, so the last link
+     within reach is the fault-free hop, and links below it make less
+     progress: the first live one going down is the hop avoiding
+     [dead]. *)
+  let ids = (Overlay.population overlay).Population.ids and row = Overlay.links overlay at in
+  let id_u = ids.(at) in
+  let last = last_within ids row ~id_u ~du:(Id.distance id_u key) in
+  if last < 0 then { outcome = Arrived; fault_free = None }
   else begin
-    (* Distances in a row are distinct and non-zero, so the last link
-       within reach is the fault-free hop, and links below it make less
-       progress: the first live one going down is the hop avoiding
-       [dead]. *)
-    let ids = (Overlay.population overlay).Population.ids and row = Overlay.links overlay at in
-    let id_u = ids.(at) in
-    let last = last_within ids row ~id_u ~du:(Id.distance id_u key) in
-    if last < 0 then { outcome = Arrived; fault_free = None }
-    else begin
-      let j = ref last in
-      while !j >= 0 && dead row.(!j) do
-        decr j
-      done;
-      { outcome = (if !j >= 0 then Forward row.(!j) else Blocked); fault_free = Some row.(last) }
-    end
+    let j = ref last in
+    while !j >= 0 && dead row.(!j) do
+      decr j
+    done;
+    { outcome = (if !j >= 0 then Forward row.(!j) else Blocked); fault_free = Some row.(last) }
   end
 
 (* The single hop loop. A generous hop budget: any genuine route is

@@ -146,9 +146,8 @@ val step_clockwise_avoiding_generic :
     [key] given its local knowledge of dead nodes, over caller-supplied
     [id]/[links] accessors in any order — {e live} link state such as a
     membership view mutated by churn while messages are in flight
-    ([canon_net] takes it hop by hop there), the adjacency of
-    {!greedy_clockwise_generic}, or a frozen overlay whose ids collide
-    ({!step_clockwise}).
+    ([canon_net] takes it hop by hop there), or the adjacency of
+    {!greedy_clockwise_generic}.
 
     A single pass over [at]'s links: both choices minimise the remaining
     clockwise distance with a strict [<], so ties go to the earlier link
@@ -168,10 +167,10 @@ val step_clockwise :
 
     O(log degree), plus one [dead] call per link scanned. This is the
     decision of {!step_clockwise_avoiding_generic} over the same links
-    (the [prop.router] property "sorted step = one-pass step"), which
-    it calls instead when the overlay's ids collide
-    ({!Overlay.ids_collide}): there, equal distances need the one-pass
-    tie rule. {!greedy_clockwise}, {!greedy_clockwise_avoiding} and
+    (the [prop.router] property "sorted step = one-pass step"): an
+    overlay's links lie at distinct distances ({!Overlay.create}
+    refuses linked nodes that share an id), so no tie rule is needed.
+    {!greedy_clockwise}, {!greedy_clockwise_avoiding} and
     every [canon_net] hop over a frozen overlay take this step. *)
 
 val walk :

@@ -36,7 +36,3 @@ val build_flat : choice -> Population.t -> Overlay.t
 
 val build_hierarchical : choice -> Rings.t -> Overlay.t
 
-val bucket_member : choice -> Ring.t -> ids:Canon_idspace.Id.t array ->
-  Canon_idspace.Id.t -> int -> int option
-(** [bucket_member choice ring ~ids id k] selects a member of [id]'s
-    k-th XOR bucket within [ring], or [None] if the bucket is empty. *)

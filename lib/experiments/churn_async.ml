@@ -1,4 +1,3 @@
-open Canon_hierarchy
 open Canon_overlay
 open Canon_sim
 open Canon_net
@@ -152,26 +151,11 @@ let run_with ?(churn_rate = 100.0) ?(lookup_rate = 200.0) ?events ?n ?lookups ~s
   in
   let quiescent = { config with Churn.events = 0 } in
   let lookup_spacing_ms = 1000.0 /. lookup_rate in
-  (* The observed domain of the containment phase: the largest depth-1
-     domain, protected from churn while the rest of the network churns
-     (as in the robustness experiment). *)
+  (* The observed domain of the containment phase, protected from churn
+     while the rest of the network churns (as in the robustness
+     experiment). *)
   let rings = Rings.build pop in
-  let domain =
-    let kids = Domain_tree.children setup.Common.tree (Domain_tree.root setup.Common.tree) in
-    let best = ref kids.(0) and best_size = ref 0 in
-    Array.iter
-      (fun d ->
-        let s = Ring.size (Rings.ring rings d) in
-        if s > !best_size then begin
-          best := d;
-          best_size := s
-        end)
-      kids;
-    !best
-  in
-  let members = Ring.members (Rings.ring rings domain) in
-  let inside = Array.make n false in
-  Array.iter (fun v -> inside.(v) <- true) members;
+  let members, inside = Common.observed_domain rings in
   let everyone _ = true in
   let phase ~chord ~config ~can_churn ~restrict =
     run_phase ~chord ~pop ~node_latency ~config ~can_churn ~restrict ~lookups

@@ -60,6 +60,24 @@ let node_latency setup pop =
   | None -> invalid_arg "Common.node_latency: population has no attachment points"
   | Some attach -> fun a b -> Latency.node_latency setup.latency attach.(a) attach.(b)
 
+let observed_domain rings =
+  let pop = Rings.population rings in
+  let tree = pop.Population.tree in
+  let kids = Domain_tree.children tree (Domain_tree.root tree) in
+  let best = ref kids.(0) and best_size = ref 0 in
+  Array.iter
+    (fun d ->
+      let s = Ring.size (Rings.ring rings d) in
+      if s > !best_size then begin
+        best := d;
+        best_size := s
+      end)
+    kids;
+  let members = Ring.members (Rings.ring rings !best) in
+  let inside = Array.make (Population.size pop) false in
+  Array.iter (fun v -> inside.(v) <- true) members;
+  (members, inside)
+
 module Metrics = Canon_telemetry.Metrics
 module Trace = Canon_telemetry.Trace
 

@@ -57,6 +57,11 @@ val node_latency : topo_setup -> Population.t -> int -> int -> float
 (** End-to-end latency between two overlay nodes (access links
     included). *)
 
+val observed_domain : Rings.t -> int array * bool array
+(** The domain a containment measurement observes: the largest depth-1
+    domain (the first one among equals). Returns its members and a mask
+    over the population marking them. *)
+
 val mean_hops :
   Canon_rng.Rng.t -> Overlay.t -> samples:int -> float
 (** Mean greedy-clockwise hop count between random node pairs. *)

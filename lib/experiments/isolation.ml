@@ -1,4 +1,3 @@
-open Canon_hierarchy
 open Canon_core
 open Canon_overlay
 module Rng = Canon_rng.Rng
@@ -18,27 +17,10 @@ let run ~scale ~seed =
   let n = match scale with `Paper -> 8192 | `Quick -> 2048 in
   let probes = match scale with `Paper -> 2000 | `Quick -> 600 in
   let pop = Common.hierarchy_population ~seed:(seed + 5) ~levels:3 ~n in
-  let tree = pop.Population.tree in
   let rings = Rings.build pop in
   let chord = Chord.build pop in
   let crescendo = Crescendo.build rings in
-  (* The observed domain: the first depth-1 domain with enough nodes. *)
-  let domain =
-    let kids = Domain_tree.children tree (Domain_tree.root tree) in
-    let best = ref kids.(0) and best_size = ref 0 in
-    Array.iter
-      (fun d ->
-        let s = Ring.size (Rings.ring rings d) in
-        if s > !best_size then begin
-          best := d;
-          best_size := s
-        end)
-      kids;
-    !best
-  in
-  let members = Ring.members (Rings.ring rings domain) in
-  let inside = Array.make n false in
-  Array.iter (fun m -> inside.(m) <- true) members;
+  let members, inside = Common.observed_domain rings in
   let table =
     Table.create
       ~title:

@@ -1,4 +1,3 @@
-open Canon_hierarchy
 open Canon_core
 open Canon_overlay
 open Canon_net
@@ -8,18 +7,21 @@ module Table = Canon_stats.Table
 (* One measurement: [probes] lookups between random [candidates] pairs
    over a fresh simulated network. Success = the lookup terminated at
    the probed destination (we look up the destination's own id, so the
-   responsible node is the destination). *)
+   responsible node is the destination). With no candidate (every node
+   crashed) there is no pair to probe, and both figures are 0. *)
 let measure rng overlay ~rings ~node_latency ~plan ~candidates ~probes =
-  let net = Net.create ~plan ~rings ~rng:(Rng.split rng) ~node_latency overlay in
   let ok = ref 0 and wall = ref 0.0 in
-  for _ = 1 to probes do
-    let src = Rng.pick rng candidates and dst = Rng.pick rng candidates in
-    let r = Net.lookup net ~src ~key:(Overlay.id overlay dst) in
-    if Async_route.delivered r && Route.destination r.Async_route.route = dst then begin
-      incr ok;
-      wall := !wall +. r.Async_route.wall_ms
-    end
-  done;
+  if Array.length candidates > 0 then begin
+    let net = Net.create ~plan ~rings ~rng:(Rng.split rng) ~node_latency overlay in
+    for _ = 1 to probes do
+      let src = Rng.pick rng candidates and dst = Rng.pick rng candidates in
+      let r = Net.lookup net ~src ~key:(Overlay.id overlay dst) in
+      if Async_route.delivered r && Route.destination r.Async_route.route = dst then begin
+        incr ok;
+        wall := !wall +. r.Async_route.wall_ms
+      end
+    done
+  end;
   let rate = Float.of_int !ok /. Float.of_int probes in
   let mean_wall = if !ok = 0 then 0.0 else !wall /. Float.of_int !ok in
   (rate, mean_wall)
@@ -53,24 +55,8 @@ let run_with ?(fail_fracs = [ 0.0; 0.05; 0.1; 0.2; 0.3 ]) ?(loss = 0.01) ?n ?pro
   let rings = Rings.build pop in
   let chord = Chord.build pop in
   let crescendo = Crescendo.build rings in
-  (* The observed domain of the containment measurement: the largest
-     depth-1 domain (as in the Isolation experiment). *)
-  let domain =
-    let kids = Domain_tree.children setup.Common.tree (Domain_tree.root setup.Common.tree) in
-    let best = ref kids.(0) and best_size = ref 0 in
-    Array.iter
-      (fun d ->
-        let s = Ring.size (Rings.ring rings d) in
-        if s > !best_size then begin
-          best := d;
-          best_size := s
-        end)
-      kids;
-    !best
-  in
-  let members = Ring.members (Rings.ring rings domain) in
-  let inside = Array.make n false in
-  Array.iter (fun m -> inside.(m) <- true) members;
+  (* The observed domain of the containment measurement. *)
+  let members, inside = Common.observed_domain rings in
   let table =
     Table.create
       ~title:

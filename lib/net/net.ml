@@ -48,7 +48,6 @@ type t = {
   rng : Rng.t;
   rings : Rings.t option;
   live : Live_view.t option;
-  leaf_width : int;
   suspicion : suspicion;
   suspected : bool array;
   leaf_cache : int array array option array;
@@ -74,10 +73,12 @@ let h_messages =
     ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0; 256.0 |]
     "net.messages_per_lookup"
 
-let create ?(policy = Rpc.default) ?plan ?rings ?live ?(leaf_width = 4)
-    ?(suspicion = `Per_lookup) ~rng ~node_latency overlay =
+(* Successors per level in a leaf set. *)
+let leaf_width = 4
+
+let create ?(policy = Rpc.default) ?plan ?rings ?live ?(suspicion = `Per_lookup) ~rng
+    ~node_latency overlay =
   Rpc.validate policy;
-  if leaf_width < 1 then invalid_arg "Net.create: leaf_width must be >= 1";
   let n = Overlay.size overlay in
   let plan = match plan with Some p -> p | None -> Fault_plan.none ~n in
   if Fault_plan.size plan <> n then invalid_arg "Net.create: plan/overlay size mismatch";
@@ -97,15 +98,12 @@ let create ?(policy = Rpc.default) ?plan ?rings ?live ?(leaf_width = 4)
     rng;
     rings;
     live;
-    leaf_width;
     suspicion;
     suspected = Array.make n false;
     leaf_cache = Array.make n None;
     leaf_cache_gen = 0;
     queue = Event_queue.create ();
   }
-
-let overlay t = t.overlay
 
 let plan t = t.plan
 
@@ -122,30 +120,28 @@ let suspected_nodes t =
 
 let clear_suspicions t = Array.fill t.suspected 0 (Array.length t.suspected) false
 
+(* Leaf sets come from the live view's rings when there is one, else
+   from [?rings], and are cached per generation: a frozen net's never
+   changes. *)
 let leaf_sets t u =
-  match t.live with
-  | Some lv ->
-      let gen = Live_view.generation lv in
+  let rings, gen =
+    match t.live with
+    | Some lv -> (Some (Live_view.rings lv), Live_view.generation lv)
+    | None -> (t.rings, 0)
+  in
+  match rings with
+  | None -> [||]
+  | Some rings -> (
       if gen <> t.leaf_cache_gen then begin
         Array.fill t.leaf_cache 0 (Array.length t.leaf_cache) None;
         t.leaf_cache_gen <- gen
       end;
-      (match t.leaf_cache.(u) with
+      match t.leaf_cache.(u) with
       | Some sets -> sets
       | None ->
-          let sets = Leaf_sets.successors (Live_view.rings lv) ~node:u ~width:t.leaf_width in
+          let sets = Leaf_sets.successors rings ~node:u ~width:leaf_width in
           t.leaf_cache.(u) <- Some sets;
           sets)
-  | None -> (
-      match t.rings with
-      | None -> [||]
-      | Some rings -> (
-          match t.leaf_cache.(u) with
-          | Some sets -> sets
-          | None ->
-              let sets = Leaf_sets.successors rings ~node:u ~width:t.leaf_width in
-              t.leaf_cache.(u) <- Some sets;
-              sets))
 
 let reanchor_candidate t ~at ~key =
   let id_at = Overlay.id t.overlay at in

@@ -63,7 +63,6 @@ val create :
   ?plan:Fault_plan.t ->
   ?rings:Rings.t ->
   ?live:Live_view.t ->
-  ?leaf_width:int ->
   ?suspicion:suspicion ->
   rng:Canon_rng.Rng.t ->
   node_latency:(int -> int -> float) ->
@@ -72,10 +71,10 @@ val create :
 (** A simulated network over [overlay]. [node_latency] is the physical
     latency oracle (e.g. {!Canon_topology.Latency.node_latency} composed
     with attachment points). [plan] defaults to fault-free; [policy] to
-    {!Rpc.default}. [rings] enables leaf-set re-anchoring with
-    [leaf_width] successors per level (default 4; without [rings] a
-    blocked lookup fails instead of re-anchoring). [live] switches the
-    network to {e live membership} mode: hop selection, deviation
+    {!Rpc.default}. [rings] enables leaf-set re-anchoring with 4
+    successors per level (without [rings] a blocked lookup fails instead
+    of re-anchoring). [live] switches the network to {e live
+    membership} mode: hop selection, deviation
     detection and leaf-set fallbacks consult the {!Live_view} (mutated
     by churn between events) instead of the frozen [overlay], a hop
     whose target departed in flight is not delivered (the sender times
@@ -83,14 +82,8 @@ val create :
     re-derived whenever its generation changes. With a [live] view whose
     membership never changes, behavior is identical to snapshot mode.
     Raises [Invalid_argument] on a plan/overlay size mismatch, a
-    rings/live view over a different population, an invalid policy, or
-    [leaf_width < 1].
-
-    An overlay whose ids collide ({!Canon_overlay.Overlay.ids_collide})
-    routes by the one-pass step's tie rule, as the synchronous engines
-    do. *)
-
-val overlay : t -> Overlay.t
+    rings/live view over a different population, or an invalid
+    policy. *)
 
 val plan : t -> Fault_plan.t
 (** Live: mutating the returned plan affects subsequent lookups. *)

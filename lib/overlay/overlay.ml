@@ -3,8 +3,9 @@ open Canon_idspace
 type t = {
   population : Population.t;
   links : int array array;  (* each row ascending by clockwise distance *)
-  ids_collide : bool;
 }
+
+let shared_id () = invalid_arg "Overlay.create: linked nodes share an id"
 
 let create pop ~links =
   let n = Population.size pop in
@@ -15,7 +16,6 @@ let create pop ~links =
      clearing, but its 8n bytes raised the peak heap of a benchmark
      building two n = 32768 overlays by 0.4 MiB.) *)
   let marked = Bytes.make n '\000' in
-  let ids_collide = ref false in
   Array.iteri
     (fun src targets ->
       let id_src = ids.(src) in
@@ -27,23 +27,26 @@ let create pop ~links =
           if Bytes.get marked dst <> '\000' then invalid_arg "Overlay.create: duplicate link";
           Bytes.set marked dst '\001';
           (* A link at distance 0, or two at one distance, means equal
-             ids. In a row out of order equal distances need not be
-             neighbours: they are looked for again once it is sorted. *)
+             ids. *)
           let d = Id.distance id_src ids.(dst) in
-          if d = 0 || d = !prev then ids_collide := true;
+          if d = 0 || d = !prev then shared_id ();
           if d < !prev then sorted := false;
           prev := d)
         targets;
       Array.iter (fun dst -> Bytes.set marked dst '\000') targets;
       if not !sorted then begin
+        (* In a row out of order equal distances need not be neighbours.
+           A sort compares every two elements that end up adjacent, so
+           its comparison finds them. *)
         let distance dst = Id.distance id_src ids.(dst) in
-        Array.stable_sort (fun a b -> Int.compare (distance a) (distance b)) targets;
-        for i = 1 to Array.length targets - 1 do
-          if distance targets.(i) = distance targets.(i - 1) then ids_collide := true
-        done
+        Array.stable_sort
+          (fun a b ->
+            let c = Int.compare (distance a) (distance b) in
+            if c = 0 then shared_id () else c)
+          targets
       end)
     links;
-  { population = pop; links; ids_collide = !ids_collide }
+  { population = pop; links }
 
 let population t = t.population
 
@@ -65,5 +68,3 @@ let has_link t src dst = Array.exists (Int.equal dst) t.links.(src)
 
 let iter_links t f =
   Array.iteri (fun src targets -> Array.iter (fun dst -> f src dst) targets) t.links
-
-let ids_collide t = t.ids_collide

@@ -16,13 +16,18 @@ val create : Population.t -> links:int array array -> t
     Raises [Invalid_argument] on a size mismatch, and otherwise on the
     first offending link in node order, then link order:
     ["Overlay.create: self-link"], ["Overlay.create: target out of
-    range"] or ["Overlay.create: duplicate link"].
+    range"], ["Overlay.create: duplicate link"] or ["Overlay.create:
+    linked nodes share an id"] (a link at clockwise distance 0 from its
+    holder, or two links of one row at one distance). In a row given out
+    of clockwise order, two links at one distance need not be
+    neighbours; they raise once the rest of the row has passed.
 
     The check that finds these also takes one {!Canon_idspace.Id.distance}
-    per link, and a row whose distances do not ascend is stable-sorted
-    by clockwise distance from its holder. A construction that emits
-    every row in that order (all of Chord's, Crescendo's and Hybrid's
-    do) pays for no sort. *)
+    per link, and a row whose distances do not ascend is sorted by
+    clockwise distance from its holder. A construction that emits every
+    row in that order (all of Chord's, Crescendo's and Hybrid's do) pays
+    for no sort. {!Population} ids are distinct, so no construction
+    over one raises the last error. *)
 
 val population : t -> Population.t
 
@@ -32,10 +37,9 @@ val id : t -> int -> Canon_idspace.Id.t
 
 val links : t -> int -> int array
 (** Outgoing links of a node (not copied — callers must not mutate), by
-    increasing clockwise distance from the node, links at one distance
-    in their order given to {!create}. The synchronous clockwise step
-    ({!Canon_core.Router.step_clockwise}) finds its hop by one binary
-    search over them. *)
+    strictly increasing clockwise distance from the node. The
+    synchronous clockwise step ({!Canon_core.Router.step_clockwise})
+    finds its hop by one binary search over them. *)
 
 val degree : t -> int -> int
 
@@ -48,11 +52,3 @@ val has_link : t -> int -> int -> bool
 
 val iter_links : t -> (int -> int -> unit) -> unit
 (** [iter_links t f] calls [f src dst] for every directed link. *)
-
-val ids_collide : t -> bool
-(** Whether some node holds a link at clockwise distance 0 (the target
-    shares its id) or two links at one distance (their ids are equal).
-    {!Canon_overlay.Population} ids are distinct, so no construction
-    over one sets it; tests build such overlays on purpose. Routing over
-    them needs the one-pass step's tie rule (first link wins), which the
-    stable sort leaves unchanged. *)

@@ -18,5 +18,3 @@ let successors rings ~node ~width =
       done;
       out)
     (Rings.chain rings node)
-
-let contains sets node = Array.exists (Array.exists (Int.equal node)) sets

@@ -13,6 +13,3 @@ val successors : Rings.t -> node:int -> width:int -> int array array
 (** [successors rings ~node ~width] is, for each level of [node]'s
     domain chain (leaf first), the next [width] nodes clockwise on that
     level's ring (fewer if the ring is small; never contains [node]). *)
-
-val contains : int array array -> int -> bool
-(** Is a node present in any level of a leaf set? *)

@@ -67,12 +67,6 @@ let create ?net ?(k = 2) ?(spread = Replica_set.Sibling) rings =
     directory = Hashtbl.create 64;
   }
 
-let rings t = t.rings
-
-let k t = t.k
-
-let spread t = t.spread
-
 let live t v =
   t.present.(v)
   &&

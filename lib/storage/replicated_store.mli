@@ -46,12 +46,6 @@ val create :
     drives membership instead). Raises [Invalid_argument] on [k < 1] or
     a net size mismatch. *)
 
-val rings : t -> Rings.t
-
-val k : t -> int
-
-val spread : t -> Replica_set.spread
-
 val members : t -> int array
 (** Present (joined, not left) nodes in increasing order — crashes in
     the net's fault plan do {e not} remove membership. *)

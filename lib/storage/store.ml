@@ -24,7 +24,6 @@ let create rings =
   let n = Population.size (Rings.population rings) in
   { rings; tables = Array.init n (fun _ -> Hashtbl.create 8) }
 
-let rings t = t.rings
 
 let add_entry t node key entry =
   let existing = Option.value ~default:[] (Hashtbl.find_opt t.tables.(node) key) in

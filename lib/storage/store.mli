@@ -34,8 +34,6 @@ type hit = {
 val create : Rings.t -> t
 (** An empty store over the given population. *)
 
-val rings : t -> Rings.t
-
 val insert :
   t ->
   publisher:int ->

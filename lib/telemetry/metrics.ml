@@ -110,9 +110,7 @@ let observe h v =
   h.n <- h.n + 1;
   h.s <- h.s +. v
 
-let count h = h.n
 
-let sum h = h.s
 
 let percentile h q =
   if q < 0.0 || q > 1.0 then invalid_arg "Metrics.percentile: q outside [0,1]";

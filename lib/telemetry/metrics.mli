@@ -37,22 +37,15 @@ val set : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
-val default_buckets : float array
-(** Exponential latency-style buckets:
-    0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000.
-    Observations above the last bound fall into an implicit overflow
-    bucket. *)
-
 val histogram : ?buckets:float array -> string -> histogram
 (** Get-or-create a fixed-bucket histogram. [buckets] are upper bounds,
     strictly increasing; ignored when the name already exists. Raises
-    [Invalid_argument] on an empty or non-increasing bucket list. *)
+    [Invalid_argument] on an empty or non-increasing bucket list. The
+    default buckets are latency-style: 0.5, 1, 2.5, 5, 10, 25, 50, 100,
+    250, 500, 1000, 2500, 5000, 10000. Observations above the last
+    bound fall into an implicit overflow bucket. *)
 
 val observe : histogram -> float -> unit
-
-val count : histogram -> int
-
-val sum : histogram -> float
 
 val percentile : histogram -> float -> float
 (** [percentile h q] with [q] in \[0,1\]: the estimated value below

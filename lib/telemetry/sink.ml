@@ -3,26 +3,22 @@ type target =
   | Memory of string list ref  (* reversed *)
   | File of out_channel
 
-type t = { target : target; mutable written : int; mutable closed : bool }
+type t = { target : target; mutable closed : bool }
 
-let null = { target = Null; written = 0; closed = false }
+let null = { target = Null; closed = false }
 
-let memory () = { target = Memory (ref []); written = 0; closed = false }
+let memory () = { target = Memory (ref []); closed = false }
 
-let jsonl_file path = { target = File (open_out path); written = 0; closed = false }
+let jsonl_file path = { target = File (open_out path); closed = false }
 
 let write t line =
-  if not t.closed then begin
-    (match t.target with
+  if not t.closed then
+    match t.target with
     | Null -> ()
     | Memory lines -> lines := line :: !lines
     | File oc ->
         output_string oc line;
-        output_char oc '\n');
-    t.written <- t.written + 1
-  end
-
-let count t = t.written
+        output_char oc '\n'
 
 let lines t = match t.target with Memory lines -> List.rev !lines | Null | File _ -> []
 

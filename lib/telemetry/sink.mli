@@ -9,7 +9,7 @@
 type t
 
 val null : t
-(** Discards every line (still counts them). *)
+(** Discards every line. *)
 
 val memory : unit -> t
 (** Accumulates lines in memory, unbounded; read back with {!lines}. *)
@@ -21,9 +21,6 @@ val jsonl_file : string -> t
 val write : t -> string -> unit
 (** [write t line] emits one JSONL line ([line] must not contain a
     newline; the sink adds it). No-op on a closed sink. *)
-
-val count : t -> int
-(** Lines written so far. *)
 
 val lines : t -> string list
 (** Lines retained by a {!memory} sink, oldest first; [[]] for other

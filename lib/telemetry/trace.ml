@@ -33,7 +33,6 @@ let emitted t = t.emitted
 
 let spans t = List.of_seq (Queue.to_seq t.retained)
 
-let sink t = t.sink
 
 let flush t = Sink.close t.sink
 

@@ -62,8 +62,6 @@ val spans : t -> Span.t list
 (** Retained spans, oldest first — at most [capacity], the most recent
     ones. *)
 
-val sink : t -> Sink.t
-
 val flush : t -> unit
 (** Closes the sink (flushing a file sink to disk). *)
 

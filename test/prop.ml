@@ -1319,59 +1319,19 @@ let prop_sorted_step_matches_one_pass () =
     done
   done
 
-(* Random adjacencies over colliding identifiers (the tie generator of
-   "one-pass step = two-pass reference, ties", without self-links and
-   repeats). A fault-free frozen net visits exactly the nodes of the
-   one-pass engine over the links in their given order: the overlay's
-   stable sort keeps the first link of every tie first. *)
-let prop_net_colliding_ids_matches_one_pass () =
-  for case = 0 to 199 do
-    let rng = Rng.create (8500 + case) in
-    let n = 1 + Rng.int_below rng 12 in
-    let pool = Array.init (1 + Rng.int_below rng 4) (fun _ ->
-        if Rng.bool rng then corner_ids.(Rng.int_below rng (Array.length corner_ids))
-        else Id.random rng)
-    in
-    let ids = Array.init n (fun _ -> pool.(Rng.int_below rng (Array.length pool))) in
-    let adj =
-      Array.init n (fun u ->
-          let others = Array.of_list (List.filter (( <> ) u) (List.init n Fun.id)) in
-          Rng.shuffle_in_place rng others;
-          Array.sub others 0 (Rng.int_below rng (Array.length others + 1)))
-    in
-    let overlay = Overlay.create (flat_population ids) ~links:(Array.map Array.copy adj) in
-    let net = Net.create ~rng:(Rng.create case) ~node_latency:(fun _ _ -> 1.0) overlay in
-    for src = 0 to n - 1 do
-      List.iter
-        (fun key ->
-          let r = Net.lookup net ~src ~key in
-          let expected =
-            Router.greedy_clockwise_generic ~n ~id:(Array.get ids) ~links:(Array.get adj) ~src
-              ~key ()
-          in
-          if
-            r.Async_route.status <> Async_route.Delivered
-            || r.Async_route.route.Route.nodes <> expected.Route.nodes
-          then
-            Alcotest.failf "case %d, src %d, key %d: net [%s], one-pass [%s]" case src key
-              (show_links r.Async_route.route.Route.nodes) (show_links expected.Route.nodes))
-        (Array.to_list pool @ step_keys rng ~id:(Array.get ids) ~n)
-    done
-  done
-
 (* --- overlay adjacency ------------------------------------------------ *)
 
 (* [Overlay.create] on random adjacencies, over distinct ids (some rows
    given already sorted, as Chord's are) or ids drawn from a small pool
-   (so they collide): every row comes out a permutation of the input
-   row, ascending by clockwise distance from its holder, with links at
-   one distance in input order; the collision flag is set iff some
-   holder and link, or two links of one holder, share an id. *)
+   (so they may collide): it raises iff some holder and link, or two
+   links of one holder, share an id; otherwise every row comes out a
+   permutation of the input row, strictly ascending by clockwise
+   distance from its holder. *)
 let prop_create_sorts_clockwise () =
   for case = 0 to 299 do
     let rng = Rng.create (8800 + case) in
     (* Small overlays half the time, where one collision decides the
-       flag. *)
+       outcome. *)
     let n = 1 + Rng.int_below rng (if case land 1 = 0 then 6 else 40) in
     let ids =
       if Rng.bool rng then table_ids rng n
@@ -1393,32 +1353,42 @@ let prop_create_sorts_clockwise () =
           if presorted then Array.stable_sort (fun a b -> compare (distance u a) (distance u b)) row;
           row)
     in
-    let overlay = Overlay.create (flat_population ids) ~links:(Array.map Array.copy input) in
-    let collide = ref false in
+    let collides u row =
+      Array.exists
+        (fun v -> ids.(v) = ids.(u) || Array.exists (fun w -> w <> v && ids.(w) = ids.(v)) row)
+        row
+    in
+    let check ~what input =
+      let collide = Array.exists Fun.id (Array.mapi collides input) in
+      match Overlay.create (flat_population ids) ~links:(Array.map Array.copy input) with
+      | exception Invalid_argument msg ->
+          if msg <> "Overlay.create: linked nodes share an id" then
+            Alcotest.failf "case %d, %s: raised %S" case what msg;
+          if not collide then Alcotest.failf "case %d, %s: raised, but no ids collide" case what
+      | overlay ->
+          if collide then Alcotest.failf "case %d, %s: accepted links whose ids collide" case what;
+          Array.iteri
+            (fun u row ->
+              let out = Overlay.links overlay u in
+              if List.sort compare (Array.to_list out) <> List.sort compare (Array.to_list row)
+              then
+                Alcotest.failf "case %d, %s, node %d: links are not a permutation of the input"
+                  case what u;
+              for i = 1 to Array.length out - 1 do
+                if distance u out.(i) <= distance u out.(i - 1) then
+                  Alcotest.failf "case %d, %s, node %d: link %d not strictly clockwise" case what
+                    u i
+              done)
+            input
+    in
+    (* The whole adjacency, then each row alone, so that a collision in
+       one row cannot hide how another row is checked. *)
+    check ~what:"all rows" input;
     Array.iteri
       (fun u row ->
-        let out = Overlay.links overlay u in
-        let position v =
-          let rec go i = if row.(i) = v then i else go (i + 1) in
-          go 0
-        in
-        if List.sort compare (Array.to_list out) <> List.sort compare (Array.to_list row) then
-          Alcotest.failf "case %d, node %d: links are not a permutation of the input" case u;
-        for i = 1 to Array.length out - 1 do
-          let d = distance u out.(i) and d' = distance u out.(i - 1) in
-          if d < d' then Alcotest.failf "case %d, node %d: link %d out of clockwise order" case u i;
-          if d = d' && position out.(i) < position out.(i - 1) then
-            Alcotest.failf "case %d, node %d: tie at link %d out of input order" case u i
-        done;
-        Array.iter
-          (fun v ->
-            if ids.(v) = ids.(u) || Array.exists (fun w -> w <> v && ids.(w) = ids.(v)) row then
-              collide := true)
-          row)
-      input;
-    if Overlay.ids_collide overlay <> !collide then
-      Alcotest.failf "case %d: collision flag %b, expected %b" case (Overlay.ids_collide overlay)
-        !collide
+        check ~what:(Printf.sprintf "row %d alone" u)
+          (Array.init n (fun v -> if v = u then row else [||])))
+      input
   done
 
 (* --- one path driver ------------------------------------------------ *)
@@ -1751,11 +1721,9 @@ let prop_driver_matches_reference_overlays sc =
   in
   first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
 
-(* Arbitrary adjacencies over colliding identifiers. The generic engine
-   sees self-links and repeated links; the overlay engines see the same
-   adjacency without them (an overlay rejects both), where equal ids
-   let the lookahead step bounce between two nodes until the hop budget
-   runs out. *)
+(* Arbitrary adjacencies over colliding identifiers, self-links and
+   repeated links, which an overlay refuses: the generic engine keeps
+   the one-pass tie rule (the first link of a tie wins). *)
 let prop_driver_matches_reference_ties () =
   for case = 0 to 299 do
     let rng = Rng.create (7500 + case) in
@@ -1766,26 +1734,11 @@ let prop_driver_matches_reference_ties () =
     in
     let ids = Array.init n (fun _ -> pool.(Rng.int_below rng (Array.length pool))) in
     let adj = Array.init n (fun _ -> Array.init (Rng.int_below rng 9) (fun _ -> Rng.int_below rng n)) in
-    let crashed = Array.init n (fun _ -> Rng.int_below rng 3 = 0) in
-    let overlay =
-      Overlay.create (flat_population ids)
-        ~links:
-          (Array.mapi
-             (fun u a -> Array.of_list (List.sort_uniq compare (List.filter (( <> ) u) (Array.to_list a))))
-             adj)
-    in
-    let id v = ids.(v) and links v = adj.(v) and dead v = crashed.(v) in
+    let id v = ids.(v) and links v = adj.(v) in
     for src = 0 to n - 1 do
       List.iter
         (fun key ->
-          match
-            first_error
-              [
-                (fun () -> generic_matches ~n ~id ~links ~src ~key);
-                (fun () ->
-                  overlay_engines_match ~lookahead:true ~xor:true overlay ~dead ~src ~key);
-              ]
-          with
+          match generic_matches ~n ~id ~links ~src ~key with
           | Ok () -> ()
           | Error msg -> Alcotest.failf "case %d: %s" case msg)
         (Array.to_list pool @ step_keys rng ~id ~n)
@@ -2959,7 +2912,7 @@ let suites =
       ] );
     ( "prop.overlay",
       [
-        Alcotest.test_case "create = stable clockwise sort, flag iff ids collide" `Quick
+        Alcotest.test_case "create = clockwise sort, raise iff ids collide" `Quick
           prop_create_sorts_clockwise;
       ] );
     ( "prop.router",
@@ -2970,8 +2923,6 @@ let suites =
           prop_step_matches_reference_ties;
         Alcotest.test_case "sorted step = one-pass step" `Quick
           prop_sorted_step_matches_one_pass;
-        Alcotest.test_case "a frozen net over colliding ids routes like the one-pass reference"
-          `Quick prop_net_colliding_ids_matches_one_pass;
         Alcotest.test_case "one driver = historical engines, overlays" `Quick
           (check ~count:30 ~seed:9969 ~min_n:1 ~max_n:160
              prop_driver_matches_reference_overlays);

@@ -250,6 +250,16 @@ let test_durability_validates () =
   Alcotest.check_raises "fail_frac = nan" frac_error (run_frac Float.nan);
   Alcotest.check_raises "fail_frac = 2" frac_error (run_frac 2.0)
 
+(* Every node crashed: the global columns have no pair to probe and read
+   0, while the intra-domain columns, whose domain is spared, still
+   route. *)
+let test_robustness_all_crashed () =
+  let t = Robustness_bench.run_with ~fail_fracs:[ 1.0 ] ~n:64 ~probes:5 ~scale:`Quick ~seed () in
+  Alcotest.(check (list (list string)))
+    "100% row"
+    [ [ "100%"; "0.000"; "0.000"; "1.000"; "1.000"; "0.000"; "0.000" ] ]
+    (Table.rows t)
+
 (* Bad arguments are rejected on entry, before any set-up: the CLI turns
    these messages into usage errors. *)
 let test_fig6_validates () =
@@ -348,5 +358,6 @@ let suites =
         Alcotest.test_case "churn_async validation" `Quick test_churn_async_validates;
         Alcotest.test_case "fig6 validation" `Quick test_fig6_validates;
         Alcotest.test_case "robustness validation" `Quick test_robustness_validates;
+        Alcotest.test_case "robustness, every node crashed" `Quick test_robustness_all_crashed;
       ] );
   ]

@@ -432,11 +432,7 @@ let test_net_validation () =
     (fun () ->
       ignore
         (Net.create ~plan:(Fault_plan.none ~n:10) ~rng:(Rng.create 75)
-           ~node_latency:oracle overlay));
-  Alcotest.check_raises "bad leaf width"
-    (Invalid_argument "Net.create: leaf_width must be >= 1") (fun () ->
-      ignore
-        (Net.create ~leaf_width:0 ~rng:(Rng.create 76) ~node_latency:oracle overlay))
+           ~node_latency:oracle overlay))
 
 let test_net_reanchor_candidate () =
   let pop = make_universe ~levels:1 ~n:64 77 in

@@ -395,9 +395,7 @@ let test_leaf_sets_small_ring () =
   let rings = Rings.build pop in
   let sets = Leaf_sets.successors rings ~node:0 ~width:10 in
   (* never more entries than other ring members *)
-  Array.iter (fun set -> Alcotest.(check bool) "bounded" true (Array.length set <= 2)) sets;
-  Alcotest.(check bool) "contains works" true
-    (Leaf_sets.contains sets 1 || Leaf_sets.contains sets 2 || Array.for_all (fun s -> Array.length s = 0) sets)
+  Array.iter (fun set -> Alcotest.(check bool) "bounded" true (Array.length set <= 2)) sets
 
 let test_crash_leaves_stale_links_and_repair_fixes () =
   let pop = make_universe ~n:300 32 in
