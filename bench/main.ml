@@ -130,16 +130,11 @@ let micro_benchmarks () =
              ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))));
       Test.make ~name:"router.step (sorted links, Crescendo n=8192, 10% dead)"
         (let next = cycle step_inputs and dead = Array.get ts_dead in
-         Staged.stage (fun () ->
-             let u, key = next () in
-             ignore (Router.step_clockwise ts_overlay ~dead ~at:u ~key)));
-      Test.make ~name:"router.step (closure scan, Crescendo n=8192, 10% dead)"
-        (let next = cycle step_inputs in
+         let ids = (Overlay.population ts_overlay).Population.ids in
          Staged.stage (fun () ->
              let u, key = next () in
              ignore
-               (Router.step_clockwise_avoiding_generic ~id:(Overlay.id ts_overlay)
-                  ~links:(Overlay.links ts_overlay) ~dead:(Array.get ts_dead) ~at:u ~key)));
+               (Router.step_clockwise ~ids ~row:(Overlay.links ts_overlay u) ~dead ~at:u ~key)));
       Test.make ~name:"router.greedy_xor (kademlia n=4096)"
         (let kademlia = Kademlia.build (Rng.create 9) flat_pop in
          Staged.stage (fun () ->

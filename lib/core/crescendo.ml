@@ -2,21 +2,30 @@ open Canon_idspace
 open Canon_hierarchy
 open Canon_overlay
 
-(* Writes a node's links into [buf] along its domain chain from [leaf]
-   up, leaf level first, each level by increasing clockwise distance;
-   level [l]'s links end up at [starts.(l) .. starts.(l + 1) - 1].
+(* A node's row, built along its domain chain from [leaf] up.
    [fingers d ~below buf len] adds the node's Chord fingers in domain
    [d]'s ring closer than [below], and [gap d] is its successor distance
    there. The leaf level is plain Chord; at each merge above it only
    nodes strictly closer than the node's successor in its child ring
-   are candidates (condition (b)). Returns the number of levels. *)
+   are candidates (condition (b)), so every level's targets are closer
+   than all targets below it. Levels are found leaf first, level [l] at
+   [buf.(starts.(l)) .. buf.(starts.(l + 1) - 1)], each by increasing
+   distance; copied root first, they make the row clockwise. *)
 let fill tree leaf ~fingers ~gap buf starts =
   let root = Domain_tree.root tree in
   let rec level l d ~cap =
     starts.(l + 1) <- fingers d ~below:cap buf starts.(l);
     if d = root then l + 1 else level (l + 1) (Domain_tree.parent tree d) ~cap:(gap d)
   in
-  level 0 leaf ~cap:Id.space
+  let levels = level 0 leaf ~cap:Id.space in
+  let row = Array.make starts.(levels) 0 and pos = ref 0 in
+  for l = levels - 1 downto 0 do
+    for i = starts.(l) to starts.(l + 1) - 1 do
+      row.(!pos) <- buf.(i);
+      incr pos
+    done
+  done;
+  row
 
 (* Each level takes at most one target per distance band
    [2^k, 2^(k+1)), and condition (b) puts every level's targets strictly
@@ -31,14 +40,12 @@ let links_of_node rings node =
   let buf = Array.make (Id.bits + levels) 0 and starts = Array.make (levels + 1) 0 in
   let fingers d = Chord.add_fingers (Rings.ring rings d) id ~self:node in
   let gap d = Ring.successor_distance (Rings.ring rings d) id in
-  Array.sub buf 0 starts.(fill tree leaf ~fingers ~gap buf starts)
+  fill tree leaf ~fingers ~gap buf starts
 
-(* Every member's links, one sweep per ring: nodes are met in global
-   rank order, which is every ring's rank order, so the next member of
-   each ring is the next node met in it, and its rank there only grows.
-   [row buf starts levels] turns a node's blocks, as [fill] lays them
-   out, into its row. *)
-let sweep rings ~row =
+(* One sweep per ring: nodes are met in global rank order, which is
+   every ring's rank order, so the next member of each ring is the next
+   node met in it, and its rank there only grows. *)
+let rows rings =
   let pop = Rings.population rings in
   let tree = pop.Population.tree in
   let global = Rings.ring rings (Domain_tree.root tree) in
@@ -62,25 +69,8 @@ let sweep rings ~row =
   let links = Array.make (Population.size pop) [||] in
   for g = 0 to Ring.size global - 1 do
     let node = Ring.node_at global g in
-    let levels = fill tree pop.Population.leaf_of_node.(node) ~fingers ~gap buf starts in
-    links.(node) <- row buf starts levels
+    links.(node) <- fill tree pop.Population.leaf_of_node.(node) ~fingers ~gap buf starts
   done;
   links
 
-let canonical_links rings =
-  sweep rings ~row:(fun buf starts levels -> Array.sub buf 0 starts.(levels))
-
-(* Condition (b) again: the level blocks root first list the links by
-   increasing clockwise distance, the overlay's order. *)
-let build rings =
-  let root_first buf starts levels =
-    let out = Array.make starts.(levels) 0 and pos = ref 0 in
-    for level = levels - 1 downto 0 do
-      for i = starts.(level) to starts.(level + 1) - 1 do
-        out.(!pos) <- buf.(i);
-        incr pos
-      done
-    done;
-    out
-  in
-  Overlay.create (Rings.population rings) ~links:(sweep rings ~row:root_first)
+let build rings = Overlay.create (Rings.population rings) ~links:(rows rings)

@@ -23,25 +23,23 @@
 open Canon_overlay
 
 val build : Rings.t -> Overlay.t
-(** Deterministic given the rings. Domains with no nodes contribute
-    nothing, and a node in no ring gets no links. Each node's links are
-    handed to {!Overlay.create} in its clockwise order, so it sorts
-    none: condition (b) makes every level's targets closer than all
-    targets below it, so the level blocks of {!links_of_node}, root
-    first, ascend. Cost: one {!Chord.sweep} per ring, amortised
-    O([Id.bits]) cursor steps per member and no search; each member's
-    cap is its successor gap in its child ring, read at its rank
-    there. *)
+(** Deterministic given the rings: {!Overlay.create} over {!rows}, so
+    it sorts none of them. Domains with no nodes contribute nothing, and
+    a node in no ring gets no links. *)
 
-val canonical_links : Rings.t -> int array array
-(** [canonical_links rings] is {!links_of_node} of every node in the
-    rings (empty for a node in none), at the cost of {!build}: the
-    initial links of the dynamic-maintenance simulator. *)
+val rows : Rings.t -> int array array
+(** [rows rings] is {!links_of_node} of every node in the rings (empty
+    for a node in none): the rows of {!build}, and the initial links of
+    the dynamic-maintenance simulator. Cost: one {!Chord.sweep} per
+    ring, amortised O([Id.bits]) cursor steps per member and no search;
+    each member's cap is its successor gap in its child ring, read at
+    its rank there. *)
 
 val links_of_node : Rings.t -> int -> int array
-(** The link set of a single node (used by dynamic maintenance to
-    compute the links a joining node must establish). The links are
-    distinct and in canonical order: by level, leaf to root, then by
-    increasing clockwise distance within a level. A target's level is
-    fixed by the hierarchy (the lowest domain it shares with the node),
-    so two equal link sets are always equal arrays. *)
+(** The row of a single node (used by dynamic maintenance to compute
+    the links a joining node must establish). The links are distinct
+    and in clockwise order, strictly ascending by clockwise distance
+    from the node: condition (b) makes every level's targets closer
+    than all targets of the levels below it, so the row is the levels
+    root first, each by increasing distance. Equal link sets are
+    therefore equal arrays. *)

@@ -9,45 +9,6 @@ type step_outcome = Forward of int | Arrived | Blocked
 
 type step = { outcome : step_outcome; fault_free : int option }
 
-let step_clockwise_avoiding_generic ~id ~links ~dead ~at:u ~key =
-  let id_u = id u in
-  let du = Id.distance id_u key in
-  if du = 0 then { outcome = Arrived; fault_free = None }
-  else begin
-    (* One pass over [u]'s links keeps two running minima of the
-       remaining distance among no-overshoot links (for those,
-       distance(v, key) = du - distance(u, v)): over the live links, and
-       over all links as if nothing were dead. Both use a strict [<], so
-       each keeps the first link of its minimum, exactly as two separate
-       passes would. *)
-    let best = ref (-1) and best_remaining = ref du in
-    let free = ref (-1) and free_remaining = ref du in
-    let dead_useful = ref false in
-    Array.iter
-      (fun v ->
-        let d = Id.distance id_u (id v) in
-        if d <= du then begin
-          let remaining = du - d in
-          if remaining < !free_remaining then begin
-            free := v;
-            free_remaining := remaining
-          end;
-          if dead v then dead_useful := true
-          else if remaining < !best_remaining then begin
-            best := v;
-            best_remaining := remaining
-          end
-        end)
-      (links u);
-    (* Blocked, not arrived: a dead link of [u] would have made
-       progress, so a live owner closer to the key may exist but [u]
-       cannot see it. *)
-    let outcome =
-      if !best >= 0 then Forward !best else if !dead_useful then Blocked else Arrived
-    in
-    { outcome; fault_free = (if !free >= 0 then Some !free else None) }
-  end
-
 (* The sorted step's search: the index in [row] (links ascending by
    clockwise distance from [id_u]) of the last link at distance <= du,
    the no-overshoot link closest to the key; -1 when there is none. *)
@@ -59,12 +20,11 @@ let last_within ids (row : int array) ~id_u ~du =
   done;
   !a - 1
 
-let step_clockwise overlay ~dead ~at ~key =
+let step_clockwise ~ids ~row ~dead ~at ~key =
   (* Distances in a row are distinct and non-zero, so the last link
      within reach is the fault-free hop, and links below it make less
      progress: the first live one going down is the hop avoiding
      [dead]. *)
-  let ids = (Overlay.population overlay).Population.ids and row = Overlay.links overlay at in
   let id_u = ids.(at) in
   let last = last_within ids row ~id_u ~du:(Id.distance id_u key) in
   if last < 0 then { outcome = Arrived; fault_free = None }
@@ -125,17 +85,18 @@ let on_overlay ~trace ~kind overlay ~src ~key step =
 
 let never _ = false
 
-let greedy_clockwise_generic ?trace ?(level = fun _ _ -> 0) ~n ~id ~links ~src ~key () =
+let greedy_clockwise_generic ?trace ?(level = fun _ _ -> 0) ~n ~ids ~links ~src ~key () =
   route
     (drive
        ~record:(recorder trace ~kind:"greedy_clockwise_generic" ~key ~level)
        ~n ~src ~key
-       (fun u -> (step_clockwise_avoiding_generic ~id ~links ~dead:never ~at:u ~key).outcome))
+       (fun u -> (step_clockwise ~ids ~row:(links u) ~dead:never ~at:u ~key).outcome))
 
 let greedy_clockwise ?trace overlay ~src ~key =
+  let ids = (Overlay.population overlay).Population.ids in
   route
     (on_overlay ~trace ~kind:"greedy_clockwise" overlay ~src ~key (fun u ->
-         (step_clockwise overlay ~dead:never ~at:u ~key).outcome))
+         (step_clockwise ~ids ~row:(Overlay.links overlay u) ~dead:never ~at:u ~key).outcome))
 
 let greedy_clockwise_lookahead ?trace overlay ~src ~key =
   let step u =
@@ -198,9 +159,10 @@ let greedy_xor ?trace overlay ~src ~key =
    the step's own outcome tells the two apart. *)
 let greedy_clockwise_avoiding ?trace overlay ~dead ~src ~key =
   if dead src then invalid_arg "Router.greedy_clockwise_avoiding: dead source";
+  let ids = (Overlay.population overlay).Population.ids in
   match
     on_overlay ~trace ~kind:"greedy_clockwise_avoiding" overlay ~src ~key
-      (fun u -> (step_clockwise overlay ~dead ~at:u ~key).outcome)
+      (fun u -> (step_clockwise ~ids ~row:(Overlay.links overlay u) ~dead ~at:u ~key).outcome)
   with
   | Ok route -> Some route
   | Error _ -> None

@@ -6,9 +6,9 @@
     message does next — walked hop by hop by one driver, {!walk}. There
     is one step per metric:
 
-    - clockwise ({!step_clockwise}, and {!step_clockwise_avoiding_generic}
-      over live link state): Chord, Crescendo, Symphony, Cacophony,
-      nondeterministic Chord/Crescendo, with or without dead nodes
+    - clockwise ({!step_clockwise}, over any row sorted clockwise):
+      Chord, Crescendo, Symphony, Cacophony, nondeterministic
+      Chord/Crescendo, with or without dead nodes, frozen or live
       ({!greedy_clockwise}, {!greedy_clockwise_generic},
       {!greedy_clockwise_avoiding}, and [canon_net]'s message-level
       lookups). Take the link that gets closest to the key clockwise
@@ -74,17 +74,21 @@ val greedy_clockwise_generic :
   ?trace:Canon_telemetry.Trace.t ->
   ?level:(int -> int -> int) ->
   n:int ->
-  id:(int -> Id.t) ->
+  ids:Id.t array ->
   links:(int -> int array) ->
   src:int ->
   key:Id.t ->
   unit ->
   Route.t
 (** The same engine over any adjacency (used by the dynamic-maintenance
-    simulator, whose link state is mutable). [n] bounds the hop budget.
-    Traced spans use [level] for per-hop link levels (default: 0 for
-    every edge — no hierarchy known). The trailing [unit] erases the
-    optional arguments. *)
+    simulator, whose link state is mutable): [ids] are the nodes'
+    identifiers, all distinct, and each row [links u] must be sorted as
+    {!step_clockwise} requires — strictly ascending by clockwise
+    distance from [u], as {!Canon_overlay.Overlay.links},
+    [Maintenance.links] and [Chord.links_of_id] are. [n] bounds the hop
+    budget. Traced spans use [level] for per-hop link levels (default:
+    0 for every edge — no hierarchy known). The trailing [unit] erases
+    the optional arguments. *)
 
 val greedy_clockwise_lookahead :
   ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
@@ -130,34 +134,19 @@ type step = {
           fault-free router ({!greedy_clockwise}) takes from [at] — or
           [None] when [at] has no link in [(at, key]] *)
 }
-(** One routing decision and, from the same pass over the links, the
+(** One routing decision and, from the same search over the links, the
     decision a fault-free node would have made. A caller forwarding on
     a link other than [fault_free] knows its route has deviated from
     the fault-free path without running the step a second time. *)
 
-val step_clockwise_avoiding_generic :
-  id:(int -> Id.t) ->
-  links:(int -> int array) ->
-  dead:(int -> bool) ->
-  at:int ->
-  key:Id.t ->
-  step
-(** The clockwise step: what the node [at] does with a message for
-    [key] given its local knowledge of dead nodes, over caller-supplied
-    [id]/[links] accessors in any order — {e live} link state such as a
-    membership view mutated by churn while messages are in flight
-    ([canon_net] takes it hop by hop there), or the adjacency of
-    {!greedy_clockwise_generic}.
-
-    A single pass over [at]'s links: both choices minimise the remaining
-    clockwise distance with a strict [<], so ties go to the earlier link
-    and [fault_free] equals the [Forward] target of the step with
-    [dead = fun _ -> false] ([None] when that step arrives). *)
-
 val step_clockwise :
-  Overlay.t -> dead:(int -> bool) -> at:int -> key:Id.t -> step
-(** The clockwise step of node [at] of a frozen overlay, read from its
-    links in the overlay's clockwise order ({!Overlay.links}):
+  ids:Id.t array -> row:int array -> dead:(int -> bool) -> at:int -> key:Id.t -> step
+(** The clockwise step of node [at], whose identifier is [ids.(at)],
+    read from its links [row] in clockwise order: strictly ascending by
+    clockwise distance from [at], as every row of an overlay
+    ({!Canon_overlay.Overlay.links}), of the maintenance simulator and
+    of a live view is. Identifiers are distinct, so no two links lie at
+    one distance and none at distance 0:
     - [fault_free] is the last link at clockwise distance [<= du], the
       distance from [at] to [key], found by one binary search;
     - [Forward] goes to the first link at or below it that is not
@@ -165,13 +154,14 @@ val step_clockwise :
     - with no such link, the outcome is [Blocked] when a fault-free
       link exists and [Arrived] otherwise.
 
-    O(log degree), plus one [dead] call per link scanned. This is the
-    decision of {!step_clockwise_avoiding_generic} over the same links
-    (the [prop.router] property "sorted step = one-pass step"): an
-    overlay's links lie at distinct distances ({!Overlay.create}
-    refuses linked nodes that share an id), so no tie rule is needed.
-    {!greedy_clockwise}, {!greedy_clockwise_avoiding} and
-    every [canon_net] hop over a frozen overlay take this step. *)
+    O(log degree), plus one [dead] call per link scanned. [Forward]
+    takes the live link leaving the least clockwise distance to the
+    key, and [fault_free] equals the [Forward] target of the step with
+    [dead = fun _ -> false] ([None] when that step arrives): the
+    [prop.router] property "sorted step = two-pass reference". Every
+    clockwise engine here and every [canon_net] hop, frozen or live,
+    takes this step. On a row out of order the search may miss the
+    best link. *)
 
 val walk :
   n:int -> src:int -> key:Id.t -> (int -> step_outcome) -> (Route.t, Route.t) result

@@ -36,7 +36,10 @@ val chord : Canon_sim.Maintenance.t -> t
 val is_live : t -> int -> bool
 
 val links : t -> int -> int array
-(** Current links of a node; [[||]] when it is not live. *)
+(** Current links of a node, strictly ascending by clockwise distance
+    from it as in a frozen overlay, so [Net] takes the same
+    {!Canon_core.Router.step_clockwise} over either; [[||]] when it is
+    not live. *)
 
 val rings : t -> Canon_overlay.Rings.t
 (** The live per-domain rings (do not hold across membership events). *)

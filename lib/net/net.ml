@@ -7,8 +7,6 @@ module Metrics = Canon_telemetry.Metrics
 module Trace = Canon_telemetry.Trace
 module Span = Canon_telemetry.Span
 
-type suspicion = [ `Per_lookup | `Shared ]
-
 type lookup_state = {
   mutable rev_path : int list;
   mutable hops : int;
@@ -48,7 +46,6 @@ type t = {
   rng : Rng.t;
   rings : Rings.t option;
   live : Live_view.t option;
-  suspicion : suspicion;
   suspected : bool array;
   leaf_cache : int array array option array;
   mutable leaf_cache_gen : int;
@@ -76,8 +73,7 @@ let h_messages =
 (* Successors per level in a leaf set. *)
 let leaf_width = 4
 
-let create ?(policy = Rpc.default) ?plan ?rings ?live ?(suspicion = `Per_lookup) ~rng
-    ~node_latency overlay =
+let create ?(policy = Rpc.default) ?plan ?rings ?live ~rng ~node_latency overlay =
   Rpc.validate policy;
   let n = Overlay.size overlay in
   let plan = match plan with Some p -> p | None -> Fault_plan.none ~n in
@@ -98,7 +94,6 @@ let create ?(policy = Rpc.default) ?plan ?rings ?live ?(suspicion = `Per_lookup)
     rng;
     rings;
     live;
-    suspicion;
     suspected = Array.make n false;
     leaf_cache = Array.make n None;
     leaf_cache_gen = 0;
@@ -111,14 +106,15 @@ let plan t = t.plan
    overlay snapshot by default, the live view when one is installed. *)
 let node_live t v = match t.live with None -> true | Some lv -> Live_view.is_live lv v
 
+let node_links t v =
+  match t.live with None -> Overlay.links t.overlay v | Some lv -> Live_view.links lv v
+
 let suspected_nodes t =
   let out = ref [] in
   for v = Array.length t.suspected - 1 downto 0 do
     if t.suspected.(v) then out := v :: !out
   done;
   Array.of_list !out
-
-let clear_suspicions t = Array.fill t.suspected 0 (Array.length t.suspected) false
 
 (* Leaf sets come from the live view's rings when there is one, else
    from [?rings], and are cached per generation: a frozen net's never
@@ -168,9 +164,7 @@ let result p = p.p_result
 
 let finalize t p ~now =
   let st = p.p_st in
-  (match t.suspicion with
-  | `Per_lookup -> List.iter (fun v -> t.suspected.(v) <- false) st.newly_suspected
-  | `Shared -> ());
+  List.iter (fun v -> t.suspected.(v) <- false) st.newly_suspected;
   st.newly_suspected <- [];
   let status, failure =
     match st.finished with
@@ -260,17 +254,13 @@ let forward t p ~now ~push u v =
 
 (* What the node holding the message does next, given its current
    knowledge of suspects and the membership of this moment: one binary
-   search over the holder's sorted links on a frozen net, one pass over
-   the current links on a live one. *)
+   search over the holder's links, which frozen and live rows alike
+   keep sorted clockwise. *)
 let step_at t p ~now ~push u =
   let st = p.p_st in
-  let dead v = t.suspected.(v) in
   let step =
-    match t.live with
-    | None -> Router.step_clockwise t.overlay ~dead ~at:u ~key:p.p_key
-    | Some lv ->
-        Router.step_clockwise_avoiding_generic ~id:(Overlay.id t.overlay)
-          ~links:(Live_view.links lv) ~dead ~at:u ~key:p.p_key
+    Router.step_clockwise ~ids:(Overlay.population t.overlay).Population.ids
+      ~row:(node_links t u) ~dead:(fun v -> t.suspected.(v)) ~at:u ~key:p.p_key
   in
   match step.Router.outcome with
   | Router.Forward v ->

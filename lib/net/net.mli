@@ -13,9 +13,7 @@
       backoff, up to [max_retries] times;
     + {e reroute}: when the budget is exhausted the target is marked
       suspect and the sender re-runs the greedy rule avoiding suspects
-      ({!Canon_core.Router.step_clockwise} on a frozen net,
-      {!Canon_core.Router.step_clockwise_avoiding_generic} on a live
-      one);
+      ({!Canon_core.Router.step_clockwise});
     + {e re-anchor}: when every useful link is suspect, the sender falls
       back to its per-level leaf sets ({!Canon_sim.Leaf_sets}) and
       forwards to the nearest non-suspect successor that makes clockwise
@@ -31,14 +29,15 @@
     are not simulated separately — a delivered hop silently cancels its
     sender's timeout — and a message slower than the timeout is treated
     as undelivered, which is precisely what makes slow nodes get routed
-    around.
+    around. Suspicions are forgotten when the lookup that learned them
+    ends: each lookup discovers failures afresh, modelling independent
+    clients with no shared failure detector, the paper's no-repair
+    setting.
 
-    {b Hop cost.} A hop on a frozen net is one binary search over the
-    holder's links, which the overlay stores sorted by clockwise
-    distance ({!Canon_core.Router.step_clockwise}); nothing is built
-    for it. A hop on a live net is one pass over the holder's current
-    links ({!Canon_core.Router.step_clockwise_avoiding_generic}), since
-    they change between events.
+    {b Hop cost.} A hop, on a frozen net or a live one, is one binary
+    search over the holder's links ({!Canon_core.Router.step_clockwise}):
+    the overlay, the maintenance simulator and the live view all keep
+    every row sorted by clockwise distance, so nothing is built for it.
 
     Every lookup feeds the [net.*] telemetry counters and delivered-
     latency histogram, and emits a span to the ambient trace when one is
@@ -49,21 +48,11 @@ open Canon_overlay
 
 type t
 
-type suspicion = [ `Per_lookup | `Shared ]
-(** Scope of learned suspicions. [`Per_lookup] (the default) forgets
-    them when the lookup ends — each lookup discovers failures afresh,
-    modelling independent clients with no shared failure detector, the
-    paper's no-repair setting. [`Shared] keeps them for the process
-    lifetime, modelling a node-local failure-detector cache: later
-    lookups route around known-dead nodes without paying the timeouts
-    again. *)
-
 val create :
   ?policy:Rpc.policy ->
   ?plan:Fault_plan.t ->
   ?rings:Rings.t ->
   ?live:Live_view.t ->
-  ?suspicion:suspicion ->
   rng:Canon_rng.Rng.t ->
   node_latency:(int -> int -> float) ->
   Overlay.t ->
@@ -106,9 +95,9 @@ val lookup : t -> src:int -> key:Id.t -> Async_route.t
     membership events — on one shared {!Event_queue}/sim-time axis. The
     caller wraps {!event} into its own payload type, pushes via the
     [push] callback given to {!launch}/{!handle}, and calls {!handle}
-    when a net event pops. Under [`Per_lookup] suspicion, suspicions
-    learned by a lookup are visible to others only while it is in
-    flight (they are cleared when it finishes). *)
+    when a net event pops. Suspicions learned by a lookup are visible
+    to others only while it is in flight (they are cleared when it
+    finishes). *)
 
 type event
 (** An in-flight message occurrence (send, delivery or timeout) of some
@@ -152,10 +141,7 @@ val abandon : t -> pending -> now:float -> Async_route.t
 
 val suspected_nodes : t -> int array
 (** Nodes the network currently believes dead (retry budgets exhausted
-    against them), in increasing order. *)
-
-val clear_suspicions : t -> unit
-(** Forget learned suspicions (e.g. after reviving nodes mid-run). *)
+    against them by lookups still in flight), in increasing order. *)
 
 val reanchor_candidate : t -> at:int -> key:Id.t -> int option
 (** The leaf-set fallback [at] would use for [key] right now: the

@@ -173,7 +173,7 @@ let run ?on_event rng pop config =
           ?trace:(Canon_telemetry.Trace.ambient ())
           ~level:(Population.link_level pop)
           ~n
-          ~id:(fun v -> pop.Population.ids.(v))
+          ~ids:pop.Population.ids
           ~links:(fun v -> if Maintenance.is_present m v then Maintenance.links m v else [||])
           ~src
           ~key:pop.Population.ids.(dst) ()

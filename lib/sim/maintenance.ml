@@ -84,7 +84,7 @@ let create pop ~present =
     }
   in
   Array.iter (fun node -> t.present.(node) <- true) present;
-  let initial = Crescendo.canonical_links rings in
+  let initial = Crescendo.rows rings in
   Array.iter (fun node -> set_links t node initial.(node)) present;
   t
 
@@ -103,16 +103,18 @@ let links t node =
 
 let rings t = t.rings
 
-let overlay t = Overlay.create t.pop ~links:(Array.map Array.copy t.links)
+(* Rows are sorted, so [Overlay.create] leaves them as they are, and
+   they are never written in place: a patch makes a new row. *)
+let overlay t = Overlay.create t.pop ~links:(Array.copy t.links)
 
 (* --- the distance-band patch --------------------------------------- *)
 
 (* Condition (b) makes [y]'s links whose LCA with [y] is a domain D
    exactly the Chord fingers of D's ring closer than a cap: [y]'s
    successor distance in its child domain under D, or the whole space
-   when D is [y]'s leaf. In the canonical order (leaf level first, then
-   clockwise distance) each level's run of fingers is therefore a
-   distance band, strictly closer than every run before it. *)
+   when D is [y]'s leaf. Each level's fingers are therefore a distance
+   band, strictly closer than every band below it, and [y]'s row,
+   sorted by clockwise distance, is the bands root first. *)
 
 (* The cap on [y]'s links whose LCA with [y] is its ancestor at depth
    [depth]: its successor distance in its domain one level deeper, or
@@ -130,79 +132,61 @@ let cap_below t y ~depth =
    at distance a is a Chord finger exactly then. *)
 let power_of_two_between a b = 1 lsl Id.log2_floor b > a
 
+(* [y]'s row rewritten in one pass: the links [keep] accepts, given
+   each with its distance, and [add] (none when negative) where its
+   distance [d_add] puts it, so the row stays clockwise. *)
+let rewrite t y ~add ~d_add ~keep =
+  let ids = t.pop.Population.ids in
+  let id_y = ids.(y) and old = t.links.(y) in
+  let out = Array.make (Array.length old + 1) add in
+  let n = ref 0 and pending = ref (add >= 0) in
+  Array.iter
+    (fun v ->
+      let d = Id.distance id_y ids.(v) in
+      if !pending && d > d_add then begin
+        pending := false;
+        incr n
+      end;
+      if keep v d then begin
+        out.(!n) <- v;
+        incr n
+      end)
+    old;
+  if !pending then incr n;
+  t.links.(y) <- (if !n = Array.length out then out else Array.sub out 0 !n)
+
 (* [m] has just joined the ring where it is [y]'s LCA, between [p] and
    [next], at distance [d] < [cap] from [y], with a power of two in
-   (d(y,p), d]: a new finger. It goes into its level's run in distance
-   order. [next] was the finger just after it and stays one only if a
-   power of two lies in (d, d(y,next)]. When [m] is [y]'s new successor
-   ([p] = y), every shallower level is capped at [d]: the links at a
-   distance in [d, d(y,next)) -- closer than the run's old successor,
-   so on shallower levels -- go, except links to crashed nodes, which
-   keep [y] stale until [repair]. *)
+   (d(y,p), d]: a new finger, which goes in at its distance. [next] was
+   a finger and stays one only if a power of two lies in
+   (d, d(y,next)]. When [m] is [y]'s new successor ([p] = y), every
+   shallower band is capped at [d]: the links at a distance in
+   [d, d(y,next)) -- closer than the band's old successor, so on
+   shallower levels -- go, except links to crashed nodes, which keep
+   [y] stale until [repair]. *)
 let patch_join t y ~m ~d ~cap ~p ~next =
   let ids = t.pop.Population.ids in
-  let id_y = ids.(y) in
-  let old = t.links.(y) in
-  let len = Array.length old in
-  let dist i = Id.distance id_y ids.(old.(i)) in
-  let rec run_start i = if i < len && dist i >= cap then run_start (i + 1) else i in
-  let start = run_start 0 in
-  (* Unless [m] is the new successor, the run opens on the successor,
-     its closest member, and shallower runs are closer still. *)
-  let pos =
-    if p = y || start = len then start
-    else
-      let succ = dist start in
-      let rec after i = if i < len && dist i < d && dist i >= succ then after (i + 1) else i in
-      after start
+  let d_next = if next = y then Id.space else Id.distance ids.(y) ids.(next) in
+  let drop_next = next <> y && d_next < cap && not (power_of_two_between d d_next) in
+  let keep v dv =
+    let drop = (v = next && drop_next) || (p = y && d < dv && dv < d_next && t.present.(v)) in
+    if drop then remove_in_link t v y;
+    not drop
   in
-  let d_next = if next = y then Id.space else Id.distance id_y ids.(next) in
-  (* On a stale [y] the slot after [m] may hold a crashed node instead. *)
-  let drop_next =
-    next <> y && d_next < cap && (not (power_of_two_between d d_next)) && pos < len
-    && old.(pos) = next
-  in
-  let out = Array.make (len + 1) m in
-  Array.blit old 0 out 0 pos;
-  let n = ref (pos + 1) in
-  for i = pos to len - 1 do
-    let v = old.(i) in
-    if (i = pos && drop_next) || (p = y && d <= dist i && dist i < d_next && t.present.(v)) then
-      remove_in_link t v y
-    else begin
-      out.(!n) <- v;
-      incr n
-    end
-  done;
   add_in_link t m y;
-  t.links.(y) <- (if !n = len + 1 then out else Array.sub out 0 !n)
+  rewrite t y ~add:m ~d_add:d ~keep
 
 (* [m] has left the ring where it was [y]'s LCA, so [next] now follows
-   [m]'s predecessor there: [next] takes [m]'s place in the run unless
-   it is [y] itself, lies at or beyond [cap], or is a finger already. *)
+   [m]'s predecessor there: [m]'s link goes, and [next] comes in at its
+   distance unless it is [y] itself, lies at or beyond [cap], or is a
+   finger already. On a stale [y] a link to a crashed node may lie
+   between the two, so [next] does not simply take [m]'s slot. *)
 let patch_leave t y ~m ~next ~cap =
   let ids = t.pop.Population.ids in
-  let old = t.links.(y) in
-  let takes_over =
-    next <> y && Id.distance ids.(y) ids.(next) < cap && not (mem_link next old)
-  in
-  t.links.(y) <-
-    (if takes_over then begin
-       add_in_link t next y;
-       Array.map (fun v -> if v = m then next else v) old
-     end
-     else begin
-       let out = Array.make (Array.length old - 1) 0 in
-       let n = ref 0 in
-       Array.iter
-         (fun v ->
-           if v <> m then begin
-             out.(!n) <- v;
-             incr n
-           end)
-         old;
-       out
-     end)
+  let d_next = Id.distance ids.(y) ids.(next) in
+  let takes_over = next <> y && d_next < cap && not (mem_link next t.links.(y)) in
+  if takes_over then add_in_link t next y;
+  rewrite t y ~add:(if takes_over then next else -1) ~d_add:d_next ~keep:(fun v _ -> v <> m)
 
 let join t m =
   let n = Population.size t.pop in
@@ -236,8 +220,7 @@ let join t m =
           Router.greedy_clockwise_generic
             ?trace:(Canon_telemetry.Trace.ambient ())
             ~level:(Population.link_level t.pop)
-            ~n
-            ~id:(fun v -> ids.(v))
+            ~n ~ids
             ~links:(fun v -> t.links.(v))
             ~src:b ~key:id_m ()
         in

@@ -4,7 +4,7 @@
     the overlay's link state {e exactly} consistent: after any sequence
     of joins and leaves, every live node's links equal what the static
     Crescendo construction would build over the surviving population,
-    in its canonical order (this equivalence is asserted by the test
+    in its clockwise order (this equivalence is asserted by the test
     suite after every event).
 
     A join routes a query for the new node's own identifier through a
@@ -14,18 +14,28 @@
     notification). A leave notifies in-neighbours and the per-level
     predecessors, whose distance caps may have widened.
 
-    {b What an event touches, and at what host cost.} Condition (b)
-    makes a node's links at each level the Chord fingers of that level's
-    ring within a distance band, so an event patches link arrays in
-    place instead of recomputing them:
+    {b Row order.} Every live node's links are kept strictly ascending
+    by clockwise distance from it, the order of
+    {!Canon_overlay.Overlay.links} and the one
+    {!Canon_core.Router.step_clockwise} reads: condition (b) makes each
+    level's links a distance band closer than every band below it, so
+    the row is the bands root first. This holds after every event,
+    crash window included.
+
+    {b What an event touches, and at what host cost.} Because each
+    level's links are the Chord fingers of that level's ring within a
+    distance band, an event patches rows in one pass instead of
+    recomputing them:
     - a join of [m] finds, per ring of [m]'s chain, the members that may
       now finger [m] — one ring search per power of two plus a walk over
       the hits — and patches those for which [m] is within their band:
-      [m] goes in, the finger just after [m] may go, and [m]'s new ring
-      predecessor drops its shallower links beyond [m];
-    - a leave of [m] patches each node that linked to [m] (the link goes,
-      or [m]'s successor takes its place) and recomputes only [m]'s ring
-      predecessors, at most one per level, whose bands widen.
+      [m] goes in at its distance, the finger just after [m] may go,
+      and [m]'s new ring predecessor drops its shallower links beyond
+      [m];
+    - a leave of [m] patches each node that linked to [m] (the link
+      goes, and [m]'s successor may come in at its own distance) and
+      recomputes only [m]'s ring predecessors, at most one per level,
+      whose bands widen.
     So the host work of an event is O(levels · log n) searches plus
     O(links) per node whose links change — the [notify_messages] it
     reports.
@@ -101,10 +111,13 @@ val repair : t -> stats
     state again equals the static construction — asserted in tests. *)
 
 val links : t -> int -> int array
-(** Current links of a live node. *)
+(** Current links of a live node, strictly ascending by clockwise
+    distance from it. *)
 
 val overlay : t -> Overlay.t
-(** Immutable snapshot: absent nodes have no links. *)
+(** Immutable snapshot: absent nodes have no links. The rows are
+    shared, not copied (a patch makes a new row rather than writing one
+    in place), and {!Canon_overlay.Overlay.create} sorts none of them. *)
 
 val rings : t -> Rings.t
 (** The live per-domain rings (mutated by joins/leaves — do not hold

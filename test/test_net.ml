@@ -291,41 +291,24 @@ let test_net_fails_without_leaf_sets () =
   Alcotest.(check (option string)) "for want of a candidate" (Some "no-candidate")
     (Option.map Async_route.failure_to_string r.Async_route.failure)
 
-let test_net_suspicion_modes () =
+(* Suspicions last one lookup: each lookup rediscovers a crash and pays
+   its timeouts again, and nothing stays suspected between lookups. *)
+let test_net_suspicions_per_lookup () =
   let _, rings, overlay = build_crescendo ~n:200 55 in
   let n = 200 in
   let src, dst, route = multi_hop_pair overlay ~n ~min_hops:2 in
   let victim = route.Route.nodes.(1) in
   let key = Overlay.id overlay dst in
-  let run suspicion =
-    let plan = Fault_plan.none ~n in
-    Fault_plan.crash plan victim;
-    let net =
-      Net.create ~policy:fast_policy ~plan ~rings ~suspicion ~rng:(Rng.create 59)
-        ~node_latency:oracle overlay
-    in
-    let first = Net.lookup net ~src ~key in
-    let second = Net.lookup net ~src ~key in
-    (net, first, second)
+  let plan = Fault_plan.none ~n in
+  Fault_plan.crash plan victim;
+  let net =
+    Net.create ~policy:fast_policy ~plan ~rings ~rng:(Rng.create 59) ~node_latency:oracle overlay
   in
-  (* Per-lookup: each lookup rediscovers the crash and pays again. *)
-  let net_p, first_p, second_p = run `Per_lookup in
-  Alcotest.(check bool) "per-lookup: first pays timeouts" true
-    (first_p.Async_route.timeouts > 0);
-  Alcotest.(check bool) "per-lookup: second pays again" true
-    (second_p.Async_route.timeouts > 0);
-  Alcotest.(check (array int)) "per-lookup: nothing remembered" [||]
-    (Net.suspected_nodes net_p);
-  (* Shared: the second lookup routes around the suspect for free. *)
-  let net_s, first_s, second_s = run `Shared in
-  Alcotest.(check bool) "shared: first pays timeouts" true
-    (first_s.Async_route.timeouts > 0);
-  Alcotest.(check int) "shared: second is clean" 0 second_s.Async_route.timeouts;
-  Alcotest.(check bool) "shared: still delivered" true (Async_route.delivered second_s);
-  Alcotest.(check (array int)) "shared: victim remembered" [| victim |]
-    (Net.suspected_nodes net_s);
-  Net.clear_suspicions net_s;
-  Alcotest.(check (array int)) "cleared" [||] (Net.suspected_nodes net_s)
+  let first = Net.lookup net ~src ~key in
+  let second = Net.lookup net ~src ~key in
+  Alcotest.(check bool) "first pays timeouts" true (first.Async_route.timeouts > 0);
+  Alcotest.(check bool) "second pays again" true (second.Async_route.timeouts > 0);
+  Alcotest.(check (array int)) "nothing remembered" [||] (Net.suspected_nodes net)
 
 (* --- Net: loss, slowness, deadline --------------------------------- *)
 
@@ -655,7 +638,7 @@ let suites =
           test_net_reanchors_through_leaf_set;
         Alcotest.test_case "blocked without leaf sets" `Quick
           test_net_fails_without_leaf_sets;
-        Alcotest.test_case "suspicion scopes" `Quick test_net_suspicion_modes;
+        Alcotest.test_case "suspicions last one lookup" `Quick test_net_suspicions_per_lookup;
         Alcotest.test_case "total loss fails" `Quick test_net_total_loss_fails;
         Alcotest.test_case "partial loss recovers" `Quick test_net_partial_loss_recovers;
         Alcotest.test_case "routes around a slow node" `Quick

@@ -361,7 +361,6 @@ let test_read_repair_pinned_metrics () =
     (Replicated_store.stored store ~node:b ~key);
   (* b revives: the next read finds v2, repairs b, GCs c. *)
   Fault_plan.revive plan b;
-  Net.clear_suspicions net;
   let reads0 = counter "replication.reads"
   and stale0 = counter "replication.stale_reads"
   and repairs0 = counter "replication.read_repairs"
@@ -414,7 +413,6 @@ let test_gc_waits_for_rehoming () =
     | l -> Alcotest.failf "expected one stand-in, got %d" (List.length l)
   in
   Fault_plan.revive plan b;
-  Net.clear_suspicions net;
   (* Total message loss: current holders a and b are live but
      unreachable; ex-holder c still reads its own copy. *)
   Fault_plan.set_loss plan 1.0;
@@ -429,7 +427,6 @@ let test_gc_waits_for_rehoming () =
     (Replicated_store.stored store ~node:c ~key);
   (* Loss lifts: the next read re-homes v2 on the holders, then GCs c. *)
   Fault_plan.set_loss plan 0.0;
-  Net.clear_suspicions net;
   Alcotest.(check (option string)) "read after recovery" (Some "v2")
     (Replicated_store.get store ~querier:a ~key);
   Alcotest.(check int) "stand-in collected after re-homing" (gc0 + 1)

@@ -251,8 +251,7 @@ let test_stuck_partial_path () =
   let trace = Trace.create () in
   let attempt () =
     ignore
-      (Router.greedy_clockwise_generic ~trace ~n:0
-         ~id:(fun v -> ids.(v))
+      (Router.greedy_clockwise_generic ~trace ~n:0 ~ids
          ~links:(fun v -> links.(v))
          ~src:0 ~key:30 ())
   in
