@@ -94,6 +94,16 @@ let micro_benchmarks () =
       Test.make ~name:"ring.successor_of_id"
         (Staged.stage (fun () ->
              ignore (Ring.successor_of_id flat_ring (Canon_idspace.Id.random rng))));
+      Test.make ~name:"ring.insert+remove (root ring, 3072 members)"
+        (* The root ring of the maintenance rows' membership: each run
+           inserts one of the absent quarter and removes it again, two
+           shifts of about half the ring. *)
+        (let ids = pop.Population.ids and rng = Rng.create 11 in
+         let ring = Ring.of_members ~ids ~members:(Array.init (3 * n / 4) Fun.id) in
+         Staged.stage (fun () ->
+             let node = (3 * n / 4) + Rng.int_below rng (n / 4) in
+             Ring.insert ring ~id:ids.(node) ~node;
+             Ring.remove ring ~id:ids.(node)));
       Test.make ~name:"chord.links_of_one_node (n=4096)"
         (Staged.stage (fun () ->
              let node = random_node () in

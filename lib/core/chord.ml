@@ -9,19 +9,22 @@ open Canon_overlay
    (no member at distance >= 2^k), every further finger is the nearest
    member -- the holder of [id] itself (no link) or the k = 0 target
    already taken -- so the scan stops; it stops too at the first target
-   at distance >= [below], since later ones are farther still. A finder
-   and a top-level [rank_of], not a closure, so a whole-ring build
-   allocates nothing per member but its row. *)
-let fingers ring id ~self ~below ~rank_of finder buf len =
+   at distance >= [below], since later ones are farther still. Targets
+   closer than [from] are skipped, and the scan starts at the highest
+   2^k <= [from]: a lower k whose target is at least [from] away lands
+   on that same target. A finder and a top-level [rank_of], not a
+   closure, so a whole-ring build allocates nothing per member but its
+   row. *)
+let fingers ring id ~self ~from ~below ~rank_of finder buf len =
   if Ring.size ring = 0 then invalid_arg "Chord: empty ring";
-  let len = ref len and k = ref 0 in
+  let len = ref len and k = ref (Id.log2_floor from) in
   while !k < Id.bits && 1 lsl !k < below do
     let rank = rank_of finder id !k in
     let dist = Id.distance id (Ring.id_at ring rank) in
     if dist < 1 lsl !k || dist >= below then k := Id.bits
     else begin
       let target = Ring.node_at ring rank in
-      if target <> self then begin
+      if target <> self && dist >= from then begin
         buf.(!len) <- target;
         incr len
       end;
@@ -38,7 +41,11 @@ let search_rank ring id k =
   if rank < Ring.size ring then rank else 0
 
 let add_fingers ring id ~self ~below buf len =
-  fingers ring id ~self ~below ~rank_of:search_rank ring buf len
+  fingers ring id ~self ~from:1 ~below ~rank_of:search_rank ring buf len
+
+let add_fingers_between ring id ~self ~from ~below buf len =
+  if from < 1 then invalid_arg "Chord.add_fingers_between: from < 1";
+  fingers ring id ~self ~from ~below ~rank_of:search_rank ring buf len
 
 (* Below [low] every target is the member's successor: 2^k is at most
    the smallest gap between ring neighbours. For k >= low,
@@ -91,8 +98,8 @@ let sweep_fingers s ~rank ~below buf len =
   if rank < s.rank || rank >= Ring.size ring then
     invalid_arg "Chord.sweep_fingers: rank out of range or behind the sweep";
   s.rank <- rank;
-  fingers ring (Ring.id_at ring rank) ~self:(Ring.node_at ring rank) ~below ~rank_of:sweep_rank s
-    buf len
+  fingers ring (Ring.id_at ring rank) ~self:(Ring.node_at ring rank) ~from:1 ~below
+    ~rank_of:sweep_rank s buf len
 
 let links_of_id ring id ~self =
   let buf = Array.make Id.bits 0 in

@@ -38,6 +38,18 @@ val add_fingers :
     below [below]. The building block of {!Crescendo.links_of_node}.
     Each distinct target costs one binary search. *)
 
+val add_fingers_between :
+  Ring.t -> Canon_idspace.Id.t -> self:int -> from:int -> below:int -> int array -> int -> int
+(** [add_fingers_between ring id ~self ~from ~below buf len] is
+    {!add_fingers} restricted to the targets at clockwise distance in
+    [\[from, below)], nearest first: the fingers a Crescendo node gains
+    when a departure widens one level's distance cap from [from] to
+    [below]. The scan starts at the highest [2{^k} <= from], since any
+    lower [k] whose target is at least [from] away lands on that same
+    target, so it costs one binary search per target in the window plus
+    at most one. Raises [Invalid_argument] if [from < 1] or the ring is
+    empty. *)
+
 type sweep
 (** Forward cursors over one ring: the finger rule of {!add_fingers}
     for every member of a ring, met in rank order. *)

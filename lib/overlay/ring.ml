@@ -1,24 +1,63 @@
 open Canon_idspace
 
+(* Slot [rank] is 4 bytes at offset [4 * rank] of each buffer: the id as
+   an unsigned 32-bit value ([Id.bits] = 32), the node index as a signed
+   one below 2^31. A shift is then one [Bytes.blit], a memmove, and the
+   GC never scans either buffer. *)
 type t = {
-  mutable ids : int array; (* sorted ascending, first [size] slots *)
-  mutable nodes : int array; (* node index at the same rank *)
+  mutable ids : Bytes.t; (* sorted ascending, first [size] slots *)
+  mutable nodes : Bytes.t; (* node index at the same rank *)
   mutable size : int;
 }
 
+(* Unchecked: every access below is at a rank under the buffer's
+   capacity, by the ring's invariants or by [check_rank]. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let id_mask = 0xFFFF_FFFF
+
+let () = assert (id_mask = Id.space - 1)
+
+let[@inline] get_id b rank = Int32.to_int (get32 b (rank lsl 2)) land id_mask
+
+let[@inline] get_node b rank = Int32.to_int (get32 b (rank lsl 2))
+
+let[@inline] set b rank v = set32 b (rank lsl 2) (Int32.of_int v)
+
+(* This check and [check_rank] [raise] rather than call [invalid_arg],
+   so a loop around them keeps its values in registers, as across an
+   array's bounds check. A negative value has high bits set too. *)
+let[@inline] check_slot ~id ~node =
+  if node lsr 31 <> 0 then raise (Invalid_argument "Ring: node index out of range");
+  if id lsr Id.bits <> 0 then raise (Invalid_argument "Ring: identifier out of range")
+
+(* Both buffers keep a slot when empty, so [insert] can double them. *)
+let create ~capacity =
+  if capacity < 0 then invalid_arg "Ring.create: negative capacity";
+  let bytes = 4 * max capacity 1 in
+  { ids = Bytes.create bytes; nodes = Bytes.create bytes; size = 0 }
+
+let capacity t = Bytes.length t.ids lsr 2
+
 let of_sorted_members ~ids ~members =
   let k = Array.length members in
-  let ring_ids = Array.make (max k 1) 0 in
+  let t = create ~capacity:k in
   for rank = 0 to k - 1 do
-    let id = ids.(members.(rank)) in
-    if rank > 0 && id <= ring_ids.(rank - 1) then
-      invalid_arg
-        (if id = ring_ids.(rank - 1) then "Ring: duplicate identifiers"
-         else "Ring.of_sorted_members: members out of order");
-    ring_ids.(rank) <- id
+    let node = members.(rank) in
+    let id = ids.(node) in
+    check_slot ~id ~node;
+    if rank > 0 && id <= get_id t.ids (rank - 1) then
+      raise
+        (Invalid_argument
+           (if id = get_id t.ids (rank - 1) then "Ring: duplicate identifiers"
+            else "Ring.of_sorted_members: members out of order"));
+    set t.ids rank id;
+    set t.nodes rank node
   done;
-  (* Both arrays keep a slot when empty, so [insert] can double them. *)
-  { ids = ring_ids; nodes = (if k = 0 then Array.make 1 0 else members); size = k }
+  t.size <- k;
+  t
 
 (* Least significant byte first, one counting pass per byte: a stable
    sort in O(Id.bits / 8 * (k + 256)) with no comparison closure, whose
@@ -51,40 +90,48 @@ let of_members ~ids ~members = of_sorted_members ~ids ~members:(sort_by_id ids m
 
 let size t = t.size
 
-let members t = Array.sub t.nodes 0 t.size
+let members t = Array.init t.size (get_node t.nodes)
 
-let id_at t rank = t.ids.(rank)
+let[@inline] check_rank t rank =
+  if rank < 0 || rank >= t.size then raise (Invalid_argument "index out of bounds")
 
-let node_at t rank = t.nodes.(rank)
+let[@inline] id_at t rank =
+  check_rank t rank;
+  get_id t.ids rank
+
+let[@inline] node_at t rank =
+  check_rank t rank;
+  get_node t.nodes rank
 
 let require_non_empty t = if size t = 0 then invalid_arg "Ring: empty ring"
 
 (* Smallest rank whose id is >= q, or [size] if none. *)
 let lower_bound t q =
+  let ids = t.ids in
   let lo = ref 0 and hi = ref t.size in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.ids.(mid) >= q then hi := mid else lo := mid + 1
+    let mid = (!lo + !hi) lsr 1 in
+    if get_id ids mid >= q then hi := mid
+    else lo := mid + 1
   done;
   !lo
 
 let contains t q =
   let i = lower_bound t q in
-  i < size t && t.ids.(i) = q
+  i < size t && get_id t.ids i = q
 
 let first_at_or_after t q =
   require_non_empty t;
   let i = lower_bound t q in
-  if i < size t then t.nodes.(i) else t.nodes.(0)
+  get_node t.nodes (if i < size t then i else 0)
 
 let successor_of_id t q = first_at_or_after t (Id.add q 1)
 
 let predecessor_of_id t q =
   require_non_empty t;
   let i = lower_bound t q in
-  if i < size t && t.ids.(i) = q then t.nodes.(i)
-  else if i = 0 then t.nodes.(size t - 1)
-  else t.nodes.(i - 1)
+  get_node t.nodes
+    (if i < size t && get_id t.ids i = q then i else if i = 0 then size t - 1 else i - 1)
 
 let successor_distance t id =
   require_non_empty t;
@@ -92,7 +139,7 @@ let successor_distance t id =
   else begin
     (* Rank of the first id strictly after [id], wrapping. *)
     let i = lower_bound t (Id.add id 1) in
-    let succ_id = if i < size t then t.ids.(i) else t.ids.(0) in
+    let succ_id = get_id t.ids (if i < size t then i else 0) in
     let d = Id.distance id succ_id in
     if d = 0 then Id.space else d
   end
@@ -112,48 +159,40 @@ let arc_count t ~start ~len =
 
 let nth_from t rank i =
   let r = rank + i in
-  t.nodes.(if r < t.size then r else r - t.size)
+  node_at t (if r < t.size then r else r - t.size)
 
 let finger t id d =
   require_non_empty t;
   if d < 1 then invalid_arg "Ring.finger: distance must be >= 1";
   let i = lower_bound t (Id.add id d) in
   let i = if i < size t then i else 0 in
-  if t.ids.(i) = id then None else Some t.nodes.(i)
+  if get_id t.ids i = id then None else Some (get_node t.nodes i)
 
-(* Moves [len] ints from [src] to [dst] (possibly overlapping, same
-   array) with plain typed stores: [Array.blit] on a major-heap array
-   goes through the write barrier for every element, even for ints. *)
-let move_ints (src : int array) src_pos (dst : int array) dst_pos len =
-  if dst_pos > src_pos then
-    for i = len - 1 downto 0 do
-      dst.(dst_pos + i) <- src.(src_pos + i)
-    done
-  else
-    for i = 0 to len - 1 do
-      dst.(dst_pos + i) <- src.(src_pos + i)
-    done
-
+(* An id past the last member's goes at the end with no search, so a
+   ring filled in increasing id order costs O(1) per member. *)
 let insert t ~id ~node =
-  let rank = lower_bound t id in
-  if rank < t.size && t.ids.(rank) = id then invalid_arg "Ring.insert: duplicate identifier";
-  if t.size = Array.length t.ids then begin
-    let cap = 2 * t.size in
-    let ids' = Array.make cap 0 and nodes' = Array.make cap 0 in
-    move_ints t.ids 0 ids' 0 t.size;
-    move_ints t.nodes 0 nodes' 0 t.size;
-    t.ids <- ids';
-    t.nodes <- nodes'
+  check_slot ~id ~node;
+  let size = t.size in
+  let rank = if size = 0 || get_id t.ids (size - 1) < id then size else lower_bound t id in
+  if rank < size && get_id t.ids rank = id then invalid_arg "Ring.insert: duplicate identifier";
+  if size = capacity t then begin
+    t.ids <- Bytes.extend t.ids 0 (4 * size);
+    t.nodes <- Bytes.extend t.nodes 0 (4 * size)
   end;
-  move_ints t.ids rank t.ids (rank + 1) (t.size - rank);
-  move_ints t.nodes rank t.nodes (rank + 1) (t.size - rank);
-  t.ids.(rank) <- id;
-  t.nodes.(rank) <- node;
-  t.size <- t.size + 1
+  if rank < size then begin
+    let at = rank lsl 2 and len = (size - rank) lsl 2 in
+    Bytes.blit t.ids at t.ids (at + 4) len;
+    Bytes.blit t.nodes at t.nodes (at + 4) len
+  end;
+  set t.ids rank id;
+  set t.nodes rank node;
+  t.size <- size + 1
 
 let remove t ~id =
   let rank = lower_bound t id in
-  if rank >= t.size || t.ids.(rank) <> id then invalid_arg "Ring.remove: identifier not present";
-  move_ints t.ids (rank + 1) t.ids rank (t.size - rank - 1);
-  move_ints t.nodes (rank + 1) t.nodes rank (t.size - rank - 1);
+  if rank >= t.size || get_id t.ids rank <> id then
+    invalid_arg "Ring.remove: identifier not present";
+  let at = rank lsl 2 and len = (t.size - rank - 1) lsl 2 in
+  Bytes.blit t.ids (at + 4) t.ids at len;
+  Bytes.blit t.nodes (at + 4) t.nodes at len;
   t.size <- t.size - 1

@@ -6,7 +6,16 @@
     a sorted array of (identifier, node index) pairs with O(log n)
     wrapping binary searches. Static constructions only read it;
     {!insert} and {!remove} mutate it in place for the
-    dynamic-maintenance simulator. *)
+    dynamic-maintenance simulator.
+
+    {b Storage.} The pairs live in two byte buffers, 4 bytes a slot:
+    identifiers as unsigned 32-bit values ([Id.bits] is 32) and node
+    indices as signed ones, so a node index must lie in [\[0, 2{^31})].
+    Every constructor and {!insert} checks both bounds and raises
+    [Invalid_argument] on a value outside them. A ring of [k] members
+    holds 8 bytes a member that the GC never scans, and an insert or
+    remove shifts the slots after its rank with one [Bytes.blit] (a
+    memmove) per buffer. *)
 
 open Canon_idspace
 
@@ -20,9 +29,14 @@ val of_members : ids:Id.t array -> members:int array -> t
 
 val of_sorted_members : ids:Id.t array -> members:int array -> t
 (** {!of_members} for [members] already in increasing identifier order:
-    O(size), no sort. The ring takes ownership of [members]. Raises
-    [Invalid_argument] if two members share an identifier or are out of
-    order. *)
+    O(size), no sort. [members] is copied into the ring's buffers, so
+    the caller keeps it. Raises [Invalid_argument] if two members share
+    an identifier or are out of order. *)
+
+val create : capacity:int -> t
+(** An empty ring with room for [capacity] members before its buffers
+    grow. Filled by {!insert} in increasing identifier order, it costs
+    O(1) a member and allocates nothing more. *)
 
 val size : t -> int
 
@@ -30,10 +44,12 @@ val members : t -> int array
 (** Members in increasing identifier order. *)
 
 val id_at : t -> int -> Id.t
-(** Identifier at a rank in [0, size). *)
+(** Identifier at a rank in [0, size). Raises
+    [Invalid_argument "index out of bounds"] at any other rank. *)
 
 val node_at : t -> int -> int
-(** Node index at a rank in [0, size). *)
+(** Node index at a rank in [0, size). Raises
+    [Invalid_argument "index out of bounds"] at any other rank. *)
 
 val contains : t -> Id.t -> bool
 (** Is some member's identifier exactly this id? *)
@@ -81,10 +97,14 @@ val nth_from : t -> int -> int -> int
     Requires [0 <= rank + i < 2 * size t]. *)
 
 val insert : t -> id:Id.t -> node:int -> unit
-(** Adds a member (O(size) array shift). Rejects duplicate identifiers.
-    Used by the dynamic-maintenance simulator; static constructions
-    never mutate rings they were built from. *)
+(** Adds a member: one binary search, then one memmove of the
+    [4 * (size - rank)] bytes after its rank in each buffer (O(1) when
+    [id] is past every member's, with no search). The buffers double
+    when full. Raises [Invalid_argument] on a duplicate identifier or a
+    node index or identifier out of range. Used by the
+    dynamic-maintenance simulator and by {!Rings.build_partial}; static
+    constructions never mutate rings they were built from. *)
 
 val remove : t -> id:Id.t -> unit
-(** Removes the member with this identifier; raises [Invalid_argument]
-    if absent. *)
+(** Removes the member with this identifier: one binary search and one
+    memmove a buffer. Raises [Invalid_argument] if absent. *)

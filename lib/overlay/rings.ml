@@ -6,8 +6,8 @@ type t = {
 }
 
 (* One sort for every ring: the root ring orders the present nodes, and
-   each other domain's members are dealt from it, in that order, into an
-   array sized by a counting pass. *)
+   each other domain's ring, sized by a counting pass, is filled from it
+   in that order, so every insert lands past the ring's last member. *)
 let build_partial pop ~present =
   let tree = pop.Population.tree and ids = pop.Population.ids in
   let leaf_of_node = pop.Population.leaf_of_node in
@@ -21,25 +21,19 @@ let build_partial pop ~present =
     end
   in
   Array.iter (fun node -> credit leaf_of_node.(node)) present;
-  let members = Array.map (fun c -> Array.make c 0) count in
-  (* Dealt from the largest id down, so [count] counts back to 0 as the
-     next free slot of each domain. *)
-  let rec deal node d =
+  let rings =
+    Array.mapi (fun d c -> if d = root then global else Ring.create ~capacity:c) count
+  in
+  let rec deal ~id ~node d =
     if d <> root then begin
-      count.(d) <- count.(d) - 1;
-      members.(d).(count.(d)) <- node;
-      deal node (Domain_tree.parent tree d)
+      Ring.insert rings.(d) ~id ~node;
+      deal ~id ~node (Domain_tree.parent tree d)
     end
   in
-  for rank = Ring.size global - 1 downto 0 do
+  for rank = 0 to Ring.size global - 1 do
     let node = Ring.node_at global rank in
-    deal node leaf_of_node.(node)
+    deal ~id:ids.(node) ~node leaf_of_node.(node)
   done;
-  let rings =
-    Array.mapi
-      (fun d members -> if d = root then global else Ring.of_sorted_members ~ids ~members)
-      members
-  in
   { population = pop; rings }
 
 let build pop = build_partial pop ~present:(Array.init (Population.size pop) Fun.id)

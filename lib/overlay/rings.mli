@@ -36,8 +36,9 @@ val build_partial : Population.t -> present:int array -> t
 (** The rings of the listed nodes only; the rest of the population is
     treated as not (yet) joined. Used by the dynamic-maintenance
     simulator. Cost: one sort of [present] by identifier (the root
-    ring), then O(n · depth) to count each domain's members and deal
-    them, in that order, into their rings: no per-domain sort. Raises
+    ring), then O(n · depth) to count each domain's members and append
+    them, in that order, to rings sized to fit: no per-domain sort and
+    no copy. Raises
     [Invalid_argument] if two listed nodes share an identifier. *)
 
 val add_node : t -> int -> unit

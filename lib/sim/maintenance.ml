@@ -21,8 +21,6 @@ type t = {
      appears twice, since it holds each link once. *)
   in_links : int array array;
   in_count : int array;
-  visited : int array; (* per node: the last event that looked at it *)
-  mutable event : int;
 }
 
 type stats = {
@@ -79,8 +77,6 @@ let create pop ~present =
       links = Array.make n [||];
       in_links = Array.make n [||];
       in_count = Array.make n 0;
-      visited = Array.make n 0;
-      event = 0;
     }
   in
   Array.iter (fun node -> t.present.(node) <- true) present;
@@ -128,31 +124,41 @@ let cap_below t y ~depth =
     Ring.successor_distance (Rings.ring t.rings child) t.pop.Population.ids.(y)
 
 (* Some power of two in (a, b], for 0 <= a < b: the highest one at most
-   [b] exceeds [a]. A member at distance b whose ring predecessor sits
-   at distance a is a Chord finger exactly then. *)
-let power_of_two_between a b = 1 lsl Id.log2_floor b > a
+   [b], 2^k for b's top bit k, exceeds [a], i.e. bit k of [a] is clear
+   (a has no higher bit). Then [a lxor b] keeps bit k and exceeds [a];
+   otherwise it clears bit k and falls below [a]. A member at distance
+   b whose ring predecessor sits at distance a is a Chord finger exactly
+   then. *)
+let power_of_two_between a b = a lxor b > a
 
 (* [y]'s row rewritten in one pass: the links [keep] accepts, given
-   each with its distance, and [add] (none when negative) where its
-   distance [d_add] puts it, so the row stays clockwise. *)
-let rewrite t y ~add ~d_add ~keep =
+   each with its distance, merged with the first [len] of [adds] --
+   nearest first, none of them in the row -- so the row stays
+   clockwise. *)
+let rewrite t y ~adds ~len ~keep =
   let ids = t.pop.Population.ids in
   let id_y = ids.(y) and old = t.links.(y) in
-  let out = Array.make (Array.length old + 1) add in
-  let n = ref 0 and pending = ref (add >= 0) in
+  let out = Array.make (Array.length old + len) 0 in
+  let n = ref 0 and i = ref 0 in
+  let push v =
+    out.(!n) <- v;
+    incr n
+  in
+  let d_add () = if !i < len then Id.distance id_y ids.(adds.(!i)) else Id.space in
+  let next_add = ref (d_add ()) in
   Array.iter
     (fun v ->
       let d = Id.distance id_y ids.(v) in
-      if !pending && d > d_add then begin
-        pending := false;
-        incr n
-      end;
-      if keep v d then begin
-        out.(!n) <- v;
-        incr n
-      end)
+      while !next_add < d do
+        push adds.(!i);
+        incr i;
+        next_add := d_add ()
+      done;
+      if keep v d then push v)
     old;
-  if !pending then incr n;
+  for j = !i to len - 1 do
+    push adds.(j)
+  done;
   t.links.(y) <- (if !n = Array.length out then out else Array.sub out 0 !n)
 
 (* [m] has just joined the ring where it is [y]'s LCA, between [p] and
@@ -174,7 +180,7 @@ let patch_join t y ~m ~d ~cap ~p ~next =
     not drop
   in
   add_in_link t m y;
-  rewrite t y ~add:m ~d_add:d ~keep
+  rewrite t y ~adds:[| m |] ~len:1 ~keep
 
 (* [m] has left the ring where it was [y]'s LCA, so [next] now follows
    [m]'s predecessor there: [m]'s link goes, and [next] comes in at its
@@ -186,7 +192,45 @@ let patch_leave t y ~m ~next ~cap =
   let d_next = Id.distance ids.(y) ids.(next) in
   let takes_over = next <> y && d_next < cap && not (mem_link next t.links.(y)) in
   if takes_over then add_in_link t next y;
-  rewrite t y ~add:(if takes_over then next else -1) ~d_add:d_next ~keep:(fun v _ -> v <> m)
+  rewrite t y ~adds:[| next |] ~len:(if takes_over then 1 else 0) ~keep:(fun v _ -> v <> m)
+
+(* [m] has left, and [p] preceded it in the rings of depths [l] to [h]
+   ([ring_at k]), [h] that of their LCA, so m's successor at depth k,
+   [succ.(k)], is now p's. At each of those depths p's successor
+   distance grows from d(p,m) to its new gap, and so does the cap of
+   the level above: each level in [max 0 (l-1), h-1] gains its
+   ring's fingers of p in [d(p,m), gap below it). At depth [h], m's link
+   goes and m's successor there comes in unless it is [p] or lies at
+   or beyond the cap. The gains arrive nearest first; those not yet
+   links are merged into the row by distance, since on a stale [p] a
+   link to a crashed node may lie among them. True iff the row
+   changed. *)
+let patch_predecessor t p ~m ~ring_at ~succ ~l ~h =
+  let ids = t.pop.Population.ids in
+  let id_p = ids.(p) and old = t.links.(p) in
+  let from = Id.distance id_p ids.(m) in
+  let gap k = if succ.(k) = p then Id.space else Id.distance id_p ids.(succ.(k)) in
+  let gains = Array.make (Id.bits + h + 2) 0 in
+  let len = ref 0 in
+  for j = max 0 (l - 1) to h - 1 do
+    len := Chord.add_fingers_between (ring_at j) id_p ~self:p ~from ~below:(gap (j + 1)) gains !len
+  done;
+  if succ.(h) <> p && gap h < cap_below t p ~depth:h then begin
+    gains.(!len) <- succ.(h);
+    incr len
+  end;
+  let fresh = ref 0 in
+  for i = 0 to !len - 1 do
+    let v = gains.(i) in
+    if not (mem_link v old) then begin
+      add_in_link t v p;
+      gains.(!fresh) <- v;
+      incr fresh
+    end
+  done;
+  let changed = !fresh > 0 || mem_link m old in
+  if changed then rewrite t p ~adds:gains ~len:!fresh ~keep:(fun v _ -> v <> m);
+  changed
 
 let join t m =
   let n = Population.size t.pop in
@@ -231,50 +275,50 @@ let join t m =
   t.live <- t.live + 1;
   let my_links = Crescendo.links_of_node t.rings m in
   set_links t m my_links;
-  (* Nodes that may now finger m: per ring of m's chain, the members y
-     with d(y,p) < 2^k <= d(y,m) for m's predecessor p and some k, i.e.
-     d(y,p) in [max 0 (2^k - d(p,m)), 2^k). The arcs below 2^k =
-     d(p,m)'s highest bit nest inside that one. A y changes only if m
+  (* Nodes that may now finger m, per ring D of m's chain, with [next]
+     m's successor there: before m joined, a y that now takes m as a
+     finger of D's level pointed that finger at [next], so y holds
+     [next] -- at D's level, or, when its cap stopped it there, one
+     level deeper as [next]'s predecessor. The one exception is [next]
+     itself, whose finger wrapped round to it. A y changes only if m
      lies within its cap for the ring: that holds in the ring of y's
      LCA with m alone, since in a shallower ring y's child domain holds
-     m and so caps y below d(y,m). *)
-  t.event <- t.event + 1;
+     m and so caps y below d(y,m). So the candidates are [next] and its
+     in-link holders whose LCA with m is D, and a candidate gets m iff
+     some power of two lies in (d(y,p), d(y,m)] for m's predecessor p,
+     and d(y,m) is below its cap. *)
+  let tree = t.pop.Population.tree in
   let notify_messages = ref 0 in
   Array.iter
     (fun domain ->
       let ring = Rings.ring t.rings domain in
-      let size = Ring.size ring in
-      if size >= 2 then begin
+      if Ring.size ring >= 2 then begin
         let p = Ring.predecessor_of_id ring (Id.add id_m (-1)) in
         let next = Ring.successor_of_id ring id_m in
         let id_p = ids.(p) in
-        let d_pm = Id.distance id_p id_m in
-        let depth = Domain_tree.depth t.pop.Population.tree domain in
-        let visit y =
-          if y <> m && t.visited.(y) <> t.event then begin
-            t.visited.(y) <- t.event;
-            let d = Id.distance ids.(y) id_m and cap = cap_below t y ~depth in
+        let depth = Domain_tree.depth tree domain in
+        (* The cheapest test first; for a y outside D's ring it may
+           pass, but the LCA test then fails. *)
+        let consider y =
+          let d = Id.distance ids.(y) id_m in
+          if
+            y <> m
+            && power_of_two_between (Id.distance ids.(y) id_p) d
+            && Population.link_level t.pop y m = depth
+          then begin
+            let cap = cap_below t y ~depth in
             if d < cap then begin
               patch_join t y ~m ~d ~cap ~p ~next;
               incr notify_messages
             end
           end
         in
-        for k = Id.log2_floor d_pm to Id.bits - 1 do
-          let hi = 1 lsl k in
-          let lo = max 0 (hi - d_pm) in
-          let first = Ring.rank_at_or_after ring (Id.add id_p (1 - hi)) in
-          let rec walk i =
-            if i < size then begin
-              let y = Ring.node_at ring ((first + i) mod size) in
-              let back = Id.distance ids.(y) id_p in
-              if back >= lo && back < hi then begin
-                visit y;
-                walk (i + 1)
-              end
-            end
-          in
-          walk 0
+        consider next;
+        (* [patch_join] may swap-remove y from [next]'s holders, moving
+           the last one, already considered, into its slot. *)
+        let holders = t.in_links.(next) in
+        for i = t.in_count.(next) - 1 downto 0 do
+          consider holders.(i)
         done
       end)
     chain;
@@ -330,34 +374,34 @@ let leave t m =
   t.present.(m) <- false;
   t.live <- t.live - 1;
   set_links t m [||];
-  t.event <- t.event + 1;
   let notify_messages = ref 0 in
-  (* m's ring predecessors: their caps widen, so the links of every
-     shallower level may grow. At most one per level; recomputed. *)
-  Array.iter
-    (fun domain ->
-      let ring = Rings.ring t.rings domain in
-      if Ring.size ring > 0 then begin
-        let p = Ring.predecessor_of_id ring id_m in
-        if t.visited.(p) <> t.event then begin
-          t.visited.(p) <- t.event;
-          let fresh = Crescendo.links_of_node t.rings p in
-          if fresh <> t.links.(p) then begin
-            set_links t p fresh;
-            incr notify_messages
-          end
-        end
-      end)
-    chain;
+  (* m's ring predecessors, leaf first ([-1] for the deepest rings,
+     now empty): each is met first in the ring of its LCA with m, then
+     in every shallower ring where it still precedes m. *)
+  let leaf_depth = Array.length chain - 1 in
+  let ring_at k = Rings.ring t.rings chain.(leaf_depth - k) in
+  let neighbour find =
+    Array.init (leaf_depth + 1) (fun k ->
+        let ring = ring_at k in
+        if Ring.size ring = 0 then -1 else find ring id_m)
+  in
+  let pred = neighbour Ring.predecessor_of_id and succ = neighbour Ring.successor_of_id in
+  let h = ref leaf_depth in
+  while !h >= 0 do
+    let p = pred.(!h) and l = ref !h in
+    while !l > 0 && pred.(!l - 1) = p do
+      decr l
+    done;
+    if p >= 0 && patch_predecessor t p ~m ~ring_at ~succ ~l:!l ~h:!h then incr notify_messages;
+    h := !l - 1
+  done;
   (* Every other node that linked to m loses exactly that link, and may
      inherit m's ring successor in its LCA ring with m. *)
-  let leaf_depth = Array.length chain - 1 in
   Array.iter
     (fun y ->
-      if t.visited.(y) <> t.event then begin
+      if not (Array.mem y pred) then begin
         let depth = Population.link_level t.pop y m in
-        let next = Ring.successor_of_id (Rings.ring t.rings chain.(leaf_depth - depth)) id_m in
-        patch_leave t y ~m ~next ~cap:(cap_below t y ~depth);
+        patch_leave t y ~m ~next:succ.(depth) ~cap:(cap_below t y ~depth);
         incr notify_messages
       end)
     holders;

@@ -27,18 +27,24 @@
     distance band, an event patches rows in one pass instead of
     recomputing them:
     - a join of [m] finds, per ring of [m]'s chain, the members that may
-      now finger [m] — one ring search per power of two plus a walk over
-      the hits — and patches those for which [m] is within their band:
-      [m] goes in at its distance, the finger just after [m] may go,
-      and [m]'s new ring predecessor drops its shallower links beyond
-      [m];
+      now finger [m] among [m]'s successor [T] there and [T]'s in-link
+      holders (a node that now fingers [m] pointed that finger at [T]
+      before), keeps those whose LCA with [m] is that ring's domain and
+      for which [m] is within their band, and patches them: [m] goes in
+      at its distance, the finger just after [m] may go, and [m]'s new
+      ring predecessor drops its shallower links beyond [m];
     - a leave of [m] patches each node that linked to [m] (the link
-      goes, and [m]'s successor may come in at its own distance) and
-      recomputes only [m]'s ring predecessors, at most one per level,
-      whose bands widen.
+      goes, and [m]'s successor may come in at its own distance), and
+      each of [m]'s ring predecessors, at most one per level, by band:
+      where [p] preceded [m], its successor gap widens, and so does the
+      cap of the level above, which gains its ring's fingers of [p] in
+      the widened window ({!Canon_core.Chord.add_fingers_between}); the
+      gains are merged into [p]'s row by distance.
     So the host work of an event is O(levels · log n) searches plus
     O(links) per node whose links change — the [notify_messages] it
-    reports.
+    reports — plus one memmove per ring of the chain
+    ({!Canon_overlay.Ring.insert}). No row is recomputed whole except
+    the joiner's own and, in {!repair}, the stale ones.
 
     Costs are reported per operation:
     - [routing_messages]: hops of the bootstrap lookup;
@@ -54,9 +60,8 @@
     construction. The {e stale} nodes ({!stale_nodes}) are exactly those
     whose links a join or leave may not patch correctly; a patch never
     drops a link to a crashed node, so a node stays stale until
-    {!repair} recomputes it (or a leave recomputes it as a ring
-    predecessor, which makes it exact). After {!repair} every live node
-    is exact again. *)
+    {!repair} recomputes it. After {!repair} every live node is exact
+    again. *)
 
 open Canon_overlay
 

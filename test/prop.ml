@@ -751,6 +751,59 @@ let prop_finger_corners () =
   Alcotest.check_raises "empty ring" (Invalid_argument "Chord: empty ring") (fun () ->
       ignore (Chord.links_of_id empty 0 ~self:0))
 
+(* The windowed scan is [Chord.add_fingers ~below:hi] keeping the
+   targets at distance >= lo, order included: for every member of the
+   population's ring and of a random sub-ring, on random and corner ids,
+   with windows 1 <= lo < hi <= Id.space whose ends are drawn on a log
+   scale or at a member's distance (give or take one), so that they
+   fall between and on targets at every scale. *)
+let prop_window_fingers sc =
+  let rng = Rng.create (sc.case_seed + 47) in
+  let buf = Array.make (Id.bits + 1) 0 in
+  let window_end id ring =
+    match Rng.int_below rng 3 with
+    | 0 -> 1 + Rng.int_below rng (1 lsl Rng.int_below rng (Id.bits + 1))
+    | 1 -> Id.space - Rng.int_below rng 3
+    | _ ->
+        let v = Ring.node_at ring (Rng.int_below rng (Ring.size ring)) in
+        let d = Id.distance id sc.pop.Population.ids.(v) in
+        max 1 (min Id.space (d + Rng.int_below rng 3 - 1))
+  in
+  let on_pop pop () =
+    let ids = pop.Population.ids in
+    let sub = random_subset rng sc.n in
+    let rings =
+      Ring.of_members ~ids ~members:(Array.init sc.n Fun.id)
+      :: (if Array.length sub = 0 then [] else [ Ring.of_members ~ids ~members:sub ])
+    in
+    first_error
+      (List.concat_map
+         (fun ring ->
+           List.concat_map
+             (fun v ->
+               let id = ids.(v) in
+               List.init 4 (fun _ () ->
+                   let a = window_end id ring and b = window_end id ring in
+                   let lo = min a b and hi = if a = b then a + 1 else max a b in
+                   let lo, hi = if hi > Id.space then (lo - 1, Id.space) else (lo, hi) in
+                   let all = Array.sub buf 0 (Chord.add_fingers ring id ~self:v ~below:hi buf 0) in
+                   let expected =
+                     Array.of_list
+                       (List.filter (fun u -> Id.distance id ids.(u) >= lo) (Array.to_list all))
+                   in
+                   let got =
+                     Array.sub buf 0
+                       (Chord.add_fingers_between ring id ~self:v ~from:lo ~below:hi buf 0)
+                   in
+                   compare_links
+                     (Printf.sprintf "node %d (id %d), ring of %d, window [%d, %d)" v id
+                        (Ring.size ring) lo hi)
+                     ~expected ~got))
+             (Array.to_list (Ring.members ring)))
+         rings)
+  in
+  first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
+
 (* --- churn departure draw ------------------------------------------ *)
 
 (* The historical churn driver, kept as the reference for the
@@ -2216,14 +2269,124 @@ let prop_net_matches_reference sc =
 
 (* --- ring shifts ---------------------------------------------------- *)
 
+(* The ring queries answered by linear scans of the members' ids and
+   nodes in increasing id order, raising as [Ring] does on an empty
+   ring. *)
+module Model_ring = struct
+  type t = { ids : int array; nodes : int array }
+
+  let of_pairs pairs =
+    { ids = Array.of_list (List.map fst pairs); nodes = Array.of_list (List.map snd pairs) }
+
+  let size m = Array.length m.ids
+
+  let non_empty m = if size m = 0 then invalid_arg "Ring: empty ring"
+
+  let contains m q = Array.mem q m.ids
+
+  (* Index of the first id >= q, or the size. *)
+  let rank_at_or_after m q =
+    let i = ref 0 in
+    while !i < size m && m.ids.(!i) < q do
+      incr i
+    done;
+    !i
+
+  (* Index of the first id >= q, wrapping to 0. *)
+  let first_index m q =
+    let i = rank_at_or_after m q in
+    if i < size m then i else 0
+
+  let first_at_or_after m q =
+    non_empty m;
+    m.nodes.(first_index m q)
+
+  let predecessor_of_id m q =
+    non_empty m;
+    let last = ref (size m - 1) in
+    Array.iteri (fun i id -> if id <= q then last := i) m.ids;
+    m.nodes.(!last)
+
+  let successor_distance m id =
+    non_empty m;
+    if size m = 1 then Id.space
+    else
+      let d = Id.distance id m.ids.(first_index m (Id.add id 1)) in
+      if d = 0 then Id.space else d
+
+  let finger m id d =
+    non_empty m;
+    if d < 1 then invalid_arg "Ring.finger: distance must be >= 1";
+    let i = first_index m (Id.add id d) in
+    if m.ids.(i) = id then None else Some m.nodes.(i)
+
+  let arc_count m ~start ~len =
+    Array.fold_left (fun n id -> if Id.distance start id < len then n + 1 else n) 0 m.ids
+end
+
+(* Ids where a 4-byte slot's sign flips, or the id space ends. *)
+let sign_corners = [ 0; (1 lsl 31) - 1; 1 lsl 31; Id.space - 1 ]
+
+(* Every query of [ring] against [model], at every member id and its
+   two neighbours and at [sign_corners]; arc lengths and finger
+   distances cycle through their corner values. *)
+let ring_queries_match ring pairs =
+  let model = Model_ring.of_pairs pairs in
+  let lens = [| 0; 1; 1 lsl 31; Id.space - 1; Id.space |] and ds = [| 1; 2; 1 lsl 31; Id.space - 1 |] in
+  let attempt f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg in
+  let points =
+    List.concat_map (fun (id, _) -> [ Id.add id (-1); id; Id.add id 1 ]) pairs @ sign_corners
+  in
+  List.find_map
+    (fun (i, q) ->
+      let same name got expected = if got () = expected () then None else Some (name (), q) in
+      let len = lens.(i mod Array.length lens) and d = ds.(i mod Array.length ds) in
+      List.find_map Fun.id
+        [
+          same (fun () -> "contains")
+            (fun () -> Ring.contains ring q)
+            (fun () -> Model_ring.contains model q);
+          same (fun () -> "first_at_or_after")
+            (fun () -> attempt (fun () -> Ring.first_at_or_after ring q))
+            (fun () -> attempt (fun () -> Model_ring.first_at_or_after model q));
+          same (fun () -> "successor_of_id")
+            (fun () -> attempt (fun () -> Ring.successor_of_id ring q))
+            (fun () -> attempt (fun () -> Model_ring.first_at_or_after model (Id.add q 1)));
+          same (fun () -> "predecessor_of_id")
+            (fun () -> attempt (fun () -> Ring.predecessor_of_id ring q))
+            (fun () -> attempt (fun () -> Model_ring.predecessor_of_id model q));
+          same (fun () -> "successor_distance")
+            (fun () -> attempt (fun () -> Ring.successor_distance ring q))
+            (fun () -> attempt (fun () -> Model_ring.successor_distance model q));
+          same
+            (fun () -> Printf.sprintf "arc_count (len %d)" len)
+            (fun () -> Ring.arc_count ring ~start:q ~len)
+            (fun () -> Model_ring.arc_count model ~start:q ~len);
+          same
+            (fun () -> Printf.sprintf "finger (d %d)" d)
+            (fun () -> attempt (fun () -> Ring.finger ring q d))
+            (fun () -> attempt (fun () -> Model_ring.finger model q d));
+          same (fun () -> "rank_at_or_after")
+            (fun () -> Ring.rank_at_or_after ring q)
+            (fun () -> Model_ring.rank_at_or_after model q);
+        ])
+    (List.mapi (fun i q -> (i, q)) points)
+
 (* [Ring.insert]/[remove] against a sorted association list, from rings
-   of 0 to 3 members (so the arrays grow many times over) through a few
-   hundred operations on corner and random identifiers. *)
+   of 0 to 3 members (so the buffers grow many times over) through a few
+   hundred operations on corner, sign-corner and random identifiers:
+   after every operation the slots and every query agree with the
+   model. *)
 let prop_ring_matches_model () =
   for case = 0 to 39 do
     let rng = Rng.create (9990 + case) in
     let pool =
-      Array.append corner_ids (Array.init (8 + Rng.int_below rng 120) (fun _ -> Id.random rng))
+      Array.concat
+        [
+          corner_ids;
+          Array.of_list sign_corners;
+          Array.init (8 + Rng.int_below rng 120) (fun _ -> Id.random rng);
+        ]
     in
     let pool = Array.of_list (List.sort_uniq compare (Array.to_list pool)) in
     let k = Rng.int_below rng 4 in
@@ -2262,9 +2425,37 @@ let prop_ring_matches_model () =
             fail "op %d: rank %d holds (%d, %d), model (%d, %d)" op rank (Ring.id_at ring rank)
               (Ring.node_at ring rank) id v)
         !model;
-      if Ring.members ring <> Array.of_list (List.map snd !model) then fail "op %d: members" op
+      if Ring.members ring <> Array.of_list (List.map snd !model) then fail "op %d: members" op;
+      match ring_queries_match ring !model with
+      | Some (name, q) -> fail "op %d: %s at %d differs from the model" op name q
+      | None -> ()
     done
   done
+
+(* Node indices are stored as 32-bit signed slots: [2^31 - 1] goes in
+   and comes back, [2^31] and negative ones are refused, as are ids
+   outside the id space and ranks past the size. *)
+let prop_ring_slot_bounds () =
+  let ring = Ring.create ~capacity:0 in
+  let top = (1 lsl 31) - 1 in
+  Ring.insert ring ~id:(Id.space - 1) ~node:top;
+  Ring.insert ring ~id:(1 lsl 31) ~node:0;
+  Alcotest.(check (list int)) "members" [ 0; top ] (Array.to_list (Ring.members ring));
+  Alcotest.(check int) "id at the sign corner" (Id.space - 1) (Ring.id_at ring 1);
+  List.iter
+    (fun (what, id, node, msg) ->
+      Alcotest.check_raises what (Invalid_argument msg) (fun () -> Ring.insert ring ~id ~node))
+    [
+      ("node 2^31", 5, 1 lsl 31, "Ring: node index out of range");
+      ("node 2^32", 6, 1 lsl 32, "Ring: node index out of range");
+      ("negative node", 7, -1, "Ring: node index out of range");
+      ("id 2^32", Id.space, 1, "Ring: identifier out of range");
+      ("negative id", -1, 1, "Ring: identifier out of range");
+    ];
+  Alcotest.(check int) "refused inserts leave the ring" 2 (Ring.size ring);
+  (* The buffers have room past [size], but no rank there is read. *)
+  Alcotest.check_raises "rank past the size" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Ring.node_at ring 2))
 
 (* --- incremental maintenance ---------------------------------------- *)
 
@@ -2893,8 +3084,11 @@ let suites =
         Alcotest.test_case "crescendo links = reference finger rule" `Quick
           (check ~count:30 ~seed:9939 ~min_n:1 ~max_n:200 prop_crescendo_matches_reference);
         Alcotest.test_case "finger rule id-space corners" `Quick prop_finger_corners;
+        Alcotest.test_case "windowed finger scan = add_fingers filtered" `Quick
+          (check ~count:30 ~seed:9941 ~min_n:1 ~max_n:200 prop_window_fingers);
         Alcotest.test_case "Ring insert/remove = sorted-list model" `Quick
           prop_ring_matches_model;
+        Alcotest.test_case "Ring slots refuse node indices >= 2^31" `Quick prop_ring_slot_bounds;
       ] );
     ( "prop.maintenance",
       [
