@@ -1,38 +1,1 @@
-open Canon_idspace
-open Canon_overlay
-
-let links_of_node rng rings node =
-  let pop = Rings.population rings in
-  let ids = pop.Population.ids in
-  let id = ids.(node) in
-  let acc = Link_set.create ~self:node in
-  let chain = Rings.chain rings node in
-  (* Leaf level: plain Symphony within the leaf ring. *)
-  let leaf_ring = Rings.ring rings chain.(0) in
-  if Ring.size leaf_ring >= 2 then begin
-    Link_set.add acc (Ring.successor_of_id leaf_ring id);
-    Symphony.draw_long_links rng ~ids leaf_ring id
-      ~wanted:(Symphony.long_links_per_node (Ring.size leaf_ring))
-      ~cap:Id.space acc
-  end;
-  let d_own = ref (Ring.successor_distance leaf_ring id) in
-  for level = 1 to Array.length chain - 1 do
-    let ring = Rings.ring rings chain.(level) in
-    if Ring.size ring >= 2 then begin
-      (* Harmonic draws over the level ring, retained only when closer
-         than the lower-level successor. *)
-      Symphony.draw_long_links rng ~ids ring id
-        ~wanted:(Symphony.long_links_per_node (Ring.size ring))
-        ~cap:!d_own acc;
-      (* The successor at the new level is always linked. *)
-      let succ = Ring.successor_of_id ring id in
-      Link_set.add acc succ
-    end;
-    d_own := min !d_own (Ring.successor_distance ring id)
-  done;
-  Link_set.to_array acc
-
-let build rng rings =
-  let pop = Rings.population rings in
-  let links = Array.init (Population.size pop) (fun node -> links_of_node rng rings node) in
-  Overlay.create pop ~links
+let build rng rings = Symphony.build_canonical rng rings

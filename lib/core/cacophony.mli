@@ -6,7 +6,10 @@
     {e retains only those closer than its successor at the lower level}
     (Canon's condition (b)), and always adds a link to its successor at
     the new level. Degree stays O(log n) overall; routing is greedy
-    clockwise (optionally with lookahead), just as in Symphony. *)
+    clockwise (optionally with lookahead), just as in Symphony.
+
+    Built by {!Canonical.ring_row} with Symphony's rule: with a
+    one-level hierarchy, Cacophony is exactly Symphony. *)
 
 open Canon_overlay
 

@@ -1,7 +1,9 @@
 (** Per-node link accumulator for the constructions whose rules can
-    select a target twice: collects link targets, silently dropping
-    self-links and duplicates. (Chord and Crescendo need none: their
-    finger scan skips repeated targets by construction.) *)
+    select a target twice ({!Canonical.ring_row}'s rules and Chord
+    (Prox.)): collects link targets, silently dropping self-links and
+    duplicates. (Chord and Crescendo need none: their finger scan skips
+    repeated targets by construction. Nor does {!Canonical.slot_row}:
+    its slots are disjoint.) *)
 
 type t
 

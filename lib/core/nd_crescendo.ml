@@ -1,30 +1,1 @@
-open Canon_idspace
-open Canon_overlay
-
-let links_of_node rng rings node =
-  let pop = Rings.population rings in
-  let ids = pop.Population.ids in
-  let id = ids.(node) in
-  let acc = Link_set.create ~self:node in
-  let chain = Rings.chain rings node in
-  let leaf_ring = Rings.ring rings chain.(0) in
-  if Ring.size leaf_ring >= 2 then begin
-    Link_set.add acc (Ring.successor_of_id leaf_ring id);
-    Nd_chord.add_bucket_links rng leaf_ring id ~cap:Id.space acc
-  end;
-  let d_own = ref (Ring.successor_distance leaf_ring id) in
-  for level = 1 to Array.length chain - 1 do
-    let ring = Rings.ring rings chain.(level) in
-    if Ring.size ring >= 2 then begin
-      Nd_chord.add_bucket_links rng ring id ~cap:!d_own acc;
-      (* Successor at the new level keeps the merged ring connected. *)
-      Link_set.add acc (Ring.successor_of_id ring id)
-    end;
-    d_own := min !d_own (Ring.successor_distance ring id)
-  done;
-  Link_set.to_array acc
-
-let build rng rings =
-  let pop = Rings.population rings in
-  let links = Array.init (Population.size pop) (fun node -> links_of_node rng rings node) in
-  Overlay.create pop ~links
+let build rng rings = Nd_chord.build_canonical rng rings

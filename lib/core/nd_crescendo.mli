@@ -6,7 +6,10 @@
     than the closest node of its own ring} — the paper's example: with
     own-ring closest at distance 12 and bucket [8, 16), the choice is
     restricted to nodes at distances [8, 12). A successor link is kept
-    at every level so greedy clockwise routing stays live. *)
+    at every level so greedy clockwise routing stays live.
+
+    Built by {!Canonical.ring_row} with ND-Chord's rule: with a
+    one-level hierarchy, ND-Crescendo is exactly ND-Chord. *)
 
 open Canon_overlay
 

@@ -1,6 +1,5 @@
 open Canon_idspace
 open Canon_overlay
-module Rng = Canon_rng.Rng
 
 let digit_bits = 4
 
@@ -9,65 +8,25 @@ let digits = Id.bits / digit_bits
 (* Digit [l] (0 = most significant) of an identifier. *)
 let digit id l = (id lsr (Id.bits - ((l + 1) * digit_bits))) land ((1 lsl digit_bits) - 1)
 
-(* The identifier range of routing cell (l, d) of [id]: all ids sharing
-   the first [l] digits of [id] and carrying digit [d] at position [l].
-   A single aligned range of length 2^(bits - (l+1)*b). *)
-let cell_range id l d =
-  let suffix_bits = Id.bits - ((l + 1) * digit_bits) in
-  let prefix = Id.prefix id (l * digit_bits) in
-  let base = ((prefix lsl digit_bits) lor d) lsl suffix_bits in
-  (base, 1 lsl suffix_bits)
-
-let count_range ring lo len =
-  Ring.rank_at_or_after ring (lo + len) - Ring.rank_at_or_after ring lo
-
-let random_in_cell rng ring id l d =
-  let base, len = cell_range id l d in
-  let count = count_range ring base len in
-  if count = 0 then None
+(* Routing cell (l, d) of [id], slot [l * 2^b + d]: a uniform random
+   member of [ring] sharing the first [l] digits of [id] and carrying
+   digit [d] at position [l] -- a single aligned range of length
+   2^(bits - (l+1)*b). The node's own digit names no cell. *)
+let random_in_cell rng ring id slot =
+  let l = slot lsr digit_bits and d = slot land ((1 lsl digit_bits) - 1) in
+  if d = digit id l then None
   else begin
-    let rank = Ring.rank_at_or_after ring base + Rng.int_below rng count in
-    Some (Ring.node_at ring rank)
+    let suffix_bits = Id.bits - ((l + 1) * digit_bits) in
+    let prefix = Id.prefix id (l * digit_bits) in
+    let base = ((prefix lsl digit_bits) lor d) lsl suffix_bits in
+    Ring.random_in_arc rng ring ~start:base ~len:(1 lsl suffix_bits)
   end
 
-(* Fill every still-empty routing cell of [id] from [ring]. [filled] is
-   indexed by l * 2^b + d. *)
-let fill_cells rng ring id ~filled acc =
-  for l = 0 to digits - 1 do
-    for d = 0 to (1 lsl digit_bits) - 1 do
-      let slot = (l lsl digit_bits) lor d in
-      if (not filled.(slot)) && d <> digit id l then
-        match random_in_cell rng ring id l d with
-        | None -> ()
-        | Some target ->
-            Link_set.add acc target;
-            filled.(slot) <- true
-    done
-  done
+let row rng ~ids chain node =
+  Canonical.slot_row chain ~slots:(digits lsl digit_bits) (fun ring slot ->
+      random_in_cell rng ring ids.(node) slot)
 
-let build rng pop =
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
-  let links =
-    Array.init n (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make (digits lsl digit_bits) false in
-        fill_cells rng global ids.(node) ~filled acc;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+let build rng pop = Canonical.flat pop (row rng ~ids:pop.Population.ids)
 
 let build_canonical rng rings =
-  let pop = Rings.population rings in
-  let ids = pop.Population.ids in
-  let links =
-    Array.init (Population.size pop) (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make (digits lsl digit_bits) false in
-        Array.iter
-          (fun domain -> fill_cells rng (Rings.ring rings domain) ids.(node) ~filled acc)
-          (Rings.chain rings node);
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+  Canonical.hierarchical rings (row rng ~ids:(Rings.population rings).Population.ids)

@@ -18,15 +18,19 @@
     chain, never re-filling a cell already filled within an inner
     domain — the same Canon economy and within-domain completeness
     invariant as {!Xor_dht}, with the same consequences: O(log n)
-    degree, intra-domain locality, inter-domain convergence. *)
+    degree, intra-domain locality, inter-domain convergence. Both entry
+    points are {!Canonical.slot_row} with one slot per cell: flat
+    Pastry is the chain of the global ring alone. *)
 
 open Canon_overlay
 
 val digit_bits : int
-(** b = 4. *)
+(** b = 4. A test seam: the [pastry] "constants", "cell structure" and
+    "cell completeness" tests read it. *)
 
 val digits : int
-(** Digits per identifier: [Id.bits / digit_bits] = 8. *)
+(** Digits per identifier: [Id.bits / digit_bits] = 8. A test seam, read
+    by the [pastry] "constants" and "cell completeness" tests. *)
 
 val build : Canon_rng.Rng.t -> Population.t -> Overlay.t
 (** Flat Pastry. *)

@@ -70,95 +70,63 @@ let build_chord ?(group_size = default_group_size) pop ~node_latency =
   in
   { kind = Chord_groups t_bits; overlay = Overlay.create pop ~links }
 
-let build_crescendo ?(group_size = default_group_size) rings ~node_latency =
-  (* The group size is implicit in the admissible arcs at the top level;
-     the parameter is kept for interface symmetry with [build_chord]. *)
-  ignore group_size;
-  let pop = Rings.population rings in
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let tree = pop.Population.tree in
-  let root = Canon_hierarchy.Domain_tree.root tree in
-  let root_ring = Rings.ring rings root in
-  let links =
-    Array.init n (fun node ->
-        let id = ids.(node) in
-        let acc = Link_set.create ~self:node in
-        let chain = Rings.chain rings node in
-        let levels = Array.length chain in
-        (* Ordinary Crescendo below the root; with a flat hierarchy the
-           top level is the leaf itself and no cap applies. *)
-        let d_own = ref Id.space in
-        if levels > 1 then begin
-          let leaf_ring = Rings.ring rings chain.(0) in
-          Array.iter (Link_set.add acc) (Chord.links_of_id leaf_ring id ~self:node);
-          d_own := Ring.successor_distance leaf_ring id
-        end;
-        for level = 1 to levels - 2 do
-          let ring = Rings.ring rings chain.(level) in
-          let k = ref 0 in
-          while !k < Id.bits && 1 lsl !k < !d_own do
-            (match Ring.finger ring id (1 lsl !k) with
-            | None -> ()
-            | Some target ->
-                let dist = Id.distance id ids.(target) in
-                if dist < !d_own then Link_set.add acc target);
-            incr k
-          done;
-          d_own := min !d_own (Ring.successor_distance ring id)
-        done;
-        (* Top-level merge with the group rule. The exact successor is
-           always kept so greedy clockwise routing stays exact. *)
-        (if Ring.size root_ring >= 2 then begin
-           let succ = Ring.successor_of_id root_ring id in
-           let succ_dist = Id.distance id ids.(succ) in
-           if succ_dist <= !d_own then Link_set.add acc succ
-         end);
-        let k = ref 0 in
-        while !k < Id.bits && 1 lsl !k < !d_own do
-          (match Ring.finger root_ring id (1 lsl !k) with
-          | None -> ()
-          | Some target ->
-              let dist = Id.distance id ids.(target) in
-              if dist < !d_own then begin
-                (* §3.6: at the top level the link rule only prescribes
-                   a *range* of admissible identifiers, and the node is
-                   free to pick the physically closest one (proximity
-                   neighbour selection, as in the paper's [5]). The
-                   admissible candidates are the nodes of the arc
-                   [id + 2^k, id + min(2^(k+1), d_own)) — condition (a)
-                   restricted by condition (b). *)
-                let hi = min (1 lsl (!k + 1)) !d_own in
-                let start = Id.add id (1 lsl !k) in
-                let len = hi - (1 lsl !k) in
-                let count = Ring.arc_count root_ring ~start ~len in
-                if count <= 1 then Link_set.add acc target
-                else begin
-                  let best = ref target and best_lat = ref (node_latency node target) in
-                  (* Sample at most 32 candidates, as the paper notes
-                     s = 32 suffices. *)
-                  let stride = max 1 (count / 32) in
-                  let first = Ring.rank_at_or_after root_ring start in
-                  let i = ref 0 in
-                  while !i < count do
-                    let peer = Ring.nth_from root_ring first !i in
-                    if peer <> node then begin
-                      let l = node_latency node peer in
-                      if l < !best_lat then begin
-                        best := peer;
-                        best_lat := l
-                      end
-                    end;
-                    i := !i + stride
-                  done;
-                  Link_set.add acc !best
+(* The root rule of Crescendo (Prox.), below [cap]: per k, the Chord
+   finger's admissible arc [id + 2^k, id + min(2^(k+1), cap)) --
+   condition (a) restricted by condition (b) -- gives one pick, the
+   lowest-latency of at most 32 sampled members (§3.6: at the top level
+   the link rule only prescribes a range, and the node is free to pick
+   the physically closest member, as in the paper's [5]; the paper notes
+   s = 32 suffices). With at most one member in the arc, the finger
+   itself is taken. *)
+let add_root_picks ~ids ~node_latency ring id ~self ~cap acc =
+  let k = ref 0 in
+  while !k < Id.bits && 1 lsl !k < cap do
+    (match Ring.finger ring id (1 lsl !k) with
+    | None -> ()
+    | Some target ->
+        if Id.distance id ids.(target) < cap then begin
+          let start = Id.add id (1 lsl !k) in
+          let len = min (1 lsl (!k + 1)) cap - (1 lsl !k) in
+          let count = Ring.arc_count ring ~start ~len in
+          if count <= 1 then Link_set.add acc target
+          else begin
+            let best = ref target and best_lat = ref (node_latency self target) in
+            let stride = max 1 (count / 32) in
+            let first = Ring.rank_at_or_after ring start in
+            let i = ref 0 in
+            while !i < count do
+              let peer = Ring.nth_from ring first !i in
+              if peer <> self then begin
+                let l = node_latency self peer in
+                if l < !best_lat then begin
+                  best := peer;
+                  best_lat := l
                 end
-              end);
-          incr k
-        done;
-        Link_set.to_array acc)
+              end;
+              i := !i + stride
+            done;
+            Link_set.add acc !best
+          end
+        end);
+    incr k
+  done
+
+(* Crescendo below the root, the group rule at it. *)
+let build_crescendo rings ~node_latency =
+  let pop = Rings.population rings in
+  let ids = pop.Population.ids in
+  let root_ring = Rings.ring rings (Canon_hierarchy.Domain_tree.root pop.Population.tree) in
+  let buf = Array.make Id.bits 0 in
+  let row chain node =
+    let id = ids.(node) in
+    Canonical.ring_row chain id ~self:node (fun ring ~cap acc ->
+        if ring == root_ring then add_root_picks ~ids ~node_latency ring id ~self:node ~cap acc
+        else
+          for i = 0 to Chord.add_fingers ring id ~self:node ~below:cap buf 0 - 1 do
+            Link_set.add acc buf.(i)
+          done)
   in
-  { kind = Crescendo_groups; overlay = Overlay.create pop ~links }
+  { kind = Crescendo_groups; overlay = Canonical.hierarchical rings row }
 
 let overlay t = t.overlay
 

@@ -18,7 +18,9 @@
       [\[2{^k}, min(2{^k+1}, d_own))] allowed by conditions (a) and (b)
       — sampling at most 32 of them (the paper notes s = 32 suffices
       for proximity neighbour selection). The exact top-level successor
-      is always kept so greedy clockwise routing stays exact. *)
+      is always kept so greedy clockwise routing stays exact. Built by
+      {!Canonical.ring_row} with a rule that is Chord's below the root
+      and the sampled-arc pick at it. *)
 
 open Canon_overlay
 
@@ -27,10 +29,13 @@ type t
 val default_group_size : int
 (** 16 — the constant expected group size (the paper cites measurements
     that sampling s = 32 nodes suffices; a 16-node group plus the
-    clique gives comparable choice at comparable state). *)
+    clique gives comparable choice at comparable state). A test seam:
+    the [proximity] "chord-prox clique" test reads it. *)
 
 val group_bits : n:int -> group_size:int -> int
-(** [T = max 0 (floor(log2(n / group_size)))]. *)
+(** [T = max 0 (floor(log2(n / group_size)))]. A test seam: the
+    [proximity] "group bits" test and [prop.router]'s "one driver =
+    historical group and name routing" read it. *)
 
 val build_chord :
   ?group_size:int ->
@@ -39,7 +44,6 @@ val build_chord :
   t
 
 val build_crescendo :
-  ?group_size:int ->
   Rings.t ->
   node_latency:(int -> int -> float) ->
   t

@@ -12,38 +12,29 @@ let harmonic_distance rng ~n =
   let d = int_of_float (x *. Float.of_int Id.space) in
   max 1 (min (Id.space - 1) d)
 
-(* Draw [wanted] harmonic long links for the node with identifier [id]
-   against [ring], keeping only targets at clockwise distance below
-   [cap]. Failed draws (self, duplicate, beyond cap) are redrawn a
-   bounded number of times, as in Symphony's own construction. *)
-let draw_long_links rng ~ids ring id ~wanted ~cap acc =
+(* Symphony's rule in one ring: [floor(log2 size)] harmonic long links
+   from identifier [id], keeping only targets at clockwise distance
+   below [cap]. Failed draws (self, duplicate, beyond cap) are redrawn
+   a bounded number of times, as in Symphony's own construction. *)
+let draw_long_links rng ~ids id ring ~cap acc =
   let n = Ring.size ring in
-  if n >= 2 && wanted > 0 then begin
-    let added = ref 0 and attempts = ref 0 in
-    while !added < wanted && !attempts < 16 * wanted do
-      incr attempts;
-      let d = harmonic_distance rng ~n in
-      let target = Ring.first_at_or_after ring (Id.add id d) in
-      let dist = Id.distance id ids.(target) in
-      if dist > 0 && dist < cap && not (Link_set.mem acc target) then begin
-        Link_set.add acc target;
-        incr added
-      end
-    done
-  end
+  let wanted = long_links_per_node n in
+  let added = ref 0 and attempts = ref 0 in
+  while !added < wanted && !attempts < 16 * wanted do
+    incr attempts;
+    let d = harmonic_distance rng ~n in
+    let target = Ring.first_at_or_after ring (Id.add id d) in
+    let dist = Id.distance id ids.(target) in
+    if dist > 0 && dist < cap && not (Link_set.mem acc target) then begin
+      Link_set.add acc target;
+      incr added
+    end
+  done
 
-let build rng pop =
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
-  let links =
-    Array.init n (fun node ->
-        let id = ids.(node) in
-        let acc = Link_set.create ~self:node in
-        if n >= 2 then begin
-          Link_set.add acc (Ring.successor_of_id global id);
-          draw_long_links rng ~ids global id ~wanted:(long_links_per_node n) ~cap:Id.space acc
-        end;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+let row rng ~ids chain node =
+  Canonical.ring_row chain ids.(node) ~self:node (draw_long_links rng ~ids ids.(node))
+
+let build rng pop = Canonical.flat pop (row rng ~ids:pop.Population.ids)
+
+let build_canonical rng rings =
+  Canonical.hierarchical rings (row rng ~ids:(Rings.population rings).Population.ids)

@@ -6,10 +6,6 @@ type choice =
   | Closest
   | Random of Rng.t
 
-(* Count of ring members with identifier in [lo, hi), 0 <= lo <= hi <= space. *)
-let count_range ring lo hi =
-  Ring.rank_at_or_after ring hi - Ring.rank_at_or_after ring lo
-
 (* The k-th XOR bucket of [id] is the aligned identifier range
    [base, base + 2^k) where base flips bit k of [id] and clears the bits
    below it. *)
@@ -19,7 +15,7 @@ let closest_in_bucket ring id k =
   (* Bit descent: narrow the aligned range towards the identifier whose
      low bits match [id]'s, i.e. the member minimizing [xor id]. *)
   let lo = ref (bucket_base id k) and len = ref (1 lsl k) in
-  if count_range ring !lo (!lo + !len) = 0 then None
+  if Ring.arc_count ring ~start:!lo ~len:!len = 0 then None
   else begin
     while !len > 1 do
       let half = !len / 2 in
@@ -27,7 +23,7 @@ let closest_in_bucket ring id k =
          matching [id]'s bit to minimize the XOR distance. *)
       let id_bit_set = id land half <> 0 in
       let preferred = if id_bit_set then !lo + half else !lo in
-      if count_range ring preferred (preferred + half) > 0 then lo := preferred
+      if Ring.arc_count ring ~start:preferred ~len:half > 0 then lo := preferred
       else if id_bit_set then () (* stay in [lo, lo+half) *)
       else lo := !lo + half;
       len := half
@@ -36,54 +32,16 @@ let closest_in_bucket ring id k =
     Some (Ring.node_at ring rank)
   end
 
-let random_in_bucket rng ring id k =
-  let base = bucket_base id k in
-  let count = count_range ring base (base + (1 lsl k)) in
-  if count = 0 then None
-  else begin
-    let rank = Ring.rank_at_or_after ring base + Rng.int_below rng count in
-    Some (Ring.node_at ring rank)
-  end
-
-let bucket_member choice ring ~ids:_ id k =
+let bucket_member choice ring id k =
   match choice with
   | Closest -> closest_in_bucket ring id k
-  | Random rng -> random_in_bucket rng ring id k
+  | Random rng -> Ring.random_in_arc rng ring ~start:(bucket_base id k) ~len:(1 lsl k)
 
-let fill_buckets choice ring ~ids id ~filled acc =
-  for k = 0 to Id.bits - 1 do
-    if not filled.(k) then
-      match bucket_member choice ring ~ids id k with
-      | None -> ()
-      | Some target ->
-          Link_set.add acc target;
-          filled.(k) <- true
-  done
+(* One slot per bucket k = 0 .. Id.bits - 1. *)
+let row choice ~ids chain node =
+  Canonical.slot_row chain ~slots:Id.bits (fun ring k -> bucket_member choice ring ids.(node) k)
 
-let build_flat choice pop =
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
-  let links =
-    Array.init n (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make Id.bits false in
-        fill_buckets choice global ~ids ids.(node) ~filled acc;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+let build_flat choice pop = Canonical.flat pop (row choice ~ids:pop.Population.ids)
 
 let build_hierarchical choice rings =
-  let pop = Rings.population rings in
-  let ids = pop.Population.ids in
-  let links =
-    Array.init (Population.size pop) (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make Id.bits false in
-        let chain = Rings.chain rings node in
-        Array.iter
-          (fun domain -> fill_buckets choice (Rings.ring rings domain) ~ids ids.(node) ~filled acc)
-          chain;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+  Canonical.hierarchical rings (row choice ~ids:(Rings.population rings).Population.ids)

@@ -13,7 +13,9 @@
 
     Hierarchical (Canon) rule: buckets are filled bottom-up over the
     node's domain chain; a bucket already filled at a lower level is
-    never re-filled at a higher one. This is the Canon economy — links
+    never re-filled at a higher one. Both entry points are
+    {!Canonical.slot_row} with one slot per bucket: the flat DHT is the
+    chain of the global ring alone. This is the Canon economy — links
     into sibling rings exist only where the own ring has none — and it
     guarantees the invariant that makes greedy XOR routing live: for
     every domain [D] containing node [m] and every bucket of [m]
@@ -33,6 +35,8 @@ type choice =
   | Random of Canon_rng.Rng.t  (** uniform bucket member (Kademlia) *)
 
 val build_flat : choice -> Population.t -> Overlay.t
+(** Kademlia ([Random]) or CAN ([Closest]); the hierarchy, if any, is
+    ignored. *)
 
 val build_hierarchical : choice -> Rings.t -> Overlay.t
-
+(** Kandy ([Random]) or Can-Can ([Closest]). *)

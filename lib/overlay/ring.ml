@@ -161,6 +161,11 @@ let nth_from t rank i =
   let r = rank + i in
   node_at t (if r < t.size then r else r - t.size)
 
+let random_in_arc rng t ~start ~len =
+  let count = arc_count t ~start ~len in
+  if count = 0 then None
+  else Some (nth_from t (lower_bound t start) (Canon_rng.Rng.int_below rng count))
+
 let finger t id d =
   require_non_empty t;
   if d < 1 then invalid_arg "Ring.finger: distance must be >= 1";

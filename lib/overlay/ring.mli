@@ -84,6 +84,12 @@ val arc_count : t -> start:Id.t -> len:int -> int
     members [x] with [distance start x < len]. Requires
     [0 <= len <= Id.space]. *)
 
+val random_in_arc : Canon_rng.Rng.t -> t -> start:Id.t -> len:int -> int option
+(** A uniform random member of the arc [\[start, start+len)]: one
+    [Rng.int_below] of its {!arc_count}, and no draw at all when the arc
+    is empty ([None]). The nondeterministic choice of ND-Chord, Kademlia
+    and Pastry. *)
+
 val rank_at_or_after : t -> Id.t -> int
 (** Rank (in sorted order, not wrapping) of the first member with
     identifier [>= q]; [size t] when none. The start of a rank walk

@@ -3032,6 +3032,291 @@ let prop_duplicate_ids_raise sc =
       ]
   end
 
+(* --- one Canon merge per link family ---------------------------------- *)
+
+(* The per-node constructions that [Canonical] replaced, kept as the
+   reference: each flat DHT as its own loop over the global ring, each
+   Canonical one as its own walk up the domain chain, deduplicated
+   through [Link_set]. The reference rows go through [Overlay.create],
+   which orders them clockwise, so a difference in link set or in random
+   stream shows; one in insertion order does not. *)
+
+let reference_long_links rng ~ids ring id ~cap acc =
+  let n = Ring.size ring in
+  let wanted = if n <= 1 then 0 else Id.log2_floor n in
+  if n >= 2 && wanted > 0 then begin
+    let added = ref 0 and attempts = ref 0 in
+    while !added < wanted && !attempts < 16 * wanted do
+      incr attempts;
+      let d = Symphony.harmonic_distance rng ~n in
+      let target = Ring.first_at_or_after ring (Id.add id d) in
+      let dist = Id.distance id ids.(target) in
+      if dist > 0 && dist < cap && not (Link_set.mem acc target) then begin
+        Link_set.add acc target;
+        incr added
+      end
+    done
+  end
+
+let reference_bucket_links rng ring id ~cap acc =
+  let k = ref 0 in
+  while !k < Id.bits && 1 lsl !k < cap do
+    let lo = 1 lsl !k in
+    let len = min lo (cap - lo) in
+    let start = Id.add id lo in
+    let count = Ring.arc_count ring ~start ~len in
+    if count > 0 then
+      Link_set.add acc
+        (Ring.nth_from ring (Ring.rank_at_or_after ring start) (Rng.int_below rng count));
+    incr k
+  done
+
+(* Symphony and ND-Chord: the successor, then the rule. *)
+let reference_flat_ring rule pop =
+  let n = Population.size pop in
+  let ids = pop.Population.ids in
+  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
+  Array.init n (fun node ->
+      let id = ids.(node) in
+      let acc = Link_set.create ~self:node in
+      if n >= 2 then begin
+        Link_set.add acc (Ring.successor_of_id global id);
+        rule global id ~cap:Id.space acc
+      end;
+      Link_set.to_array acc)
+
+(* Cacophony and ND-Crescendo: the leaf ring as the flat DHT; above it,
+   the rule below the lower-level successor distance, then the level's
+   successor. *)
+let reference_level_walk rule rings =
+  let pop = Rings.population rings in
+  let ids = pop.Population.ids in
+  Array.init (Population.size pop) (fun node ->
+      let id = ids.(node) in
+      let acc = Link_set.create ~self:node in
+      let chain = Rings.chain rings node in
+      let leaf_ring = Rings.ring rings chain.(0) in
+      if Ring.size leaf_ring >= 2 then begin
+        Link_set.add acc (Ring.successor_of_id leaf_ring id);
+        rule leaf_ring id ~cap:Id.space acc
+      end;
+      let d_own = ref (Ring.successor_distance leaf_ring id) in
+      for level = 1 to Array.length chain - 1 do
+        let ring = Rings.ring rings chain.(level) in
+        if Ring.size ring >= 2 then begin
+          rule ring id ~cap:!d_own acc;
+          Link_set.add acc (Ring.successor_of_id ring id)
+        end;
+        d_own := min !d_own (Ring.successor_distance ring id)
+      done;
+      Link_set.to_array acc)
+
+let reference_count_range ring lo hi = Ring.rank_at_or_after ring hi - Ring.rank_at_or_after ring lo
+
+let reference_random_in_range rng ring base len =
+  let count = reference_count_range ring base (base + len) in
+  if count = 0 then None
+  else Some (Ring.node_at ring (Ring.rank_at_or_after ring base + Rng.int_below rng count))
+
+let reference_closest_in_bucket ring id k =
+  let lo = ref ((id lxor (1 lsl k)) land lnot ((1 lsl k) - 1)) and len = ref (1 lsl k) in
+  if reference_count_range ring !lo (!lo + !len) = 0 then None
+  else begin
+    while !len > 1 do
+      let half = !len / 2 in
+      let id_bit_set = id land half <> 0 in
+      let preferred = if id_bit_set then !lo + half else !lo in
+      if reference_count_range ring preferred (preferred + half) > 0 then lo := preferred
+      else if not id_bit_set then lo := !lo + half;
+      len := half
+    done;
+    Some (Ring.node_at ring (Ring.rank_at_or_after ring !lo))
+  end
+
+(* Kademlia and Kandy ([Some rng]), CAN and Can-Can ([None]): each
+   bucket filled from the first ring of [chain] with a member in it. *)
+let reference_xor_row rng chain id ~self =
+  let acc = Link_set.create ~self in
+  let filled = Array.make Id.bits false in
+  Array.iter
+    (fun ring ->
+      for k = 0 to Id.bits - 1 do
+        if not filled.(k) then
+          let member =
+            match rng with
+            | None -> reference_closest_in_bucket ring id k
+            | Some rng ->
+                reference_random_in_range rng ring
+                  ((id lxor (1 lsl k)) land lnot ((1 lsl k) - 1))
+                  (1 lsl k)
+          in
+          match member with
+          | None -> ()
+          | Some target ->
+              Link_set.add acc target;
+              filled.(k) <- true
+      done)
+    chain;
+  Link_set.to_array acc
+
+(* Pastry and Canonical Pastry, b = 4: each cell (l, d), d not the
+   node's own digit, filled from the first ring with a member in it. *)
+let reference_pastry_row rng chain id ~self =
+  let digit id l = (id lsr (Id.bits - ((l + 1) * 4))) land 15 in
+  let acc = Link_set.create ~self in
+  let filled = Array.make 128 false in
+  Array.iter
+    (fun ring ->
+      for l = 0 to 7 do
+        for d = 0 to 15 do
+          let slot = (l lsl 4) lor d in
+          if (not filled.(slot)) && d <> digit id l then begin
+            let suffix_bits = Id.bits - ((l + 1) * 4) in
+            let base = ((Id.prefix id (l * 4) lsl 4) lor d) lsl suffix_bits in
+            match reference_random_in_range rng ring base (1 lsl suffix_bits) with
+            | None -> ()
+            | Some target ->
+                Link_set.add acc target;
+                filled.(slot) <- true
+          end
+        done
+      done)
+    chain;
+  Link_set.to_array acc
+
+(* The slot families: flat over the global ring alone, Canonical over
+   each node's domain chain. *)
+let reference_flat_slots row pop =
+  let n = Population.size pop in
+  let ids = pop.Population.ids in
+  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
+  Array.init n (fun node -> row [| global |] ids.(node) ~self:node)
+
+let reference_chain_slots row rings =
+  let pop = Rings.population rings in
+  Array.init (Population.size pop) (fun node ->
+      row
+        (Array.map (Rings.ring rings) (Rings.chain rings node))
+        pop.Population.ids.(node) ~self:node)
+
+(* Crescendo (Prox.): Chord fingers below the root, each capped by the
+   lower-level successor distance; at the root, the successor and one
+   lowest-latency pick of at most 32 sampled members per admissible
+   arc, or the plain finger when the arc holds at most one member. *)
+let reference_crescendo_prox rings ~node_latency =
+  let pop = Rings.population rings in
+  let ids = pop.Population.ids in
+  let root_ring = Rings.ring rings (Domain_tree.root pop.Population.tree) in
+  Array.init (Population.size pop) (fun node ->
+      let id = ids.(node) in
+      let acc = Link_set.create ~self:node in
+      let chain = Rings.chain rings node in
+      let levels = Array.length chain in
+      let d_own = ref Id.space in
+      if levels > 1 then begin
+        let leaf_ring = Rings.ring rings chain.(0) in
+        Array.iter (Link_set.add acc) (Chord.links_of_id leaf_ring id ~self:node);
+        d_own := Ring.successor_distance leaf_ring id
+      end;
+      for level = 1 to levels - 2 do
+        let ring = Rings.ring rings chain.(level) in
+        let k = ref 0 in
+        while !k < Id.bits && 1 lsl !k < !d_own do
+          (match Ring.finger ring id (1 lsl !k) with
+          | Some target when Id.distance id ids.(target) < !d_own -> Link_set.add acc target
+          | _ -> ());
+          incr k
+        done;
+        d_own := min !d_own (Ring.successor_distance ring id)
+      done;
+      if Ring.size root_ring >= 2 then begin
+        let succ = Ring.successor_of_id root_ring id in
+        if Id.distance id ids.(succ) <= !d_own then Link_set.add acc succ
+      end;
+      let k = ref 0 in
+      while !k < Id.bits && 1 lsl !k < !d_own do
+        (match Ring.finger root_ring id (1 lsl !k) with
+        | Some target when Id.distance id ids.(target) < !d_own ->
+            let hi = min (1 lsl (!k + 1)) !d_own in
+            let start = Id.add id (1 lsl !k) in
+            let count = Ring.arc_count root_ring ~start ~len:(hi - (1 lsl !k)) in
+            if count <= 1 then Link_set.add acc target
+            else begin
+              let best = ref target and best_lat = ref (node_latency node target) in
+              let stride = max 1 (count / 32) in
+              let first = Ring.rank_at_or_after root_ring start in
+              let i = ref 0 in
+              while !i < count do
+                let peer = Ring.nth_from root_ring first !i in
+                if peer <> node && node_latency node peer < !best_lat then begin
+                  best := peer;
+                  best_lat := node_latency node peer
+                end;
+                i := !i + stride
+              done;
+              Link_set.add acc !best
+            end
+        | _ -> ());
+        incr k
+      done;
+      Link_set.to_array acc)
+
+(* Integer latencies in 1..4 ms: most candidate arcs hold ties. *)
+let tied_latency u v = if u = v then 0.0 else Float.of_int (1 + (((u * 13) + (v * 7)) mod 4))
+
+(* Every builder of the ring-distance and slot families equals its
+   reference, with one random seed per builder shared by both sides: on
+   the scenario's ragged hierarchy (1 to 4 levels) and on one-level
+   hierarchies, over random, corner and wrapping ids. *)
+let prop_canon_merge_matches_parent sc =
+  let rng = Rng.create (sc.case_seed + 59) in
+  let on_pop pop () =
+    let ids = pop.Population.ids and rings = Rings.build pop in
+    let same what ~got ~expected () =
+      let seed = Rng.int_below rng 1_000_000 in
+      let got = got (Rng.create seed)
+      and expected = Overlay.create pop ~links:(expected (Rng.create seed)) in
+      every_node (Population.size pop) (fun v ->
+          compare_links (Printf.sprintf "%s, node %d" what v)
+            ~expected:(Overlay.links expected v) ~got:(Overlay.links got v))
+    in
+    let long_links r = reference_long_links r ~ids in
+    first_error
+      [
+        same "Symphony" ~got:(fun r -> Symphony.build r pop) ~expected:(fun r ->
+            reference_flat_ring (long_links r) pop);
+        same "Cacophony" ~got:(fun r -> Cacophony.build r rings) ~expected:(fun r ->
+            reference_level_walk (long_links r) rings);
+        same "ND-Chord" ~got:(fun r -> Nd_chord.build r pop) ~expected:(fun r ->
+            reference_flat_ring (reference_bucket_links r) pop);
+        same "ND-Crescendo" ~got:(fun r -> Nd_crescendo.build r rings) ~expected:(fun r ->
+            reference_level_walk (reference_bucket_links r) rings);
+        same "Kademlia" ~got:(fun r -> Kademlia.build r pop) ~expected:(fun r ->
+            reference_flat_slots (reference_xor_row (Some r)) pop);
+        same "Kandy" ~got:(fun r -> Kandy.build r rings) ~expected:(fun r ->
+            reference_chain_slots (reference_xor_row (Some r)) rings);
+        same "CAN" ~got:(fun _ -> Can.build pop) ~expected:(fun _ ->
+            reference_flat_slots (reference_xor_row None) pop);
+        same "Can-Can" ~got:(fun _ -> Can_can.build rings) ~expected:(fun _ ->
+            reference_chain_slots (reference_xor_row None) rings);
+        same "Pastry" ~got:(fun r -> Pastry.build r pop) ~expected:(fun r ->
+            reference_flat_slots (reference_pastry_row r) pop);
+        same "Canonical Pastry" ~got:(fun r -> Pastry.build_canonical r rings) ~expected:(fun r ->
+            reference_chain_slots (reference_pastry_row r) rings);
+        same "Crescendo (Prox.)"
+          ~got:(fun _ ->
+            Proximity.overlay (Proximity.build_crescendo rings ~node_latency:tied_latency))
+          ~expected:(fun _ -> reference_crescendo_prox rings ~node_latency:tied_latency);
+      ]
+  in
+  let one_level pop =
+    { pop with
+      Population.tree = Domain_tree.of_spec Domain_tree.Leaf;
+      leaf_of_node = Array.make (Population.size pop) 0 }
+  in
+  first_error
+    (List.concat_map (fun pop -> [ on_pop pop; on_pop (one_level pop) ]) (sweep_populations rng sc))
+
 let suites =
   [
     ( "prop.latency",
@@ -3135,6 +3420,9 @@ let suites =
           (check ~count:40 ~seed:10139 ~min_n:1 ~max_n:200 prop_duplicate_ids_raise);
         Alcotest.test_case "sweep_fingers rejects ranks behind the sweep" `Quick
           prop_sweep_rejects_backward_ranks;
+        Alcotest.test_case "Canon merge = parent construction" `Quick (fun () ->
+            check ~count:20 ~seed:10149 ~min_n:1 ~max_n:2 prop_canon_merge_matches_parent ();
+            check ~count:25 ~seed:10159 ~min_n:1 ~max_n:120 prop_canon_merge_matches_parent ());
       ] );
     ( "prop.event-loop",
       [

@@ -176,16 +176,24 @@ let crescendo_fixture =
      let rings = Rings.build pop in
      (pop, rings, Crescendo.build rings))
 
+(* With a one-level hierarchy every Canonical DHT is its flat base: the
+   merge of one ring is the flat rule, draw for draw under equal seeds. *)
 let test_crescendo_flat_equals_chord () =
   let pop = make_pop ~seed:3 ~fanout:10 ~levels:1 ~n:512 () in
-  let chord = Chord.build pop in
-  let crescendo = Crescendo.build (Rings.build pop) in
-  for node = 0 to Population.size pop - 1 do
-    let sort l = let l = Array.copy l in Array.sort Int.compare l; l in
-    Alcotest.(check (array int)) "flat crescendo = chord"
-      (sort (Overlay.links chord node))
-      (sort (Overlay.links crescendo node))
-  done
+  let rings = Rings.build pop in
+  let same what flat canonical =
+    for node = 0 to Population.size pop - 1 do
+      Alcotest.(check (array int)) what (Overlay.links flat node) (Overlay.links canonical node)
+    done
+  in
+  let seeded build seed input = build (Rng.create seed) input in
+  same "crescendo = chord" (Chord.build pop) (Crescendo.build rings);
+  same "cacophony = symphony" (seeded Symphony.build 7 pop) (seeded Cacophony.build 7 rings);
+  same "nd-crescendo = nd-chord" (seeded Nd_chord.build 8 pop) (seeded Nd_crescendo.build 8 rings);
+  same "kandy = kademlia" (seeded Kademlia.build 9 pop) (seeded Kandy.build 9 rings);
+  same "can-can = can" (Can.build pop) (Can_can.build rings);
+  same "canonical pastry = pastry" (seeded Pastry.build 10 pop)
+    (seeded Pastry.build_canonical 10 rings)
 
 let test_crescendo_successor_at_every_level () =
   let pop, rings, ov = Lazy.force crescendo_fixture in
