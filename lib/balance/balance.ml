@@ -101,17 +101,16 @@ let select_ids rng scheme ~leaf_of_node =
   done;
   out
 
+(* The arc each of at least two nodes manages: from its id to the next
+   id clockwise. *)
 let partition_sizes ids =
   let n = Array.length ids in
-  if n = 0 then invalid_arg "Balance.partition_sizes: empty";
   let sorted = Array.copy ids in
   Array.sort Int.compare sorted;
   Array.init n (fun i ->
-      let next = sorted.((i + 1) mod n) in
-      let d = Id.distance sorted.(i) next in
-      if d = 0 && n > 1 then invalid_arg "Balance.partition_sizes: duplicate ids"
-      else if n = 1 then Id.space
-      else d)
+      let d = Id.distance sorted.(i) sorted.((i + 1) mod n) in
+      if d = 0 then invalid_arg "Balance.partition_ratio: duplicate ids";
+      d)
 
 let partition_ratio ids =
   if Array.length ids < 2 then Float.nan

@@ -29,13 +29,10 @@ val select_ids :
     scheme and returns the identifier each one chose. [leaf_of_node]
     matters only to [Hierarchical]. All identifiers are distinct. *)
 
-val partition_sizes : Id.t array -> int array
-(** [partition_sizes ids] is the arc each node manages: from its id to
-    the next id clockwise. Sizes sum to [Id.space]. Requires at least
-    one node, all ids distinct. *)
-
 val partition_ratio : Id.t array -> float
-(** max/min partition size; [nan] with fewer than 2 nodes. *)
+(** max/min partition size, a node's partition being the arc from its
+    id to the next id clockwise; [nan] with fewer than 2 nodes. Raises
+    [Invalid_argument] on duplicate ids. *)
 
 val domain_partition_ratio : Id.t array -> members:int array -> float
 (** Partition ratio computed within a sub-ring: each member's partition

@@ -13,7 +13,7 @@ type t = {
 let default_group_size = 16
 
 let group_bits ~n ~group_size =
-  if n <= 0 || group_size <= 0 then invalid_arg "Proximity.group_bits";
+  if n < 0 || group_size <= 0 then invalid_arg "Proximity.group_bits";
   if n <= group_size then 0 else min Id.bits (Id.log2_floor (n / group_size))
 
 let shift_of_bits bits = Id.bits - bits
@@ -73,11 +73,13 @@ let build_chord ?(group_size = default_group_size) pop ~node_latency =
 (* The root rule of Crescendo (Prox.), below [cap]: per k, the Chord
    finger's admissible arc [id + 2^k, id + min(2^(k+1), cap)) --
    condition (a) restricted by condition (b) -- gives one pick, the
-   lowest-latency of at most 32 sampled members (§3.6: at the top level
-   the link rule only prescribes a range, and the node is free to pick
-   the physically closest member, as in the paper's [5]; the paper notes
-   s = 32 suffices). With at most one member in the arc, the finger
-   itself is taken. *)
+   lowest-latency of the finger and the sampled members (§3.6: at the
+   top level the link rule only prescribes a range, and the node is free
+   to pick the physically closest member, as in the paper's [5]; the
+   paper notes s = 32 suffices). The stride [max 1 (count / 32)] samples
+   every member of an arc of fewer than 64 members, so up to 63 of them,
+   and 32 to 48 of a larger arc. With at most one member in the arc, the
+   finger itself is taken. *)
 let add_root_picks ~ids ~node_latency ring id ~self ~cap acc =
   let k = ref 0 in
   while !k < Id.bits && 1 lsl !k < cap do

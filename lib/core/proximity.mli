@@ -16,11 +16,13 @@
       top-level merge each surviving finger picks the lowest-latency
       node among all admissible candidates — the arc
       [\[2{^k}, min(2{^k+1}, d_own))] allowed by conditions (a) and (b)
-      — sampling at most 32 of them (the paper notes s = 32 suffices
-      for proximity neighbour selection). The exact top-level successor
-      is always kept so greedy clockwise routing stays exact. Built by
-      {!Canonical.ring_row} with a rule that is Chord's below the root
-      and the sampled-arc pick at it. *)
+      — sampling every member of an arc of fewer than 64 members and
+      every [count / 32]-th member of a larger one: at most 63
+      candidates, and 32 to 48 on an arc of 64 or more (the paper notes
+      s = 32 suffices for proximity neighbour selection). The exact
+      top-level successor is always kept so greedy clockwise routing
+      stays exact. Built by {!Canonical.ring_row} with a rule that is
+      Chord's below the root and the sampled-arc pick at it. *)
 
 open Canon_overlay
 
@@ -33,9 +35,10 @@ val default_group_size : int
     the [proximity] "chord-prox clique" test reads it. *)
 
 val group_bits : n:int -> group_size:int -> int
-(** [T = max 0 (floor(log2(n / group_size)))]. A test seam: the
-    [proximity] "group bits" test and [prop.router]'s "one driver =
-    historical group and name routing" read it. *)
+(** [T = max 0 (floor(log2(n / group_size)))]; 0 for an empty
+    population. A test seam: the [proximity] "group bits" test and
+    [prop.router]'s "one driver = historical group and name routing"
+    read it. *)
 
 val build_chord :
   ?group_size:int ->

@@ -25,12 +25,16 @@ val build : Population.t -> t
 (** Names are the hierarchy order of [Population.leaf_of_node] (ties by
     node index); numeric identifiers are the population's ids. *)
 
-val size : t -> int
-
 val name_rank : t -> int -> int
-(** Position of a node in name order. *)
+(** Position of a node in name order. A test seam: the [skipnet] "name
+    routing monotone/local" test and [prop.router]'s "one driver
+    = historical group and name routing" read it. *)
 
 val node_of_rank : t -> int -> int
+(** The node at a position of the name order. A test seam: the
+    [skipnet] "name order = hierarchy order" test and
+    [prop.router]'s "one driver = historical group and name routing"
+    read it. *)
 
 val mean_degree : t -> float
 (** Mean number of distinct pointer targets per node. *)

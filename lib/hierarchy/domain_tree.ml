@@ -90,11 +90,6 @@ let lca t a b =
 let is_ancestor t ~anc ~desc =
   t.depth.(anc) <= t.depth.(desc) && ancestor_at_depth t desc t.depth.(anc) = anc
 
-let iter_domains t f =
-  for d = 0 to num_domains t - 1 do
-    f d
-  done
-
 let subtree_leaves t d =
   let acc = ref [] in
   let rec go d =
@@ -103,15 +98,3 @@ let subtree_leaves t d =
   in
   go d;
   Array.of_list (List.rev !acc)
-
-let pp ppf t =
-  let rec go ppf d =
-    if is_leaf t d then Format.fprintf ppf "%d" d
-    else
-      Format.fprintf ppf "%d(%a)" d
-        (Format.pp_print_array
-           ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
-           go)
-        t.children.(d)
-  in
-  go ppf 0

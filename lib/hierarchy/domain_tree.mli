@@ -62,9 +62,7 @@ val ancestor_at_depth : t -> int -> int -> int
 val is_ancestor : t -> anc:int -> desc:int -> bool
 (** Reflexive ancestry test. *)
 
-val iter_domains : t -> (int -> unit) -> unit
-
 val subtree_leaves : t -> int -> int array
-(** Leaves of the subtree rooted at the given domain, left to right. *)
-
-val pp : Format.formatter -> t -> unit
+(** Leaves of the subtree rooted at the given domain, left to right. A
+    test seam: [prop.replication]'s "placement = leaf_sequence
+    reference" properties build their reference from it. *)

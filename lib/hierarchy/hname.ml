@@ -8,10 +8,6 @@ let to_string = function
   | [] -> ""
   | path -> String.concat "." (List.rev path)
 
-let parent = function
-  | [] -> None
-  | path -> Some (List.rev (List.tl (List.rev path)))
-
 let rec is_prefix p q =
   match (p, q) with
   | [], _ -> true
@@ -43,7 +39,6 @@ let rec sort_trie trie =
 type namespace = {
   tree : Domain_tree.t;
   by_name : (string, int) Hashtbl.t;
-  names : t array; (* domain index -> name *)
 }
 
 let namespace_of_leaves leaves =
@@ -64,20 +59,18 @@ let namespace_of_leaves leaves =
   (* Walk the trie in the same preorder as Domain_tree.of_spec numbers
      domains, recording both the spec and the index of every name. *)
   let by_name = Hashtbl.create 64 in
-  let names = ref [] in
   let counter = ref 0 in
   let rec walk trie path =
     let idx = !counter in
     incr counter;
     Hashtbl.replace by_name (to_string (List.rev path)) idx;
-    names := List.rev path :: !names;
     match trie.kids with
     | [] -> Domain_tree.Leaf
     | kids -> Domain_tree.Node (List.map (fun (label, c) -> walk c (label :: path)) kids)
   in
   let spec = walk root [] in
   let tree = Domain_tree.of_spec spec in
-  { tree; by_name; names = Array.of_list (List.rev !names) }
+  { tree; by_name }
 
 let tree ns = ns.tree
 
@@ -85,5 +78,3 @@ let domain_of_name ns name =
   match Hashtbl.find_opt ns.by_name (to_string name) with
   | Some idx -> idx
   | None -> raise Not_found
-
-let name_of_domain ns idx = ns.names.(idx)

@@ -15,15 +15,6 @@ val of_string : string -> t
 (** ["db.cs.stanford"] becomes [["stanford"; "cs"; "db"]] (DNS order is
     most-specific-first; we store root-first). [""] is the root. *)
 
-val to_string : t -> string
-(** Inverse of {!of_string}. *)
-
-val parent : t -> t option
-(** [parent ["a";"b"]] is [Some ["a"]]; [parent []] is [None]. *)
-
-val is_prefix : t -> t -> bool
-(** [is_prefix p q]: does domain [p] contain domain [q]? (Reflexive.) *)
-
 type namespace
 (** A set of leaf names closed into a tree. *)
 
@@ -37,5 +28,3 @@ val tree : namespace -> Domain_tree.t
 
 val domain_of_name : namespace -> t -> int
 (** Domain index of a name; raises [Not_found] for unknown names. *)
-
-val name_of_domain : namespace -> int -> t

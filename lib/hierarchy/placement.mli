@@ -23,4 +23,5 @@ val assign :
 val leaf_population : Domain_tree.t -> int array -> int array
 (** [leaf_population tree leaf_of_node] counts nodes per domain index
     (all domains, not just leaves: an internal domain's count is the sum
-    over its subtree). *)
+    over its subtree). A test seam: the [hierarchy] "placement uniform",
+    "placement zipf" and "placement zipf deeper" tests read it. *)

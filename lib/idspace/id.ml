@@ -12,11 +12,7 @@ let of_int v =
   if v < 0 then invalid_arg "Id.of_int: negative";
   v land mask
 
-let to_int t = t
-
 let equal = Int.equal
-
-let compare = Int.compare
 
 let random rng = Canon_rng.Rng.int_below rng space
 
@@ -35,10 +31,6 @@ let log2_floor d =
   (* Position of the highest set bit. *)
   let rec go k v = if v <= 1 then k else go (k + 1) (v lsr 1) in
   go 0 d
-
-let pp ppf t = Format.fprintf ppf "%08x" t
-
-let to_string t = Format.asprintf "%a" pp t
 
 let common_prefix_bits a b =
   let x = a lxor b in

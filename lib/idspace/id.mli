@@ -26,13 +26,7 @@ val of_int : int -> t
 (** [of_int v] reduces [v] modulo [2{^bits}]; raises [Invalid_argument]
     on negative input. *)
 
-val to_int : t -> int
-
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
-(** Total order by integer value (i.e. position on the ring starting
-    at 0); used to keep rings as sorted arrays. *)
 
 val random : Canon_rng.Rng.t -> t
 (** A uniformly random identifier. *)
@@ -51,18 +45,15 @@ val xor_distance : t -> t -> int
 val in_clockwise_interval : t -> lo:t -> hi:t -> bool
 (** [in_clockwise_interval x ~lo ~hi] is true when walking clockwise
     from [lo] (exclusive) reaches [x] no later than [hi] (inclusive).
-    When [lo = hi] the interval is the whole ring. *)
+    When [lo = hi] the interval is the whole ring. A test seam: the
+    [ring] property "predecessor/successor bracket every key" reads it. *)
 
 val log2_floor : int -> int
 (** [log2_floor d] for [d > 0] is the largest [k] with [2{^k} <= d]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints as zero-padded hexadecimal. *)
-
-val to_string : t -> string
-
 val common_prefix_bits : t -> t -> int
-(** Number of leading bits (out of {!bits}) shared by the two ids. *)
+(** Number of leading bits (out of {!bits}) shared by the two ids. A
+    test seam: the [skipnet] "numeric routing sane" test reads it. *)
 
 val prefix : t -> int -> int
 (** [prefix id k] is the top [k] bits of [id], i.e.

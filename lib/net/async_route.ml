@@ -27,8 +27,3 @@ let failure_to_string = function
   | No_candidate -> "no-candidate"
   | Deadline -> "deadline"
   | Hop_budget -> "hop-budget"
-
-let pp ppf t =
-  Format.fprintf ppf "%s %a (%.1f ms, %d msgs, %d retries, %d reanchors)"
-    (status_to_string t.status) Route.pp t.route t.wall_ms t.messages t.retries
-    t.reanchors

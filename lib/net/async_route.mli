@@ -43,7 +43,11 @@ val delivered : t -> bool
 (** [Delivered] or [Rerouted] — the lookup reached a responsible node. *)
 
 val status_to_string : status -> string
+(** A test seam: [prop.event-loop]'s "Net = always-timer reference
+    loop" prints a mismatching result with it, and the [net]
+    "deterministic" test compares results through it. *)
 
 val failure_to_string : failure -> string
-
-val pp : Format.formatter -> t -> unit
+(** A test seam: [prop.event-loop]'s "Net = always-timer reference
+    loop" prints a mismatching result with it, and the [net] "blocked
+    without leaf sets" test reads it. *)

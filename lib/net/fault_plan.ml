@@ -22,8 +22,6 @@ let none ~n = create ~n ()
 
 let size t = t.n
 
-let loss t = t.loss
-
 let set_loss t loss =
   check_loss loss;
   t.loss <- loss
@@ -44,18 +42,6 @@ let is_crashed t v =
   t.crashed.(v)
 
 let crashed_count t = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 t.crashed
-
-let crashed_nodes t =
-  let out = Array.make (crashed_count t) 0 in
-  let j = ref 0 in
-  Array.iteri
-    (fun v c ->
-      if c then begin
-        out.(!j) <- v;
-        incr j
-      end)
-    t.crashed;
-  out
 
 let crash_random t rng ~fraction ?(protect = fun _ -> false) () =
   if not (Float.is_finite fraction) || fraction < 0.0 || fraction > 1.0 then
@@ -78,10 +64,6 @@ let slow t v ~factor =
   if not (Float.is_finite factor) || factor < 1.0 then
     invalid_arg "Fault_plan.slow: factor must be >= 1";
   t.slow.(v) <- factor
-
-let multiplier t v =
-  check_node t v "multiplier";
-  t.slow.(v)
 
 let edge_multiplier t u v =
   check_node t u "edge_multiplier";

@@ -34,22 +34,27 @@ val none : n:int -> t
 
 val size : t -> int
 
-val loss : t -> float
-
 val set_loss : t -> float -> unit
-(** Raises [Invalid_argument] unless [0 <= loss <= 1]. *)
+(** Raises [Invalid_argument] unless [0 <= loss <= 1]. A test seam: the
+    [net] "loss draws" and [replicated-store] "GC spares the last
+    reachable copy" tests read it. *)
 
 val crash : t -> int -> unit
-(** Marks a node crashed (idempotent). *)
+(** Marks a node crashed (idempotent). A test seam: the [net] tests that
+    crash chosen hops ("reroutes around a crashed hop", ...), the
+    [replicated-store] read-repair tests and [prop.event-loop]'s "Net
+    = always-timer reference loop" read it. *)
 
 val revive : t -> int -> unit
+(** A test seam: the [replicated-store] "read-repair: pinned
+    hand-counted metrics" and "GC spares the last reachable copy" tests
+    read it. *)
 
 val is_crashed : t -> int -> bool
 
 val crashed_count : t -> int
-
-val crashed_nodes : t -> int array
-(** Crashed node indices in increasing order. *)
+(** A test seam: the [net] "crash domain" and "crash random with
+    protect" tests read it. *)
 
 val crash_random :
   t -> Canon_rng.Rng.t -> fraction:float -> ?protect:(int -> bool) -> unit -> unit
@@ -62,14 +67,13 @@ val crash_domain : t -> Population.t -> domain:int -> unit
 
 val slow : t -> int -> factor:float -> unit
 (** Sets a node's latency multiplier. Raises [Invalid_argument] unless
-    [factor >= 1]. [factor = 1] restores normal speed. *)
-
-val multiplier : t -> int -> float
-(** The node's latency multiplier (1 unless {!slow} raised it). *)
+    [factor >= 1]. [factor = 1] restores normal speed. A test seam: the
+    [net] "routes around a slow node" test and [prop.event-loop]'s "Net
+    = always-timer reference loop" read it. *)
 
 val edge_multiplier : t -> int -> int -> float
 (** [edge_multiplier t u v] scales a message from [u] to [v]: the product
-    of both endpoints' multipliers. *)
+    of both endpoints' multipliers (each 1 unless {!slow} raised it). *)
 
 val draw_lost : t -> Canon_rng.Rng.t -> bool
 (** One per-message loss trial. Never consumes randomness when

@@ -141,10 +141,6 @@ val abandon : t -> pending -> now:float -> Async_route.t
 
 val suspected_nodes : t -> int array
 (** Nodes the network currently believes dead (retry budgets exhausted
-    against them by lookups still in flight), in increasing order. *)
-
-val reanchor_candidate : t -> at:int -> key:Id.t -> int option
-(** The leaf-set fallback [at] would use for [key] right now: the
-    nearest non-suspect leaf-set successor making clockwise progress
-    without overshooting. [None] without [rings] or when every candidate
-    is suspect/overshoots. Exposed for tests and diagnostics. *)
+    against them by lookups still in flight), in increasing order. A
+    test seam: the [net] "suspicions last one lookup" test and
+    [prop.event-loop]'s "Net = always-timer reference loop" read it. *)

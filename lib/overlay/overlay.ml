@@ -56,8 +56,6 @@ let id t node = t.population.Population.ids.(node)
 
 let links t node = t.links.(node)
 
-let degree t node = Array.length t.links.(node)
-
 let degrees t = Array.map Array.length t.links
 
 let mean_degree t =

@@ -41,14 +41,14 @@ val links : t -> int -> int array
     synchronous clockwise step ({!Canon_core.Router.step_clockwise})
     finds its hop by one binary search over them. *)
 
-val degree : t -> int -> int
-
 val degrees : t -> int array
 (** Out-degree of every node. *)
 
 val mean_degree : t -> float
 
 val has_link : t -> int -> int -> bool
+(** A test seam: the [chord] "successor links", [crescendo] "successor
+    at every level" and [proximity] "chord-prox clique" tests read it. *)
 
 val iter_links : t -> (int -> int -> unit) -> unit
 (** [iter_links t f] calls [f src dst] for every directed link. *)

@@ -41,24 +41,6 @@ let create ~capacity =
 
 let capacity t = Bytes.length t.ids lsr 2
 
-let of_sorted_members ~ids ~members =
-  let k = Array.length members in
-  let t = create ~capacity:k in
-  for rank = 0 to k - 1 do
-    let node = members.(rank) in
-    let id = ids.(node) in
-    check_slot ~id ~node;
-    if rank > 0 && id <= get_id t.ids (rank - 1) then
-      raise
-        (Invalid_argument
-           (if id = get_id t.ids (rank - 1) then "Ring: duplicate identifiers"
-            else "Ring.of_sorted_members: members out of order"));
-    set t.ids rank id;
-    set t.nodes rank node
-  done;
-  t.size <- k;
-  t
-
 (* Least significant byte first, one counting pass per byte: a stable
    sort in O(Id.bits / 8 * (k + 256)) with no comparison closure, whose
    calls took most of the time of a comparison sort of 32768 members. *)
@@ -86,7 +68,20 @@ let sort_by_id ids members =
   done;
   !src
 
-let of_members ~ids ~members = of_sorted_members ~ids ~members:(sort_by_id ids members)
+let of_members ~ids ~members =
+  let members = sort_by_id ids members in
+  let k = Array.length members in
+  let t = create ~capacity:k in
+  for rank = 0 to k - 1 do
+    let node = members.(rank) in
+    let id = ids.(node) in
+    check_slot ~id ~node;
+    if rank > 0 && id = get_id t.ids (rank - 1) then invalid_arg "Ring: duplicate identifiers";
+    set t.ids rank id;
+    set t.nodes rank node
+  done;
+  t.size <- k;
+  t
 
 let size t = t.size
 

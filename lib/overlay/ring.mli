@@ -23,15 +23,9 @@ type t
 
 val of_members : ids:Id.t array -> members:int array -> t
 (** [of_members ~ids ~members] builds the ring of the node indices in
-    [members], where [ids.(node)] is each node's identifier: one sort,
-    then {!of_sorted_members}. Raises [Invalid_argument] if two members
-    share an identifier. *)
-
-val of_sorted_members : ids:Id.t array -> members:int array -> t
-(** {!of_members} for [members] already in increasing identifier order:
-    O(size), no sort. [members] is copied into the ring's buffers, so
-    the caller keeps it. Raises [Invalid_argument] if two members share
-    an identifier or are out of order. *)
+    [members], where [ids.(node)] is each node's identifier: one radix
+    sort, then one pass. The caller keeps [members]. Raises
+    [Invalid_argument] if two members share an identifier. *)
 
 val create : capacity:int -> t
 (** An empty ring with room for [capacity] members before its buffers

@@ -1,17 +1,11 @@
 type t = { nodes : int array }
 
-let singleton node = { nodes = [| node |] }
-
 let hops t = Array.length t.nodes - 1
-
-let source t = t.nodes.(0)
 
 let destination t = t.nodes.(Array.length t.nodes - 1)
 
 let edges t =
   Array.init (max 0 (hops t)) (fun i -> (t.nodes.(i), t.nodes.(i + 1)))
-
-let mem t node = Array.exists (Int.equal node) t.nodes
 
 let latency t ~node_latency =
   let total = ref 0.0 in
@@ -47,10 +41,3 @@ let domain_crossings t ~domain_of_node =
   Array.fold_left
     (fun acc (u, v) -> if domain_of_node u <> domain_of_node v then acc + 1 else acc)
     0 (edges t)
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
-       Format.pp_print_int)
-    t.nodes

@@ -6,19 +6,13 @@
 
 type t = { nodes : int array }
 
-val singleton : int -> t
-
 val hops : t -> int
 (** Number of overlay edges traversed, [length - 1]. *)
-
-val source : t -> int
 
 val destination : t -> int
 
 val edges : t -> (int * int) array
 (** Directed edges in traversal order. *)
-
-val mem : t -> int -> bool
 
 val latency :
   t -> node_latency:(int -> int -> float) -> float
@@ -36,6 +30,5 @@ val domain_crossings :
   t -> domain_of_node:(int -> int) -> int
 (** Number of edges whose endpoints lie in different domains under the
     given assignment — the "inter-domain links" of the multicast
-    experiment (Fig. 9). *)
-
-val pp : Format.formatter -> t -> unit
+    experiment (Fig. 9). A test seam: the [workload] "multicast
+    convergence advantage" test reads it. *)

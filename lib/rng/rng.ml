@@ -4,8 +4,6 @@ let create seed = Splitmix64.create (Int64.of_int seed)
 
 let split = Splitmix64.split
 
-let copy = Splitmix64.copy
-
 let bits64 = Splitmix64.next
 
 (* Top 62 bits as a non-negative OCaml int. *)
@@ -22,10 +20,6 @@ let int_below t n =
     if v < limit then v mod n else draw ()
   in
   draw ()
-
-let int_in_range t ~lo ~hi =
-  if lo > hi then invalid_arg "Rng.int_in_range: lo > hi";
-  lo + int_below t (hi - lo + 1)
 
 let float t =
   (* 53 random bits scaled to [0,1). *)
@@ -45,30 +39,6 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample_without_replacement t k n =
-  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
-  if 3 * k >= n then begin
-    (* Dense case: shuffle a full index array and take a prefix. *)
-    let a = Array.init n (fun i -> i) in
-    shuffle_in_place t a;
-    Array.sub a 0 k
-  end
-  else begin
-    (* Sparse case: draw with rejection into a hash set. *)
-    let seen = Hashtbl.create (2 * k) in
-    let out = Array.make k 0 in
-    let filled = ref 0 in
-    while !filled < k do
-      let v = int_below t n in
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        out.(!filled) <- v;
-        incr filled
-      end
-    done;
-    out
-  end
 
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";

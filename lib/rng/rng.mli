@@ -16,19 +16,9 @@ val split : t -> t
     Use one sub-stream per logical component (placement, workload, ...)
     so that adding draws to one component never shifts another. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state. *)
-
-val bits64 : t -> int64
-(** 64 uniform bits. *)
-
 val int_below : t -> int -> int
 (** [int_below t n] is uniform on [0, n). Requires [n > 0]. Unbiased
     (rejection sampling). *)
-
-val int_in_range : t -> lo:int -> hi:int -> int
-(** [int_in_range t ~lo ~hi] is uniform on [lo, hi] inclusive.
-    Requires [lo <= hi]. *)
 
 val float : t -> float
 (** Uniform on [0, 1). *)
@@ -41,10 +31,6 @@ val pick : t -> 'a array -> 'a
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)
-
-val sample_without_replacement : t -> int -> int -> int array
-(** [sample_without_replacement t k n] draws [k] distinct integers from
-    [0, n), in random order. Requires [0 <= k <= n]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponential variate with the given mean (for churn inter-arrivals). *)

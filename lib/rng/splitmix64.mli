@@ -12,9 +12,6 @@ type t
 val create : int64 -> t
 (** [create seed] returns a fresh generator initialised from [seed]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val next : t -> int64
 (** [next t] advances [t] and returns 64 uniformly distributed bits. *)
 

@@ -44,10 +44,9 @@ type hook =
   | Join of int  (** a node just completed the §2.3 join protocol *)
   | Leave of int  (** a node just completed a graceful leave *)
       (** Membership events reported to [?on_event] so layers above the
-          overlay (e.g. {!Canon_storage.Replicated_store} re-replication
-          or a [Canon_net] live-membership view) can track the churned
-          membership. Handlers run after the maintenance protocol
-          settles and must not consume the churn RNG. *)
+          overlay (e.g. a [Canon_net] live-membership view) can track
+          the churned membership. Handlers run after the maintenance
+          protocol settles and must not consume the churn RNG. *)
 
 val run :
   ?on_event:(hook -> unit) ->

@@ -105,7 +105,10 @@ val crash : t -> int -> unit
 
 val stale_nodes : t -> int array
 (** Live nodes currently holding at least one link to a crashed node,
-    in increasing node order. *)
+    in increasing node order. A test seam: the [crash-recovery] "crash +
+    repair equivalence" and "events in crash window, then repair" tests
+    and [prop.maintenance]'s "crash window: non-stale nodes exact,
+    repair heals" read it. *)
 
 val repair : t -> stats
 (** Failure detection and repair: every live node holding a stale link

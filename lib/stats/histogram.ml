@@ -23,22 +23,3 @@ let total t = t.total
 let max_value t =
   let rec go i = if i < 0 then 0 else if t.counts.(i) > 0 then i else go (i - 1) in
   go (Array.length t.counts - 1)
-
-let pdf t =
-  if t.total = 0 then []
-  else begin
-    let out = ref [] in
-    for v = Array.length t.counts - 1 downto 0 do
-      if t.counts.(v) > 0 then
-        out := (v, Float.of_int t.counts.(v) /. Float.of_int t.total) :: !out
-    done;
-    !out
-  end
-
-let pp ppf t =
-  let bars = pdf t in
-  List.iter
-    (fun (v, f) ->
-      let width = int_of_float (f *. 200.0) in
-      Format.fprintf ppf "%4d | %-50s %.4f@." v (String.make (min width 50) '#') f)
-    bars

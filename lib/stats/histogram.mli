@@ -17,10 +17,3 @@ val total : t -> int
 
 val max_value : t -> int
 (** Largest value observed; 0 if empty. *)
-
-val pdf : t -> (int * float) list
-(** [(value, fraction)] pairs for every value with non-zero count, in
-    increasing value order. Fractions sum to 1 (when non-empty). *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders the PDF as an ASCII bar chart. *)

@@ -26,7 +26,9 @@ val rows : t -> string list list
     the qualitative shape of experiment output). *)
 
 val render : t -> string
-(** The table as an aligned ASCII string (ends with a newline). *)
+(** The table as an aligned ASCII string (ends with a newline). A test
+    seam: [test/golden] diffs and digests every experiment table through
+    it, and the [stats] "table render" test reads it. *)
 
 val print : t -> unit
 (** [render] to stdout. *)

@@ -6,11 +6,6 @@
     generic finite Zipf sampler (also used for key popularity in the
     caching workload). *)
 
-val weights : n:int -> alpha:float -> float array
-(** [weights ~n ~alpha] is the normalised array [w] with
-    [w.(k) = (1/(k+1)^alpha) / H] where [H] normalises the sum to 1.
-    Requires [n > 0]. *)
-
 type sampler
 
 val sampler : n:int -> alpha:float -> sampler

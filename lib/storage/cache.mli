@@ -31,7 +31,9 @@ val create : Rings.t -> capacity:int -> t
 
 val proxy : t -> domain:int -> key:Id.t -> int
 (** The proxy node [p(Q, D)]: closest predecessor of the key in the
-    domain's ring. Raises [Invalid_argument] on an empty domain. *)
+    domain's ring. Raises [Invalid_argument] on an empty domain. A test
+    seam: the [cache] "proxy = predecessor" test pins the proxy that
+    {!query} caches at to the ring predecessor. *)
 
 val query : t -> Store.t -> Overlay.t -> querier:int -> key:Id.t -> result option
 (** Routes toward the key, stopping early at any visible cached copy;
@@ -40,4 +42,5 @@ val query : t -> Store.t -> Overlay.t -> querier:int -> key:Id.t -> result optio
     annotations. *)
 
 val entries : t -> node:int -> int
-(** Number of cached entries held by a node. *)
+(** Number of cached entries held by a node. A test seam: the [cache]
+    "eviction respects capacity" test reads it. *)

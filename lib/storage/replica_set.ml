@@ -8,11 +8,6 @@ type spread =
 
 let spread_to_string = function Flat -> "flat" | Sibling -> "sibling"
 
-let spread_of_string = function
-  | "flat" -> Some Flat
-  | "sibling" -> Some Sibling
-  | _ -> None
-
 (* Rank of the member responsible for [key] under the paper's
    closest-at-or-below rule (the rank-level twin of
    [Ring.predecessor_of_id]). Requires a non-empty ring. *)
@@ -29,8 +24,8 @@ let responsible_rank ring ~key =
    When the full-ring responsible is dead, the walk starts at the
    nearest live member counter-clockwise from it — the node that IS
    responsible on the ring restricted to live members. This keeps
-   placement identical to what re-replication converges to once the
-   dead members are actually removed from the ring. *)
+   placement identical to placement once the dead members are actually
+   removed from the ring. *)
 let walk_ring ring ~key ~alive ~taken f =
   let size = Ring.size ring in
   if size > 0 then begin

@@ -55,8 +55,6 @@ type spread =
 val spread_to_string : spread -> string
 (** ["flat"] / ["sibling"]. *)
 
-val spread_of_string : string -> spread option
-
 val compute :
   ?alive:(int -> bool) ->
   Rings.t ->

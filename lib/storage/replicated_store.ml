@@ -16,8 +16,6 @@ let stale_reads_counter = Metrics.counter "replication.stale_reads"
 
 let read_repairs_counter = Metrics.counter "replication.read_repairs"
 
-let rereplications_counter = Metrics.counter "replication.rereplications"
-
 let gc_counter = Metrics.counter "replication.gc_copies"
 
 type entry = {
@@ -73,13 +71,6 @@ let live t v =
   match t.net with
   | None -> true
   | Some net -> not (Fault_plan.is_crashed (Net.plan net) v)
-
-let members t =
-  let out = ref [] in
-  for v = Array.length t.present - 1 downto 0 do
-    if t.present.(v) then out := v :: !out
-  done;
-  Array.of_list !out
 
 (* Can [src] contact replica [target] right now? Direct mode: any live
    node. Net mode: a lookup for the target's own id must terminate at
@@ -225,83 +216,3 @@ let get t ~querier ~key =
                 end)
               probed_extras;
           Some fresh.value)
-
-(* Re-replication after a membership change (the §2.3 maintenance
-   channel — contacts are direct, not simulated lookups). [handoff] is a
-   gracefully departing node: its copies serve as sources one last time,
-   then are dropped. *)
-let rereplicate ?handoff t =
-  let is_handoff v = match handoff with Some h -> h = v | None -> false in
-  Hashtbl.iter
-    (fun key meta ->
-      let hs = holders_of t meta ~key in
-      let best = ref (None : entry option) in
-      List.iter
-        (fun v ->
-          if live t v || is_handoff v then
-            match Hashtbl.find_opt t.tables.(v) key with
-            | Some e -> (
-                match !best with
-                | Some b when b.version >= e.version -> ()
-                | _ -> best := Some e)
-            | None -> ())
-        meta.copies;
-      (match !best with
-      | None -> () (* no live copy anywhere: the key is lost *)
-      | Some fresh ->
-          Array.iter
-            (fun h ->
-              let behind =
-                match Hashtbl.find_opt t.tables.(h) key with
-                | None -> true
-                | Some e -> e.version < fresh.version
-              in
-              if behind then begin
-                Hashtbl.replace t.tables.(h) key fresh;
-                add_copy meta h;
-                Metrics.incr rereplications_counter
-              end)
-            hs);
-      (* Ex-holders drop their copies; copies at crashed nodes linger
-         until a read reaches them. *)
-      List.iter
-        (fun v ->
-          if (not (Array.mem v hs)) && (live t v || is_handoff v) then begin
-            Hashtbl.remove t.tables.(v) key;
-            drop_copy meta v;
-            Metrics.incr gc_counter
-          end)
-        meta.copies)
-    t.directory
-
-let check_direct t fn =
-  if t.net <> None then
-    invalid_arg
-      (Printf.sprintf
-         "Replicated_store.%s: membership churn is direct-mode only (use the fault \
-          plan in net mode)"
-         fn)
-
-let join t v =
-  check_direct t "join";
-  if v < 0 || v >= Array.length t.present then
-    invalid_arg "Replicated_store.join: node out of range";
-  if t.present.(v) then invalid_arg "Replicated_store.join: node already present";
-  t.present.(v) <- true;
-  Rings.add_node t.rings v;
-  rereplicate t
-
-let leave t v =
-  check_direct t "leave";
-  if v < 0 || v >= Array.length t.present then
-    invalid_arg "Replicated_store.leave: node out of range";
-  if not t.present.(v) then invalid_arg "Replicated_store.leave: node not present";
-  t.present.(v) <- false;
-  Rings.remove_node t.rings v;
-  rereplicate ~handoff:v t
-
-let churn_hook t = function
-  | Canon_sim.Churn.Init initial ->
-      Array.iter (fun v -> if not t.present.(v) then join t v) initial
-  | Canon_sim.Churn.Join v -> join t v
-  | Canon_sim.Churn.Leave v -> leave t v

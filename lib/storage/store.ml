@@ -78,20 +78,18 @@ let resolve_pointer t key holder =
         (function Content { value; _ } -> Some value | Pointer _ -> None)
         entries
 
-let walk overlay ~querier ~key f =
-  let route = Router.greedy_clockwise overlay ~src:querier ~key in
-  let nodes = route.Route.nodes in
-  let rec go i acc =
-    if i >= Array.length nodes then List.rev acc
-    else begin
-      let prefix = Route.{ nodes = Array.sub nodes 0 (i + 1) } in
-      match f nodes.(i) prefix with
-      | `Stop x -> List.rev (x :: acc)
-      | `Take x -> go (i + 1) (x :: acc)
-      | `Continue -> go (i + 1) acc
-    end
+(* The first [Some] that [f node path] gives along the greedy route
+   from [querier] toward [key], [path] being the route up to [node]. *)
+let first_on_route overlay ~querier ~key f =
+  let nodes = (Router.greedy_clockwise overlay ~src:querier ~key).Route.nodes in
+  let rec go i =
+    if i >= Array.length nodes then None
+    else
+      match f nodes.(i) Route.{ nodes = Array.sub nodes 0 (i + 1) } with
+      | Some _ as hit -> hit
+      | None -> go (i + 1)
   in
-  go 0 []
+  go 0
 
 let complete_hit t key h =
   match h.via_pointer with
@@ -102,25 +100,12 @@ let complete_hit t key h =
       | None -> None)
 
 let lookup t overlay ~querier ~key =
-  let results =
-    walk overlay ~querier ~key (fun node path ->
-        match hits_at t ~querier ~key node with
-        | [] -> `Continue
-        | entry :: _ -> `Stop (hit_of_entry ~found_at:node ~path entry))
-  in
-  match results with
-  | [] -> None
-  | h :: _ -> complete_hit t key h
-
-let lookup_all t overlay ~querier ~key =
-  let results =
-    walk overlay ~querier ~key (fun node path ->
-        match hits_at t ~querier ~key node with
-        | [] -> `Continue
-        | entries ->
-            `Take (List.map (hit_of_entry ~found_at:node ~path) entries))
-  in
-  List.concat results |> List.filter_map (complete_hit t key)
+  Option.bind
+    (first_on_route overlay ~querier ~key (fun node path ->
+         match hits_at t ~querier ~key node with
+         | [] -> None
+         | entry :: _ -> Some (hit_of_entry ~found_at:node ~path entry)))
+    (complete_hit t key)
 
 let probe t ~querier ~key ~node =
   match hits_at t ~querier ~key node with

@@ -234,14 +234,3 @@ let of_string s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let to_int = function Int n -> Some n | _ -> None
-
-let to_float = function
-  | Float x -> Some x
-  | Int n -> Some (Float.of_int n)
-  | _ -> None
-
-let to_list = function List xs -> Some xs | _ -> None
-
-let to_str = function String s -> Some s | _ -> None

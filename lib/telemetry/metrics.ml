@@ -56,7 +56,6 @@ let gauge name =
 
 let set g x = g.g <- x
 
-let gauge_value g = g.g
 
 let default_buckets =
   [| 0.5; 1.0; 2.5; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 1000.0; 2500.0; 5000.0; 10000.0 |]

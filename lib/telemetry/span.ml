@@ -32,22 +32,12 @@ let make ~id ~kind ~key ~outcome ~nodes ~level ?latency () =
   in
   { id; kind; src = nodes.(0); key; outcome; events }
 
-let hops t = Array.length t.events - 1
-
 let path t = Array.map (fun e -> e.node) t.events
-
-let total_latency t = t.events.(Array.length t.events - 1).cum_latency
 
 let outcome_to_string = function
   | Arrived -> "arrived"
   | Stuck -> "stuck"
   | Stranded -> "stranded"
-
-let outcome_of_string = function
-  | "arrived" -> Some Arrived
-  | "stuck" -> Some Stuck
-  | "stranded" -> Some Stranded
-  | _ -> None
 
 let to_json t =
   Json.Obj
@@ -57,7 +47,7 @@ let to_json t =
       ("src", Json.Int t.src);
       ("key", Json.Int t.key);
       ("outcome", Json.String (outcome_to_string t.outcome));
-      ("hops", Json.Int (hops t));
+      ("hops", Json.Int (Array.length t.events - 1));
       ( "events",
         Json.List
           (Array.to_list
@@ -73,40 +63,3 @@ let to_json t =
     ]
 
 let to_jsonl t = Json.to_string (to_json t)
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "span: missing or malformed %S" name)
-
-let event_of_json json =
-  let* node = field "node" Json.to_int json in
-  let* level = field "level" Json.to_int json in
-  let* cum_latency = field "lat" Json.to_float json in
-  Ok { node; level; cum_latency }
-
-let of_json json =
-  let* id = field "id" Json.to_int json in
-  let* kind = field "kind" Json.to_str json in
-  let* src = field "src" Json.to_int json in
-  let* key = field "key" Json.to_int json in
-  let* outcome_s = field "outcome" Json.to_str json in
-  let* outcome =
-    match outcome_of_string outcome_s with
-    | Some o -> Ok o
-    | None -> Error (Printf.sprintf "span: unknown outcome %S" outcome_s)
-  in
-  let* events = field "events" Json.to_list json in
-  let* events =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        let* ev = event_of_json e in
-        Ok (ev :: acc))
-      (Ok []) events
-  in
-  let events = Array.of_list (List.rev events) in
-  if Array.length events = 0 then Error "span: empty event list"
-  else Ok { id; kind; src; key; outcome; events }

@@ -7,7 +7,7 @@
     reach it, and the cumulative physical latency from the source.
 
     Invariants (asserted by the test suite):
-    - [hops t = Array.length t.events - 1];
+    - the hop count is [Array.length t.events - 1];
     - cumulative latency is non-decreasing along the events;
     - [path t] equals the corresponding {!Canon_overlay.Route.t} node
       sequence for spans recorded by the router hooks.
@@ -51,20 +51,18 @@ val make :
     gives the link level of each traversed edge, [latency u v] (when
     supplied) its physical cost. [nodes] must be non-empty. *)
 
-val hops : t -> int
-
 val path : t -> int array
-(** The visited nodes in order (copies; spans are immutable). *)
-
-val total_latency : t -> float
-(** Cumulative latency at the last event; 0 for a single-node span. *)
+(** The visited nodes in order (copies; spans are immutable). A test
+    seam: the [telemetry] span tests, the [net] "telemetry" test and
+    [prop.router]'s "one driver = historical engines, overlays" read
+    it. *)
 
 val outcome_to_string : outcome -> string
-
-val to_json : t -> Json.t
+(** The [outcome] field of {!to_jsonl}. A test seam: [prop.router]'s
+    "one driver = historical engines, overlays" prints a mismatching
+    span with it. *)
 
 val to_jsonl : t -> string
-(** One compact JSON object, no newline — a JSONL line body. *)
-
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; [Error] names the first malformed field. *)
+(** One compact JSON object, no newline — a JSONL line body with the
+    fields [id], [kind], [src], [key], [outcome], [hops] and [events],
+    each event an object [{node, level, lat}]. *)

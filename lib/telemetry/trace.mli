@@ -60,7 +60,9 @@ val emitted : t -> int
 
 val spans : t -> Span.t list
 (** Retained spans, oldest first — at most [capacity], the most recent
-    ones. *)
+    ones. A test seam: the [telemetry] span tests, the [net] "telemetry"
+    test and [prop.router]'s "one driver = historical engines, overlays"
+    read it. *)
 
 val flush : t -> unit
 (** Closes the sink (flushing a file sink to disk). *)

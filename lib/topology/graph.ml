@@ -1,16 +1,13 @@
 type t = {
   n : int;
   adj : (int * float) list array; (* adjacency lists, built incrementally *)
-  mutable edges : int;
 }
 
 let create n =
   if n <= 0 then invalid_arg "Graph.create: need at least one vertex";
-  { n; adj = Array.make n []; edges = 0 }
+  { n; adj = Array.make n [] }
 
 let num_vertices g = g.n
-
-let num_edges g = g.edges
 
 let check_vertex g v =
   if v < 0 || v >= g.n then invalid_arg "Graph: vertex out of range"
@@ -27,16 +24,11 @@ let add_edge g u v w =
   if w <= 0.0 then invalid_arg "Graph.add_edge: non-positive weight";
   if has_edge g u v then invalid_arg "Graph.add_edge: duplicate edge";
   g.adj.(u) <- (v, w) :: g.adj.(u);
-  g.adj.(v) <- (u, w) :: g.adj.(v);
-  g.edges <- g.edges + 1
+  g.adj.(v) <- (u, w) :: g.adj.(v)
 
 let neighbors g v =
   check_vertex g v;
   Array.of_list g.adj.(v)
-
-let degree g v =
-  check_vertex g v;
-  List.length g.adj.(v)
 
 (* A small array-based binary min-heap of (distance, vertex) pairs.
    Stale entries are skipped at pop time (lazy deletion). *)

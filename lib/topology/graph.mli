@@ -10,9 +10,6 @@ val create : int -> t
 
 val num_vertices : t -> int
 
-val num_edges : t -> int
-(** Number of undirected edges. *)
-
 val add_edge : t -> int -> int -> float -> unit
 (** [add_edge g u v w] adds the undirected edge [{u, v}] with weight
     [w > 0]. Self-loops and duplicate edges are rejected with
@@ -21,9 +18,8 @@ val add_edge : t -> int -> int -> float -> unit
 val has_edge : t -> int -> int -> bool
 
 val neighbors : t -> int -> (int * float) array
-(** Adjacent vertices with edge weights. *)
-
-val degree : t -> int -> int
+(** Adjacent vertices with edge weights. A test seam: the [topology]
+    "stub domains have one exit edge" test reads it. *)
 
 val dijkstra : t -> int -> float array
 (** [dijkstra g src] is the array of shortest-path distances from
@@ -37,4 +33,5 @@ val dijkstra_within : t -> first:int -> count:int -> int -> float array
 
 val is_connected : t -> bool
 (** True when every vertex is reachable from vertex 0 (true for the
-    empty graph with a single vertex). *)
+    empty graph with a single vertex). A test seam: the [topology]
+    "transit-stub shape" and "custom params" tests read it. *)

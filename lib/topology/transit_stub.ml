@@ -172,11 +172,6 @@ let stub_routers t = t.stub_routers
 
 let hierarchy t = t.hierarchy
 
-let leaf_of_stub_router t v =
-  if v < t.transit_count || v >= num_routers t then
-    invalid_arg "Transit_stub.leaf_of_stub_router: not a stub router";
-  t.leaves.(v - t.transit_count)
-
 let stub_router_of_leaf t leaf =
   (* Leaves array is sorted in left-to-right order matching vertices. *)
   let rec search lo hi =

@@ -55,12 +55,9 @@ val hierarchy : t -> Canon_hierarchy.Domain_tree.t
 (** The induced five-level domain tree (four levels of internal domains
     below the root would be depth 4; leaves are stub routers at depth 4). *)
 
-val leaf_of_stub_router : t -> int -> int
-(** Maps a stub-router vertex to its leaf domain in {!hierarchy}.
-    Raises [Invalid_argument] for transit vertices. *)
-
 val stub_router_of_leaf : t -> int -> int
-(** Inverse of {!leaf_of_stub_router}. *)
+(** Maps a leaf domain of {!hierarchy} to its stub-router vertex.
+    Raises [Invalid_argument] for any other domain. *)
 
 (** {2 Stub domains}
 

@@ -10,8 +10,6 @@ let keyspace rng ~keys =
 
 let key t i = t.keys.(i)
 
-let num_keys t = Array.length t.keys
-
 let zipf_key t sampler rng = t.keys.(Canon_stats.Zipf.draw sampler rng)
 
 type locality_query = {

@@ -15,11 +15,6 @@ val keyspace : Canon_rng.Rng.t -> keys:int -> keyspace
 val key : keyspace -> int -> Id.t
 (** The i-th key of the universe. *)
 
-val num_keys : keyspace -> int
-
-val zipf_key : keyspace -> Canon_stats.Zipf.sampler -> Canon_rng.Rng.t -> Id.t
-(** A key drawn by Zipfian popularity rank. *)
-
 type locality_query = {
   querier : int;
   key : Id.t;

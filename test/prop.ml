@@ -191,7 +191,7 @@ let prop_flat_is_successor_run sc =
     else begin
       let start = ref (m - 1) in
       Array.iteri
-        (fun i v -> if Id.compare sc.pop.Population.ids.(v) key <= 0 then start := i)
+        (fun i v -> if sc.pop.Population.ids.(v) <= key then start := i)
         live_members;
       (* [start] is the last index with id <= key thanks to the upward
          scan; when none qualifies it stays at m - 1 (the wrap). *)
@@ -1515,7 +1515,7 @@ let reference_skipnet_pointers pop sk =
 let reference_route_by_name sk ~pointers ~src ~dst =
   let rank = Skipnet.name_rank sk in
   let target = rank dst in
-  let max_hops = Skipnet.size sk + 1 in
+  let max_hops = Array.length pointers + 1 in
   let rec go u acc hops =
     if u = dst then Routed (path_of u acc)
     else if hops >= max_hops then Stuck_at { at = u; key = target; hops; path = path_of u acc }
@@ -3001,8 +3001,7 @@ let prop_sweep_rejects_backward_ranks () =
       | exception Invalid_argument _ -> ())
     [ 1; 4 ]
 
-(* Two nodes with one id: every whole-ring build refuses the population,
-   as does a sorted-member ring given its members out of order. *)
+(* Two nodes with one id: every whole-ring build refuses the population. *)
 let prop_duplicate_ids_raise sc =
   if sc.n < 2 then Ok ()
   else begin
@@ -3017,18 +3016,11 @@ let prop_duplicate_ids_raise sc =
       | _ -> err "%s accepted nodes %d and %d with one id" what i j
       | exception Invalid_argument _ -> Ok ()
     in
-    let sorted = Ring.members (Rings.ring sc.rings (Domain_tree.root sc.tree)) in
-    let swapped = Array.copy sorted in
-    swapped.(0) <- sorted.(1);
-    swapped.(1) <- sorted.(0);
     first_error
       [
         (fun () -> raises "Rings.build" (fun () -> Rings.build pop));
         (fun () -> raises "Rings.build_partial" (fun () -> Rings.build_partial pop ~present:[| j; i |]));
         (fun () -> raises "Chord.build" (fun () -> Chord.build pop));
-        (fun () ->
-          raises "Ring.of_sorted_members, out of order" (fun () ->
-              Ring.of_sorted_members ~ids:sc.pop.Population.ids ~members:swapped));
       ]
   end
 
@@ -3201,8 +3193,9 @@ let reference_chain_slots row rings =
 
 (* Crescendo (Prox.): Chord fingers below the root, each capped by the
    lower-level successor distance; at the root, the successor and one
-   lowest-latency pick of at most 32 sampled members per admissible
-   arc, or the plain finger when the arc holds at most one member. *)
+   lowest-latency pick among the finger and every [count / 32]-th
+   member of each admissible arc (all members of an arc under 64), or
+   the plain finger when the arc holds at most one member. *)
 let reference_crescendo_prox rings ~node_latency =
   let pop = Rings.population rings in
   let ids = pop.Population.ids in

@@ -121,30 +121,18 @@ let test_placement_zipf_deeper () =
   let t = Domain_tree.of_spec (Domain_tree.uniform_spec ~fanout:3 ~levels:3) in
   let assignment = Placement.assign rng t (Placement.Zipfian 1.25) ~n:5000 in
   let pop = Placement.leaf_population t assignment in
-  Domain_tree.iter_domains t (fun d ->
-      if not (Domain_tree.is_leaf t d) then begin
-        let kids = Domain_tree.children t d in
-        let sum = Array.fold_left (fun acc k -> acc + pop.(k)) 0 kids in
-        Alcotest.(check int) "internal = sum of children" pop.(d) sum
-      end)
+  for d = 0 to Domain_tree.num_domains t - 1 do
+    if not (Domain_tree.is_leaf t d) then begin
+      let kids = Domain_tree.children t d in
+      let sum = Array.fold_left (fun acc k -> acc + pop.(k)) 0 kids in
+      Alcotest.(check int) "internal = sum of children" pop.(d) sum
+    end
+  done
 
 let test_hname_parsing () =
   Alcotest.(check (list string)) "parse" [ "stanford"; "cs"; "db" ]
     (Hname.of_string "db.cs.stanford");
-  Alcotest.(check string) "print" "db.cs.stanford"
-    (Hname.to_string [ "stanford"; "cs"; "db" ]);
-  Alcotest.(check (list string)) "root" [] (Hname.of_string "");
-  Alcotest.(check string) "root print" "" (Hname.to_string [])
-
-let test_hname_parent_prefix () =
-  Alcotest.(check (option (list string))) "parent" (Some [ "stanford" ])
-    (Hname.parent [ "stanford"; "cs" ]);
-  Alcotest.(check (option (list string))) "root parent" None (Hname.parent []);
-  Alcotest.(check bool) "prefix" true
-    (Hname.is_prefix [ "stanford" ] [ "stanford"; "cs" ]);
-  Alcotest.(check bool) "reflexive" true (Hname.is_prefix [ "a" ] [ "a" ]);
-  Alcotest.(check bool) "not prefix" false
-    (Hname.is_prefix [ "stanford"; "cs" ] [ "stanford"; "ee" ])
+  Alcotest.(check (list string)) "root" [] (Hname.of_string "")
 
 let test_namespace () =
   let ns =
@@ -166,8 +154,6 @@ let test_namespace () =
   Alcotest.(check int) "cousins lca"
     (Hname.domain_of_name ns (Hname.of_string "stanford"))
     (Domain_tree.lca t db ee);
-  Alcotest.(check string) "roundtrip name" "db.cs.stanford"
-    (Hname.to_string (Hname.name_of_domain ns db));
   Alcotest.(check int) "root domain" 0 (Hname.domain_of_name ns [])
 
 let test_namespace_invalid () =
@@ -227,7 +213,6 @@ let suites =
         Alcotest.test_case "placement zero nodes" `Quick test_placement_zero_nodes;
         Alcotest.test_case "placement zipf deeper" `Quick test_placement_zipf_deeper;
         Alcotest.test_case "hname parsing" `Quick test_hname_parsing;
-        Alcotest.test_case "hname parent/prefix" `Quick test_hname_parent_prefix;
         Alcotest.test_case "namespace" `Quick test_namespace;
         Alcotest.test_case "namespace invalid" `Quick test_namespace_invalid;
         QCheck_alcotest.to_alcotest prop_lca_commutes;

@@ -8,17 +8,17 @@ let id_gen = QCheck.map (fun v -> Id.of_int (abs v land (Id.space - 1))) QCheck.
 let test_constants () =
   Alcotest.(check int) "bits" 32 Id.bits;
   Alcotest.(check int) "space" (1 lsl 32) Id.space;
-  Alcotest.(check int) "zero" 0 (Id.to_int Id.zero)
+  Alcotest.(check int) "zero" 0 Id.zero
 
 let test_of_int_wraps () =
-  Alcotest.(check int) "wraps modulo space" 5 (Id.to_int (Id.of_int (Id.space + 5)));
+  Alcotest.(check int) "wraps modulo space" 5 (Id.of_int (Id.space + 5));
   Alcotest.check_raises "negative rejected" (Invalid_argument "Id.of_int: negative")
     (fun () -> ignore (Id.of_int (-1)))
 
 let test_add_wraps () =
   let near_top = Id.of_int (Id.space - 1) in
-  Alcotest.(check int) "wrap forward" 0 (Id.to_int (Id.add near_top 1));
-  Alcotest.(check int) "wrap backward" (Id.space - 1) (Id.to_int (Id.add Id.zero (-1)))
+  Alcotest.(check int) "wrap forward" 0 (Id.add near_top 1);
+  Alcotest.(check int) "wrap backward" (Id.space - 1) (Id.add Id.zero (-1))
 
 let test_distance_examples () =
   Alcotest.(check int) "simple" 5 (Id.distance (Id.of_int 10) (Id.of_int 15));
@@ -56,10 +56,6 @@ let test_common_prefix_bits () =
     (Id.common_prefix_bits (Id.of_int 0) (Id.of_int (1 lsl 31)));
   Alcotest.(check int) "bottom bit differs" 31
     (Id.common_prefix_bits (Id.of_int 0) (Id.of_int 1))
-
-let test_to_string () =
-  Alcotest.(check string) "hex" "deadbeef" (Id.to_string (Id.of_int 0xDEADBEEF));
-  Alcotest.(check string) "padded" "00000001" (Id.to_string (Id.of_int 1))
 
 (* Property: distance a b + distance b a = space, unless a = b. *)
 let prop_distance_antisymmetric =
@@ -115,7 +111,7 @@ let test_random_in_space () =
   let rng = Canon_rng.Rng.create 99 in
   for _ = 1 to 10_000 do
     let id = Id.random rng in
-    if Id.to_int id < 0 || Id.to_int id >= Id.space then Alcotest.fail "random out of space"
+    if id < 0 || id >= Id.space then Alcotest.fail "random out of space"
   done
 
 let suites =
@@ -130,7 +126,6 @@ let suites =
         Alcotest.test_case "log2_floor" `Quick test_log2_floor;
         Alcotest.test_case "prefix" `Quick test_prefix;
         Alcotest.test_case "common prefix bits" `Quick test_common_prefix_bits;
-        Alcotest.test_case "to_string" `Quick test_to_string;
         Alcotest.test_case "random in space" `Quick test_random_in_space;
         QCheck_alcotest.to_alcotest prop_distance_antisymmetric;
         QCheck_alcotest.to_alcotest prop_add_distance;

@@ -1,6 +1,6 @@
 (* Tests for the replication layer: Replica_set placement, the
-   Replicated_store write-through / read-repair protocol, re-replication
-   on churn, and the durability containment claim — with sibling-spread
+   Replicated_store write-through / read-repair protocol, and the
+   durability containment claim — with sibling-spread
    and k >= 2, a whole-leaf-domain outage loses no key, while flat
    k-successor replication (all copies inside the storage domain) does. *)
 
@@ -10,7 +10,6 @@ open Canon_overlay
 open Canon_core
 open Canon_storage
 open Canon_net
-open Canon_sim
 module Rng = Canon_rng.Rng
 module Metrics = Canon_telemetry.Metrics
 
@@ -48,10 +47,7 @@ let test_replica_set_validates () =
   Alcotest.check_raises "bad domain"
     (Invalid_argument "Replica_set.compute: domain out of range") (fun () ->
       ignore
-        (Replica_set.compute rings ~spread:Replica_set.Sibling ~k:2 ~domain:999 ~key:5));
-  Alcotest.(check (option string)) "spread round trip" (Some "sibling")
-    (Option.map Replica_set.spread_to_string (Replica_set.spread_of_string "sibling"));
-  Alcotest.(check bool) "unknown spread" true (Replica_set.spread_of_string "ring" = None)
+        (Replica_set.compute rings ~spread:Replica_set.Sibling ~k:2 ~domain:999 ~key:5))
 
 let test_flat_k1_is_responsible () =
   let pop = make_universe ~n:60 5 in
@@ -158,9 +154,6 @@ let test_store_validates () =
   Alcotest.check_raises "k < 1" (Invalid_argument "Replicated_store.create: k must be >= 1")
     (fun () -> ignore (Replicated_store.create ~k:0 rings));
   let store = Replicated_store.create ~k:2 rings in
-  Alcotest.(check (list int)) "members from rings" (Array.to_list present)
-    (Array.to_list (Replicated_store.members store));
-  Alcotest.(check bool) "absent node not live" false (Replicated_store.live store absent);
   Alcotest.check_raises "absent writer"
     (Invalid_argument "Replicated_store.put: writer not live") (fun () ->
       ignore
@@ -213,114 +206,6 @@ let test_put_get_versions () =
     (sorted (Replicated_store.holders store ~key))
     (Array.to_list (Replicated_store.copies store ~key));
   Alcotest.(check int) "reads counted" (reads0 + 2) (counter "replication.reads")
-
-let assert_copies_match_holders store keys =
-  List.iter
-    (fun key ->
-      let holders = sorted (Replicated_store.holders store ~key) in
-      let copies = Array.to_list (Replicated_store.copies store ~key) in
-      if copies <> holders then
-        Alcotest.failf "key %d: copies [%s] <> holders [%s]" key
-          (String.concat ";" (List.map string_of_int copies))
-          (String.concat ";" (List.map string_of_int holders)))
-    keys
-
-let test_join_rereplicates () =
-  let pop = make_universe ~n:40 17 in
-  let rings = Rings.build pop in
-  let store = Replicated_store.create ~k:2 ~spread:Replica_set.Sibling rings in
-  let rng = Rng.create 18 in
-  let keys =
-    List.init 30 (fun _ ->
-        let writer = Rng.int_below rng 40 in
-        let key = Id.random rng in
-        let acks =
-          Replicated_store.put store ~writer ~key ~value:"v"
-            ~storage_domain:(pop.Population.leaf_of_node.(writer))
-        in
-        Alcotest.(check int) "write-through acks" 2 acks;
-        key)
-  in
-  (* Depart a known holder of the first key, then bring it back: the
-     ring content is identical to the original full membership, so
-     placement — and hence its copy of that key — must be restored. *)
-  let victim = (Replicated_store.copies store ~key:(List.hd keys)).(0) in
-  Replicated_store.leave store victim;
-  assert_copies_match_holders store keys;
-  Alcotest.(check bool) "copy handed off on leave" true
-    (Replicated_store.stored store ~node:victim ~key:(List.hd keys) = None);
-  let moved0 = counter "replication.rereplications" in
-  Replicated_store.join store victim;
-  Alcotest.(check bool) "rejoined node live" true (Replicated_store.live store victim);
-  assert_copies_match_holders store keys;
-  Alcotest.(check bool) "rejoined node recovered its copy" true
-    (Replicated_store.stored store ~node:victim ~key:(List.hd keys) <> None);
-  Alcotest.(check bool) "re-replication counted" true
-    (counter "replication.rereplications" > moved0)
-
-let test_leave_hands_off () =
-  let pop = make_universe ~n:40 19 in
-  let rings = Rings.build pop in
-  let store = Replicated_store.create ~k:2 ~spread:Replica_set.Sibling rings in
-  let rng = Rng.create 20 in
-  let keys =
-    List.init 20 (fun _ ->
-        let writer = Rng.int_below rng 40 in
-        let key = Id.random rng in
-        ignore
-          (Replicated_store.put store ~writer ~key ~value:"v"
-             ~storage_domain:(pop.Population.leaf_of_node.(writer)));
-        key)
-  in
-  (* Depart a node that holds the first key. *)
-  let victim = (Replicated_store.copies store ~key:(List.hd keys)).(0) in
-  Replicated_store.leave store victim;
-  Alcotest.(check bool) "gone" false (Replicated_store.live store victim);
-  assert_copies_match_holders store keys;
-  List.iter
-    (fun key ->
-      Alcotest.(check (option string)) "still readable" (Some "v")
-        (Replicated_store.get store ~querier:(Replicated_store.members store).(0) ~key);
-      if Replicated_store.stored store ~node:victim ~key <> None then
-        Alcotest.fail "departed node still holds a copy")
-    keys
-
-let test_leave_sole_holder_hands_off () =
-  let pop = make_universe ~n:60 21 in
-  let rings = Rings.build pop in
-  (* k = 1, flat: exactly one copy; a graceful leave must still not lose
-     the acknowledged write. *)
-  let store = Replicated_store.create ~k:1 ~spread:Replica_set.Flat rings in
-  let key = Id.random (Rng.create 22) in
-  let writer = 5 in
-  let domain = Domain_tree.root pop.Population.tree in
-  ignore (Replicated_store.put store ~writer ~key ~value:"only" ~storage_domain:domain);
-  let holder = (Replicated_store.copies store ~key).(0) in
-  Replicated_store.leave store holder;
-  let holder' = (Replicated_store.copies store ~key).(0) in
-  Alcotest.(check bool) "copy moved" true (holder' <> holder);
-  let querier = (Replicated_store.members store).(0) in
-  Alcotest.(check (option string)) "survived the handoff" (Some "only")
-    (Replicated_store.get store ~querier ~key)
-
-let test_net_mode_forbids_churn () =
-  let pop = make_universe ~n:30 23 in
-  let rings = Rings.build pop in
-  let net =
-    Net.create ~policy:fast_policy ~rings ~rng:(Rng.create 24) ~node_latency:oracle
-      (Crescendo.build rings)
-  in
-  let store = Replicated_store.create ~net ~k:2 rings in
-  Alcotest.check_raises "join"
-    (Invalid_argument
-       "Replicated_store.join: membership churn is direct-mode only (use the fault \
-        plan in net mode)")
-    (fun () -> Replicated_store.join store 0);
-  Alcotest.check_raises "leave"
-    (Invalid_argument
-       "Replicated_store.leave: membership churn is direct-mode only (use the fault \
-        plan in net mode)")
-    (fun () -> Replicated_store.leave store 0)
 
 (* --- read-repair over the simulated network ------------------------ *)
 
@@ -508,109 +393,11 @@ let test_outage_read_path () =
       | None -> Alcotest.failf "key %d unreadable during the outage" key)
     keys
 
-(* --- churn soak ----------------------------------------------------- *)
-
-(* 200 interleaved join/leave/write/read events on the virtual clock:
-   no acknowledged write is ever lost, and the replica invariant holds
-   at the end for every key. *)
-let test_churn_soak () =
-  let pop = make_universe ~fanout:3 ~levels:2 ~n:400 34 in
-  let rings = Rings.build_partial pop ~present:[||] in
-  let store = Replicated_store.create ~k:3 ~spread:Replica_set.Sibling rings in
-  let root = Domain_tree.root pop.Population.tree in
-  let test_rng = Rng.create 35 in
-  let model = Hashtbl.create 64 in
-  let known = ref [||] in
-  let lost = ref [] in
-  let on_event ev =
-    Replicated_store.churn_hook store ev;
-    match ev with
-    | Churn.Init _ -> ()
-    | Churn.Join _ | Churn.Leave _ ->
-        let mem = Replicated_store.members store in
-        if Array.length mem > 0 then begin
-          (* one write: a fresh key or an overwrite of a known one *)
-          let writer = Rng.pick test_rng mem in
-          let key =
-            if Array.length !known > 0 && Rng.bool test_rng then Rng.pick test_rng !known
-            else begin
-              let key = Id.random test_rng in
-              known := Array.append !known [| key |];
-              key
-            end
-          in
-          let value = Printf.sprintf "%d.%d" key (Rng.int_below test_rng 1000) in
-          let acks =
-            Replicated_store.put store ~writer ~key ~value ~storage_domain:root
-          in
-          if acks > 0 then Hashtbl.replace model key value;
-          (* one read of a random known key *)
-          let probe = Rng.pick test_rng !known in
-          match (Replicated_store.get store ~querier:(Rng.pick test_rng mem) ~key:probe,
-                 Hashtbl.find_opt model probe)
-          with
-          | Some got, Some want when got = want -> ()
-          | None, None -> ()
-          | got, want ->
-              lost :=
-                Printf.sprintf "key %d: read %s, acknowledged %s" probe
-                  (Option.value ~default:"-" got)
-                  (Option.value ~default:"-" want)
-                :: !lost
-        end
-  in
-  let config =
-    {
-      Churn.initial_nodes = 120;
-      events = 200;
-      join_fraction = 0.5;
-      probes_per_event = 0;
-      mean_interarrival = 1.0;
-    }
-  in
-  let report = Churn.run ~on_event (Rng.create 36) pop config in
-  Alcotest.(check int) "200 events ran" 200 (report.Churn.joins + report.Churn.leaves);
-  (match !lost with [] -> () | l -> Alcotest.failf "%d bad reads; first: %s" (List.length l) (List.hd l));
-  (* Every acknowledged write is still readable at its latest value. *)
-  let querier = (Replicated_store.members store).(0) in
-  Hashtbl.iter
-    (fun key value ->
-      match Replicated_store.get store ~querier ~key with
-      | Some got when got = value -> ()
-      | got ->
-          Alcotest.failf "lost acknowledged write: key %d holds %s, expected %s" key
-            (Option.value ~default:"-" got) value)
-    model;
-  (* And the replica invariant holds for every key. *)
-  let live = Array.length (Replicated_store.members store) in
-  Hashtbl.iter
-    (fun key _ ->
-      let copies = Replicated_store.copies store ~key in
-      if Array.length copies <> min 3 live then
-        Alcotest.failf "key %d: %d copies, expected %d" key (Array.length copies)
-          (min 3 live))
-    model;
-  Alcotest.(check bool) "churn moved replicas" true
-    (counter "replication.rereplications" > 0)
-
-let test_churn_hook_init_joins () =
-  let pop = make_universe ~n:30 37 in
-  let rings = Rings.build_partial pop ~present:[||] in
-  let store = Replicated_store.create ~k:2 rings in
-  Alcotest.(check int) "starts empty" 0 (Array.length (Replicated_store.members store));
-  Replicated_store.churn_hook store (Churn.Init [| 3; 9; 21 |]);
-  Alcotest.(check (list int)) "initial members joined" [ 3; 9; 21 ]
-    (Array.to_list (Replicated_store.members store));
-  (* Idempotent for already-present nodes, additive for new ones. *)
-  Replicated_store.churn_hook store (Churn.Init [| 3; 5 |]);
-  Alcotest.(check (list int)) "re-init only adds" [ 3; 5; 9; 21 ]
-    (Array.to_list (Replicated_store.members store))
-
 let suites =
   [
     ( "replica-set",
       [
-        Alcotest.test_case "validation and spread names" `Quick test_replica_set_validates;
+        Alcotest.test_case "validation" `Quick test_replica_set_validates;
         Alcotest.test_case "flat k=1 = responsible node" `Quick test_flat_k1_is_responsible;
         Alcotest.test_case "flat stays inside the domain" `Quick test_flat_stays_inside_domain;
         Alcotest.test_case "sibling spreads to the nearest sibling leaf" `Quick
@@ -623,11 +410,6 @@ let suites =
       [
         Alcotest.test_case "validation" `Quick test_store_validates;
         Alcotest.test_case "put/get with versions" `Quick test_put_get_versions;
-        Alcotest.test_case "join re-replicates" `Quick test_join_rereplicates;
-        Alcotest.test_case "leave hands off" `Quick test_leave_hands_off;
-        Alcotest.test_case "k=1 leave keeps the only copy" `Quick
-          test_leave_sole_holder_hands_off;
-        Alcotest.test_case "net mode forbids join/leave" `Quick test_net_mode_forbids_churn;
         Alcotest.test_case "read-repair: pinned hand-counted metrics" `Quick
           test_read_repair_pinned_metrics;
         Alcotest.test_case "GC spares the last reachable copy" `Quick
@@ -639,12 +421,5 @@ let suites =
           test_crash_domain_containment;
         Alcotest.test_case "reads survive a whole-domain outage" `Quick
           test_outage_read_path;
-      ] );
-    ( "replication-churn",
-      [
-        Alcotest.test_case "200-event soak: no acknowledged write lost" `Quick
-          test_churn_soak;
-        Alcotest.test_case "churn_hook Init joins the initial membership" `Quick
-          test_churn_hook_init_joins;
       ] );
   ]

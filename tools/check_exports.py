@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
 """Export ratchet: every exported value of lib/ has a caller, or is listed.
 
-For each `val name` declared in a lib/**/*.mli, look for the word `name`
-in the .ml and .mli files under lib, bin, bench, perfbench and examples,
-other than the module's own .ml and .mli. An export found nowhere else
-must be on the allow-list (tools/export_allowlist.txt, one `Module.name`
-a line, `#` starts a comment). The check fails on a callerless export
-missing from the list, and on a list entry that is no longer exported or
-has found a caller, so the list only shrinks.
+For each `val v` declared in lib/**/m.mli, the export `M.v` counts as
+used when another unit (a .ml and its .mli are one unit) under lib, bin,
+bench, perfbench or examples names it:
 
-A word match is coarse: a name also counts as used when it appears in a
-comment or as another module's value of the same name.
+- as the whole word `M.v`, which also matches `Lib.M.v`;
+- as `X.v`, in a unit that aliases the module (`module X = Lib.M`);
+- as the bare word `v`, only in a unit that opens or includes the module
+  (`open M`, `open! M`, `let open M in`, `M.( ... )`, `include M`), or an
+  alias of it.
+
+Comments and string literals are blanked before matching, so a mention
+in either is not a use; nested comments, and a `(*` or `"` inside a
+string or character literal, are handled as the OCaml lexer does.
+
+An export with no use must be on the allow-list (tools/export_allowlist.txt,
+one `Module.name` a line, `#` starts a comment). The check fails on a
+callerless export missing from the list, and on a list entry that is no
+longer exported or has found a caller, so the list only shrinks.
 
 Run from the repository root: python3 tools/check_exports.py
 """
@@ -22,6 +30,87 @@ SEARCH_DIRS = ["lib", "bin", "bench", "perfbench", "examples"]
 ALLOWLIST = os.path.join("tools", "export_allowlist.txt")
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)", re.MULTILINE)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)+")
+IDENT_CHAR = re.compile(r"[A-Za-z0-9_']")
+# A character literal: 'c', '\n', '\\', '\'', '\123', '\xff', '\o777'.
+CHAR = re.compile(r"'(?:[^\\']|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3}))'")
+QUOTED = re.compile(r"\{([a-z_]*)\|")
+PATH = r"[A-Z][A-Za-z0-9_']*(?:\.[A-Z][A-Za-z0-9_']*)*"
+OPEN = re.compile(r"\b(?:open!?|include)\s+(" + PATH + r")")
+LOCAL_OPEN = re.compile(r"(?<![A-Za-z0-9_'.])(" + PATH + r")\.\(")
+ALIAS = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*=\s*(" + PATH + r")(?![A-Za-z0-9_'.])(?!\s*\()")
+
+
+def skip_string(text, i):
+    """Index just past the string literal whose opening quote is at i."""
+    i += 1
+    while i < len(text):
+        if text[i] == "\\":
+            i += 2
+        elif text[i] == '"':
+            return i + 1
+        else:
+            i += 1
+    return i
+
+
+def skip_quoted(text, i, delim):
+    """Index just past the quoted string `{delim|...|delim}` opening at i."""
+    end = text.find("|" + delim + "}", i + len(delim) + 2)
+    return len(text) if end < 0 else end + len(delim) + 2
+
+
+def literal_end(text, i):
+    """If a string, quoted string or character literal starts at i, the
+    index just past it; otherwise None."""
+    c = text[i]
+    if c == '"':
+        return skip_string(text, i)
+    if c == "{":
+        m = QUOTED.match(text, i)
+        if m:
+            return skip_quoted(text, i, m.group(1))
+    if c == "'" and (i == 0 or not IDENT_CHAR.match(text[i - 1])):
+        m = CHAR.match(text, i)
+        if m:
+            return m.end()
+    return None
+
+
+def code_only(text):
+    """The text with every comment replaced by one space and every string
+    literal by `""`, so neither counts as a use. Literals are skipped
+    inside comments too, as the lexer does, so a `*)` in a commented-out
+    string does not end the comment."""
+    out = []
+    depth = 0
+    i = 0
+    start = 0
+    n = len(text)
+    while i < n:
+        if text.startswith("(*", i):
+            if depth == 0:
+                out.append(text[start:i])
+            depth += 1
+            i += 2
+        elif depth > 0 and text.startswith("*)", i):
+            depth -= 1
+            i += 2
+            if depth == 0:
+                out.append(" ")
+                start = i
+        else:
+            end = literal_end(text, i)
+            if end is None:
+                i += 1
+            elif depth == 0 and text[i] in "\"{":
+                out.append(text[start:i] + '""')
+                i = start = end
+            else:
+                i = end
+    if depth == 0:
+        out.append(text[start:])
+    return "".join(out)
 
 
 def sources():
@@ -33,23 +122,60 @@ def sources():
                     yield os.path.join(root, f)
 
 
+def last(path):
+    return path.rsplit(".", 1)[-1]
+
+
+class Unit:
+    """What one unit names: its qualified words `X.v` (each adjacent
+    pair of a dotted path, so `Lib.M.v` gives `Lib.M` and `M.v`), its
+    bare words, the modules it opens and its module aliases."""
+
+    def __init__(self):
+        self.qualified = set()
+        self.words = set()
+        self.opened = set()
+        self.aliases = {}
+
+    def add(self, text):
+        for m in DOTTED.finditer(text):
+            parts = m.group(0).split(".")
+            for a, b in zip(parts, parts[1:]):
+                self.qualified.add(f"{a}.{b}")
+        self.words.update(WORD.findall(text))
+        for m in OPEN.finditer(text):
+            self.opened.add(last(m.group(1)))
+        for m in LOCAL_OPEN.finditer(text):
+            self.opened.add(last(m.group(1)))
+        for m in ALIAS.finditer(text):
+            self.aliases[m.group(1)] = last(m.group(2))
+
+    def uses(self, module, name):
+        names = {module} | {x for x, m in self.aliases.items() if m == module}
+        if any(f"{x}.{name}" in self.qualified for x in names):
+            return True
+        return bool(names & self.opened) and name in self.words
+
+
 def main():
-    # word -> the files it appears in, each file named by its path less
-    # the extension, so a module's .ml and .mli are one unit.
-    seen = {}
+    units = {}
     exports = []
     for path in sorted(sources()):
         unit = os.path.splitext(path)[0]
         with open(path) as f:
             text = f.read()
-        for w in set(WORD.findall(text)):
-            seen.setdefault(w, set()).add(unit)
+        units.setdefault(unit, Unit()).add(code_only(text))
         if path.startswith("lib" + os.sep) and path.endswith(".mli"):
             module = os.path.basename(unit).capitalize()
             for name in VAL.findall(text):
-                exports.append((f"{module}.{name}", name, unit))
-    callerless = {q for q, name, unit in exports if not (seen.get(name, set()) - {unit})}
-    exported = {q for q, _, _ in exports}
+                exports.append((module, name, unit))
+
+    callerless = {
+        f"{module}.{name}"
+        for module, name, unit in exports
+        if not any(u.uses(module, name) for p, u in units.items() if p != unit)
+    }
+    exported = {f"{module}.{name}" for module, name, _ in exports}
 
     allowed = set()
     with open(ALLOWLIST) as f:
