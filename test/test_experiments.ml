@@ -331,6 +331,39 @@ let test_churn_async_validates () =
     (Invalid_argument "Churn_async.run_with: lookup_rate not finite") (fun () ->
       run ~lookup_rate:Float.min_float ())
 
+(* The one list the CLI, the bench harness and the golden tests share:
+   distinct names, a one-line doc each, only [latency] unpinned; and
+   [Registry.run] hands the experiment a zeroed metrics registry. *)
+let test_registry () =
+  let names = List.map (fun e -> e.Registry.name) Registry.all in
+  Alcotest.(check int) "distinct names" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun e ->
+      if e.Registry.doc = "" || String.contains e.Registry.doc '\n' then
+        Alcotest.failf "%s: doc is not one line" e.Registry.name)
+    Registry.all;
+  Alcotest.(check (list string)) "unpinned" [ "latency" ]
+    (List.filter_map (fun e -> if e.Registry.pinned then None else Some e.Registry.name) Registry.all);
+  let counter = Canon_telemetry.Metrics.counter "test.registry" in
+  Canon_telemetry.Metrics.add counter 5;
+  let seen = ref None in
+  let probe =
+    {
+      Registry.name = "probe";
+      doc = "reads the registry";
+      pinned = true;
+      run =
+        (fun ~scale ~seed ->
+          seen := Some (Canon_telemetry.Metrics.value counter, scale, seed);
+          Table.create ~title:"probe" ~columns:[ "x" ]);
+    }
+  in
+  let table = Registry.run probe ~scale:`Quick ~seed:7 in
+  Alcotest.(check string) "the experiment's table" "probe" (Table.title table);
+  Alcotest.(check bool) "zeroed registry, scale and seed passed on" true
+    (!seen = Some (0, `Quick, 7))
+
 let suites =
   [
     ( "experiments",
@@ -359,5 +392,6 @@ let suites =
         Alcotest.test_case "fig6 validation" `Quick test_fig6_validates;
         Alcotest.test_case "robustness validation" `Quick test_robustness_validates;
         Alcotest.test_case "robustness, every node crashed" `Quick test_robustness_all_crashed;
+        Alcotest.test_case "registry" `Quick test_registry;
       ] );
   ]
