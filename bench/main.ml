@@ -138,6 +138,16 @@ let micro_benchmarks () =
         (Staged.stage (fun () ->
              let src = random_node () and dst = random_node () in
              ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))));
+      Test.make ~name:"router.greedy_clockwise (n=4096, ambient trace, null sink)"
+        (* The row above with a trace installed that writes nowhere: each
+           lookup also builds and retains one span. The row above, with
+           no trace installed, is what tracing off costs. *)
+        (let trace = Canon_telemetry.Trace.create () in
+         Staged.stage (fun () ->
+             let src = random_node () and dst = random_node () in
+             Canon_telemetry.Trace.set_ambient (Some trace);
+             ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst));
+             Canon_telemetry.Trace.set_ambient None));
       Test.make ~name:"router.step (sorted links, Crescendo n=8192, 10% dead)"
         (let next = cycle step_inputs and dead = Array.get ts_dead in
          let ids = (Overlay.population ts_overlay).Population.ids in

@@ -67,38 +67,40 @@ let untraced _ _ = ()
 
 let walk ~n ~src ~key step = drive ~record:untraced ~n ~src ~key step
 
-(* Where tracing happens: one span per walk, offered to [trace]. *)
-let recorder trace ~kind ~key ~level =
-  match trace with
-  | None -> untraced
-  | Some tr -> fun outcome nodes -> Trace.record tr ~kind ~key ~outcome ~nodes ~level ()
+(* Where tracing is decided: an engine run reads the ambient trace once,
+   before its walk, and offers it one span when the walk ends. *)
+let traced ~kind ~level ~n ~src ~key step =
+  let record =
+    match Trace.ambient () with
+    | None -> untraced
+    | Some tr -> fun outcome nodes -> Trace.record tr ~kind ~key ~outcome ~nodes ~level ()
+  in
+  drive ~record ~n ~src ~key step
 
 (* Engines whose step never blocks: the walk always arrives or raises. *)
 let route = function Ok route -> route | Error _ -> assert false
 
 (* An engine over a frozen overlay: its size bounds the hop budget and
    its population gives traced spans their link levels. *)
-let on_overlay ~trace ~kind overlay ~src ~key step =
-  drive
-    ~record:(recorder trace ~kind ~key ~level:(Population.link_level (Overlay.population overlay)))
+let on_overlay ~kind overlay ~src ~key step =
+  traced ~kind
+    ~level:(Population.link_level (Overlay.population overlay))
     ~n:(Overlay.size overlay) ~src ~key step
 
 let never _ = false
 
-let greedy_clockwise_generic ?trace ?(level = fun _ _ -> 0) ~n ~ids ~links ~src ~key () =
+let greedy_clockwise_generic ~level ~n ~ids ~links ~src ~key =
   route
-    (drive
-       ~record:(recorder trace ~kind:"greedy_clockwise_generic" ~key ~level)
-       ~n ~src ~key
-       (fun u -> (step_clockwise ~ids ~row:(links u) ~dead:never ~at:u ~key).outcome))
+    (traced ~kind:"greedy_clockwise_generic" ~level ~n ~src ~key (fun u ->
+         (step_clockwise ~ids ~row:(links u) ~dead:never ~at:u ~key).outcome))
 
-let greedy_clockwise ?trace overlay ~src ~key =
+let greedy_clockwise overlay ~src ~key =
   let ids = (Overlay.population overlay).Population.ids in
   route
-    (on_overlay ~trace ~kind:"greedy_clockwise" overlay ~src ~key (fun u ->
+    (on_overlay ~kind:"greedy_clockwise" overlay ~src ~key (fun u ->
          (step_clockwise ~ids ~row:(Overlay.links overlay u) ~dead:never ~at:u ~key).outcome))
 
-let greedy_clockwise_lookahead ?trace overlay ~src ~key =
+let greedy_clockwise_lookahead overlay ~src ~key =
   let step u =
     let du = Id.distance (Overlay.id overlay u) key in
     if du = 0 then Arrived
@@ -133,9 +135,9 @@ let greedy_clockwise_lookahead ?trace overlay ~src ~key =
       if !best < 0 then Arrived else Forward !best
     end
   in
-  route (on_overlay ~trace ~kind:"greedy_clockwise_lookahead" overlay ~src ~key step)
+  route (on_overlay ~kind:"greedy_clockwise_lookahead" overlay ~src ~key step)
 
-let greedy_xor ?trace overlay ~src ~key =
+let greedy_xor overlay ~src ~key =
   let step u =
     let du = Id.xor_distance (Overlay.id overlay u) key in
     if du = 0 then Arrived
@@ -152,16 +154,16 @@ let greedy_xor ?trace overlay ~src ~key =
       if !best < 0 then Arrived else Forward !best
     end
   in
-  route (on_overlay ~trace ~kind:"greedy_xor" overlay ~src ~key step)
+  route (on_overlay ~kind:"greedy_xor" overlay ~src ~key step)
 
 (* Unlike the infallible engines this one must distinguish "arrived at
    the key's live predecessor among reachable nodes" from "stranded":
    the step's own outcome tells the two apart. *)
-let greedy_clockwise_avoiding ?trace overlay ~dead ~src ~key =
+let greedy_clockwise_avoiding overlay ~dead ~src ~key =
   if dead src then invalid_arg "Router.greedy_clockwise_avoiding: dead source";
   let ids = (Overlay.population overlay).Population.ids in
   match
-    on_overlay ~trace ~kind:"greedy_clockwise_avoiding" overlay ~src ~key
+    on_overlay ~kind:"greedy_clockwise_avoiding" overlay ~src ~key
       (fun u -> (step_clockwise ~ids ~row:(Overlay.links overlay u) ~dead ~at:u ~key).outcome)
   with
   | Ok route -> Some route

@@ -36,18 +36,22 @@
 
     {2 Tracing}
 
-    Every engine takes an optional [?trace] collector
-    ({!Canon_telemetry.Trace.t}). When absent — the default — the
-    engine builds no span; when present, one
-    {!Canon_telemetry.Span} is offered to the collector per lookup
-    (subject to the collector's sampling), carrying the full visited
-    path, the hierarchy level of each link used
-    ({!Canon_overlay.Population.link_level}), and cumulative physical
-    latency when the collector holds a latency oracle. The driver
-    records the span in one place: [Arrived] for a finished route,
-    [Stuck] with the partial path before the hop-budget exception
-    propagates, and [Stranded] for a walk that ends [Blocked] (of the
-    engines here, only {!greedy_clockwise_avoiding}'s step blocks). *)
+    No engine takes a trace: each run of {!greedy_clockwise},
+    {!greedy_clockwise_generic}, {!greedy_clockwise_lookahead},
+    {!greedy_xor} and {!greedy_clockwise_avoiding} reads the ambient
+    trace ({!Canon_telemetry.Trace.ambient}) once, before its walk.
+    When none is installed — the default, and the benchmark
+    configuration — the engine builds no span; when one is, one
+    {!Canon_telemetry.Span} is offered to it per lookup (subject to its
+    sampling), carrying the full visited path, the hierarchy level of
+    each link used, and cumulative physical latency when the trace
+    holds a latency oracle. The driver records the span in one place:
+    [Arrived] for a finished route, [Stuck] with the partial path before
+    the hop-budget exception propagates, and [Stranded] for a walk that
+    ends [Blocked] (of the engines here, only
+    {!greedy_clockwise_avoiding}'s step blocks). The two custom steps
+    run through {!walk}, Chord (Prox.) group routing and SkipNet name
+    routing, are untraced. *)
 
 open Canon_idspace
 open Canon_overlay
@@ -63,22 +67,19 @@ exception
     bug, never expected on a well-formed overlay. The partial path
     makes the broken route dumpable (and traceable) instead of lost. *)
 
-val greedy_clockwise :
-  ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
+val greedy_clockwise : Overlay.t -> src:int -> key:Id.t -> Route.t
 (** Route from [src] toward [key]; the path ends at the first node
     having no link that moves clockwise-closer to [key] without passing
     it. On any overlay whose every node links to its global successor,
     that final node is the global predecessor of [key]. *)
 
 val greedy_clockwise_generic :
-  ?trace:Canon_telemetry.Trace.t ->
-  ?level:(int -> int -> int) ->
+  level:(int -> int -> int) ->
   n:int ->
   ids:Id.t array ->
   links:(int -> int array) ->
   src:int ->
   key:Id.t ->
-  unit ->
   Route.t
 (** The same engine over any adjacency (used by the dynamic-maintenance
     simulator, whose link state is mutable): [ids] are the nodes'
@@ -86,28 +87,20 @@ val greedy_clockwise_generic :
     {!step_clockwise} requires — strictly ascending by clockwise
     distance from [u], as {!Canon_overlay.Overlay.links},
     [Maintenance.links] and [Chord.links_of_id] are. [n] bounds the hop
-    budget. Traced spans use [level] for per-hop link levels (default:
-    0 for every edge — no hierarchy known). The trailing [unit] erases
-    the optional arguments. *)
+    budget. Traced spans use [level] for per-hop link levels
+    ({!Canon_overlay.Population.link_level} of the nodes' population). *)
 
-val greedy_clockwise_lookahead :
-  ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
+val greedy_clockwise_lookahead : Overlay.t -> src:int -> key:Id.t -> Route.t
 (** Same termination behaviour as {!greedy_clockwise} but each step
     picks the neighbour whose own best next step lands closest to the
     key (Symphony's "greedy routing with a lookahead"). *)
 
-val greedy_xor :
-  ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
+val greedy_xor : Overlay.t -> src:int -> key:Id.t -> Route.t
 (** Route by strictly decreasing XOR distance; ends where no link
     improves. *)
 
 val greedy_clockwise_avoiding :
-  ?trace:Canon_telemetry.Trace.t ->
-  Overlay.t ->
-  dead:(int -> bool) ->
-  src:int ->
-  key:Id.t ->
-  Route.t option
+  Overlay.t -> dead:(int -> bool) -> src:int -> key:Id.t -> Route.t option
 (** Greedy clockwise routing that never forwards to a node for which
     [dead] is true (crashed, unrepaired). Returns [None] when the
     message strands at a node whose every useful link is dead — the
@@ -171,6 +164,8 @@ val walk :
     path] — the nodes visited, ending at the blocked node — when one
     answers [Blocked]. [n] bounds the hop budget (the node count; the
     budget is [n + 1] hops): forwarding past it raises {!Stuck} with the
-    partial path. [key] only labels that exception. *)
+    partial path. [key] only labels that exception. Unlike the engines,
+    [walk] never reads the ambient trace, so a custom step's lookups
+    are untraced. *)
 
 

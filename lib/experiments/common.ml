@@ -82,8 +82,9 @@ module Metrics = Canon_telemetry.Metrics
 module Trace = Canon_telemetry.Trace
 
 (* Every measured lookup of the experiment helpers feeds the registry,
-   so `--metrics` has something to print for any experiment; spans flow
-   to the ambient trace when the CLI installed one (`--trace FILE`). *)
+   so `--metrics` has something to print for any experiment; the router
+   offers spans to the ambient trace when the CLI installed one
+   (`--trace FILE`). *)
 let lookups_counter = Metrics.counter "router.lookups"
 
 let hops_hist =
@@ -92,28 +93,29 @@ let hops_hist =
 
 let route_latency_hist = Metrics.histogram "router.route_latency_ms"
 
-let mean_hops rng overlay ~samples =
+let mean_hops_with router rng overlay ~samples =
   let n = Overlay.size overlay in
-  let trace = Trace.ambient () in
   let total = ref 0 in
   for _ = 1 to samples do
     let src = Rng.int_below rng n and dst = Rng.int_below rng n in
-    let route = Router.greedy_clockwise ?trace overlay ~src ~key:(Overlay.id overlay dst) in
-    let hops = Route.hops route in
-    Metrics.incr lookups_counter;
-    Metrics.observe hops_hist (Float.of_int hops);
-    total := !total + hops
+    total := !total + Route.hops (router overlay ~src ~key:(Overlay.id overlay dst))
   done;
   Float.of_int !total /. Float.of_int samples
 
+let mean_hops =
+  mean_hops_with (fun overlay ~src ~key ->
+      let route = Router.greedy_clockwise overlay ~src ~key in
+      Metrics.incr lookups_counter;
+      Metrics.observe hops_hist (Float.of_int (Route.hops route));
+      route)
+
 let mean_route_latency rng overlay ~node_latency ~samples =
   let n = Overlay.size overlay in
-  let trace = Trace.ambient () in
-  Option.iter (fun tr -> Trace.set_latency tr (Some node_latency)) trace;
+  Option.iter (fun tr -> Trace.set_latency tr (Some node_latency)) (Trace.ambient ());
   let total = ref 0.0 in
   for _ = 1 to samples do
     let src = Rng.int_below rng n and dst = Rng.int_below rng n in
-    let route = Router.greedy_clockwise ?trace overlay ~src ~key:(Overlay.id overlay dst) in
+    let route = Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst) in
     let lat = Route.latency route ~node_latency in
     Metrics.incr lookups_counter;
     Metrics.observe hops_hist (Float.of_int (Route.hops route));

@@ -64,7 +64,17 @@ val observed_domain : Rings.t -> int array * bool array
 
 val mean_hops :
   Canon_rng.Rng.t -> Overlay.t -> samples:int -> float
-(** Mean greedy-clockwise hop count between random node pairs. *)
+(** Mean greedy-clockwise hop count between random node pairs; each
+    lookup feeds the [router.*] metrics. *)
+
+val mean_hops_with :
+  (Overlay.t -> src:int -> key:Canon_idspace.Id.t -> Route.t) ->
+  Canon_rng.Rng.t ->
+  Overlay.t ->
+  samples:int ->
+  float
+(** Mean hop count of [router] between random node pairs, with no
+    metrics. *)
 
 val mean_route_latency :
   Canon_rng.Rng.t ->

@@ -3,16 +3,6 @@ open Canon_overlay
 module Rng = Canon_rng.Rng
 module Table = Canon_stats.Table
 
-let mean_hops_with router rng overlay ~samples =
-  let n = Overlay.size overlay in
-  let trace = Canon_telemetry.Trace.ambient () in
-  let total = ref 0 in
-  for _ = 1 to samples do
-    let src = Rng.int_below rng n and dst = Rng.int_below rng n in
-    total := !total + Route.hops (router ?trace overlay ~src ~key:(Overlay.id overlay dst))
-  done;
-  Float.of_int !total /. Float.of_int samples
-
 let run ~scale ~seed =
   let sizes = match scale with `Paper -> [ 2048; 8192; 32768 ] | `Quick -> [ 1024; 4096 ] in
   let samples = match scale with `Paper -> 3000 | `Quick -> 1000 in
@@ -27,10 +17,11 @@ let run ~scale ~seed =
       let hier = Common.hierarchy_population ~seed:(seed + 1) ~levels:3 ~n in
       let sym = Symphony.build (Rng.create (seed + n)) flat in
       let cac = Cacophony.build (Rng.create (seed + n + 1)) (Rings.build hier) in
-      let sg = mean_hops_with Router.greedy_clockwise (Rng.create 1) sym ~samples in
-      let sl = mean_hops_with Router.greedy_clockwise_lookahead (Rng.create 1) sym ~samples in
-      let cg = mean_hops_with Router.greedy_clockwise (Rng.create 2) cac ~samples in
-      let cl = mean_hops_with Router.greedy_clockwise_lookahead (Rng.create 2) cac ~samples in
+      let hops router seed ov = Common.mean_hops_with router (Rng.create seed) ov ~samples in
+      let sg = hops Router.greedy_clockwise 1 sym in
+      let sl = hops Router.greedy_clockwise_lookahead 1 sym in
+      let cg = hops Router.greedy_clockwise 2 cac in
+      let cl = hops Router.greedy_clockwise_lookahead 2 cac in
       Table.add_float_row table (string_of_int n)
         [ sg; sl; 1.0 -. (sl /. sg); cg; cl; 1.0 -. (cl /. cg) ])
     sizes;

@@ -3,16 +3,6 @@ open Canon_overlay
 module Rng = Canon_rng.Rng
 module Table = Canon_stats.Table
 
-let mean_hops_with router rng overlay ~samples =
-  let n = Overlay.size overlay in
-  let trace = Canon_telemetry.Trace.ambient () in
-  let total = ref 0 in
-  for _ = 1 to samples do
-    let src = Rng.int_below rng n and dst = Rng.int_below rng n in
-    total := !total + Route.hops (router ?trace overlay ~src ~key:(Overlay.id overlay dst))
-  done;
-  Float.of_int !total /. Float.of_int samples
-
 let run ~scale ~seed =
   let n = match scale with `Paper -> 16384 | `Quick -> 2048 in
   let levels = 3 in
@@ -26,8 +16,8 @@ let run ~scale ~seed =
       ~columns:[ "System"; "Mean degree"; "Mean hops" ]
   in
   let add name overlay router seed' =
-    Table.add_float_row table name
-      [ Overlay.mean_degree overlay; mean_hops_with router (Rng.create seed') overlay ~samples ]
+    let hops = Common.mean_hops_with router (Rng.create seed') overlay ~samples in
+    Table.add_float_row table name [ Overlay.mean_degree overlay; hops ]
   in
   let clockwise = Router.greedy_clockwise in
   let xor = Router.greedy_xor in

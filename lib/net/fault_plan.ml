@@ -6,7 +6,6 @@ type t = {
   n : int;
   mutable loss : float;
   crashed : bool array;
-  slow : float array;
 }
 
 let check_loss loss =
@@ -16,7 +15,7 @@ let check_loss loss =
 let create ?(loss = 0.0) ~n () =
   if n < 0 then invalid_arg "Fault_plan.create: negative size";
   check_loss loss;
-  { n; loss; crashed = Array.make n false; slow = Array.make n 1.0 }
+  { n; loss; crashed = Array.make n false }
 
 let none ~n = create ~n ()
 
@@ -58,16 +57,5 @@ let crash_domain t pop ~domain =
     if Domain_tree.is_ancestor tree ~anc:domain ~desc:pop.Population.leaf_of_node.(v) then
       t.crashed.(v) <- true
   done
-
-let slow t v ~factor =
-  check_node t v "slow";
-  if not (Float.is_finite factor) || factor < 1.0 then
-    invalid_arg "Fault_plan.slow: factor must be >= 1";
-  t.slow.(v) <- factor
-
-let edge_multiplier t u v =
-  check_node t u "edge_multiplier";
-  check_node t v "edge_multiplier";
-  t.slow.(u) *. t.slow.(v)
 
 let draw_lost t rng = t.loss > 0.0 && Rng.float rng < t.loss

@@ -2,7 +2,7 @@
     network.
 
     A fault plan is built once per experiment point and is purely
-    descriptive — it holds no clock or queue. Three fault classes:
+    descriptive — it holds no clock or queue. Two fault classes:
 
     - {e message loss}: every message is independently dropped with
       probability [loss] (drawn from the {!Net}'s RNG, so runs are
@@ -10,13 +10,9 @@
     - {e crashed nodes}: a crashed node never receives anything; the
       sender only learns of the crash through timeouts. Whole domains
       can be crashed at once ({!crash_domain}) to model the paper's
-      correlated-failure scenarios (a campus loses power);
-    - {e slow nodes}: every message to or from a slow node has its
-      latency multiplied by the node's factor. A factor large enough to
-      push latency past the RPC timeout makes the node indistinguishable
-      from a crashed one to its peers — which is the point.
+      correlated-failure scenarios (a campus loses power).
 
-    Crash/slow mutators may be called at any time; {!Net} reads the plan
+    Crash mutators may be called at any time; {!Net} reads the plan
     live, so a plan mutated between lookups models failures striking
     mid-experiment. *)
 
@@ -25,7 +21,7 @@ open Canon_overlay
 type t
 
 val create : ?loss:float -> n:int -> unit -> t
-(** A plan over [n] nodes with no crashed or slow nodes and message-loss
+(** A plan over [n] nodes with no crashed nodes and message-loss
     probability [loss] (default 0). Raises [Invalid_argument] unless
     [0 <= loss <= 1] and [n >= 0]. *)
 
@@ -64,16 +60,6 @@ val crash_random :
 val crash_domain : t -> Population.t -> domain:int -> unit
 (** Crashes every node whose leaf lies in [domain]'s subtree — a
     whole-domain outage. The population's size must match the plan's. *)
-
-val slow : t -> int -> factor:float -> unit
-(** Sets a node's latency multiplier. Raises [Invalid_argument] unless
-    [factor >= 1]. [factor = 1] restores normal speed. A test seam: the
-    [net] "routes around a slow node" test and [prop.event-loop]'s "Net
-    = always-timer reference loop" read it. *)
-
-val edge_multiplier : t -> int -> int -> float
-(** [edge_multiplier t u v] scales a message from [u] to [v]: the product
-    of both endpoints' multipliers (each 1 unless {!slow} raised it). *)
 
 val draw_lost : t -> Canon_rng.Rng.t -> bool
 (** One per-message loss trial. Never consumes randomness when

@@ -224,7 +224,7 @@ let transmit t ~now ~push m =
     st.losses <- st.losses + 1;
     Metrics.incr m_losses
   end;
-  let lat = t.node_latency m.from_ m.to_ *. Fault_plan.edge_multiplier t.plan m.from_ m.to_ in
+  let lat = t.node_latency m.from_ m.to_ in
   (* A message lost, aimed at a crashed node, or slower than the
      timeout never completes its hop; the sender finds out at the
      timeout. Deliver is pushed before Timeout so a latency exactly at

@@ -3,8 +3,8 @@
     Where the synchronous engines in {!Canon_core.Router} teleport a
     message along its whole path in one call, [Net] turns every hop into
     an RPC on a virtual clock: the message takes real (transit-stub)
-    latency to cross each link, can be dropped or sent to a crashed/slow
-    node per the {!Fault_plan}, and the sender recovers through the
+    latency to cross each link, can be dropped or sent to a crashed node
+    per the {!Fault_plan}, and the sender recovers through the
     {!Rpc} policy — timeout, bounded retries with jittered exponential
     backoff — before giving up on a link. Recovery is layered exactly as
     the paper's §2.3 prescribes:
@@ -28,8 +28,8 @@
     holding the message picks the next hop); per-hop acknowledgements
     are not simulated separately — a delivered hop silently cancels its
     sender's timeout — and a message slower than the timeout is treated
-    as undelivered, which is precisely what makes slow nodes get routed
-    around. Suspicions are forgotten when the lookup that learned them
+    as undelivered, so the sender recovers from a link that slow as
+    from a crashed target. Suspicions are forgotten when the lookup that learned them
     ends: each lookup discovers failures afresh, modelling independent
     clients with no shared failure detector, the paper's no-repair
     setting.

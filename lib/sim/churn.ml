@@ -169,14 +169,10 @@ let run ?on_event rng pop config =
       Metrics.incr probes_counter;
       let src = pick_descending rng d.d_live and dst = pick_descending rng d.d_live in
       let route =
-        Router.greedy_clockwise_generic
-          ?trace:(Canon_telemetry.Trace.ambient ())
-          ~level:(Population.link_level pop)
-          ~n
+        Router.greedy_clockwise_generic ~level:(Population.link_level pop) ~n
           ~ids:pop.Population.ids
           ~links:(fun v -> if Maintenance.is_present m v then Maintenance.links m v else [||])
-          ~src
-          ~key:pop.Population.ids.(dst) ()
+          ~src ~key:pop.Population.ids.(dst)
       in
       Metrics.observe probe_hops_hist (Float.of_int (Canon_overlay.Route.hops route));
       if Canon_overlay.Route.destination route <> dst then begin

@@ -261,12 +261,9 @@ let join t m =
     | None -> 0
     | Some b ->
         let route =
-          Router.greedy_clockwise_generic
-            ?trace:(Canon_telemetry.Trace.ambient ())
-            ~level:(Population.link_level t.pop)
-            ~n ~ids
+          Router.greedy_clockwise_generic ~level:(Population.link_level t.pop) ~n ~ids
             ~links:(fun v -> t.links.(v))
-            ~src:b ~key:id_m ()
+            ~src:b ~key:id_m
         in
         Route.hops route
   in

@@ -103,9 +103,7 @@ let cache_hit t ~querier ~key node =
 let query t store overlay ~querier ~key =
   let pop = Rings.population t.rings in
   let tree = pop.Population.tree in
-  let route =
-    Router.greedy_clockwise ?trace:(Canon_telemetry.Trace.ambient ()) overlay ~src:querier ~key
-  in
+  let route = Router.greedy_clockwise overlay ~src:querier ~key in
   let nodes = route.Route.nodes in
   let rec find i =
     if i >= Array.length nodes then None

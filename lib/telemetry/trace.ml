@@ -8,10 +8,11 @@ type t = {
   mutable emitted : int;
 }
 
-let create ?(capacity = 4096) ?(sample_every = 1) ?latency ?(sink = Sink.null) () =
+let create ?(capacity = 4096) ?(sample_every = 1) ?(sink = Sink.null) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity < 1";
   if sample_every < 1 then invalid_arg "Trace.create: sample_every < 1";
-  { capacity; sample_every; latency; sink; retained = Queue.create (); seen = 0; emitted = 0 }
+  let retained = Queue.create () in
+  { capacity; sample_every; latency = None; sink; retained; seen = 0; emitted = 0 }
 
 let record t ~kind ~key ~outcome ~nodes ~level ?latency () =
   let sampled = t.seen mod t.sample_every = 0 in

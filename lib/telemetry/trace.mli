@@ -8,29 +8,22 @@
     [capacity] spans in memory for in-process inspection, and streams
     every sampled span to its {!Sink}.
 
-    The {e ambient} trace is an optional process-wide current trace.
-    Experiment code that is many layers away from the CLI (e.g. the
-    shared lookup helpers in [canon_experiments.Common]) reads it once
-    per measurement loop and passes it down as the router's [?trace]
-    argument; when unset — the default, and the benchmark configuration
-    — instrumented code paths take their untraced branch and allocate
-    nothing. *)
+    The {e ambient} trace is an optional process-wide current trace,
+    installed by the CLI ([--trace FILE]). The routing engines
+    ([Canon_core.Router]) and [Canon_net.Net] read it themselves, once
+    per lookup, so no caller passes a trace down; when unset — the
+    default, and the benchmark configuration — they take their untraced
+    branch and build no span. *)
 
 type t
 
-val create :
-  ?capacity:int ->
-  ?sample_every:int ->
-  ?latency:(int -> int -> float) ->
-  ?sink:Sink.t ->
-  unit ->
-  t
+val create : ?capacity:int -> ?sample_every:int -> ?sink:Sink.t -> unit -> t
 (** [capacity] (default 4096) bounds in-memory retention — older spans
     are dropped, the sink still sees all sampled spans. [sample_every]
     (default 1 = every lookup) keeps the 1st, (k+1)-th, (2k+1)-th …
-    recorded span. [latency] is the default per-edge physical latency
-    oracle for spans recorded without an explicit one. Raises
-    [Invalid_argument] when [capacity < 1] or [sample_every < 1]. *)
+    recorded span. A new trace holds no latency oracle
+    ({!set_latency}). Raises [Invalid_argument] when [capacity < 1] or
+    [sample_every < 1]. *)
 
 val record :
   t ->
@@ -47,10 +40,11 @@ val record :
     trace-level oracle for this span. *)
 
 val set_latency : t -> (int -> int -> float) option -> unit
-(** Installs (or clears) the default latency oracle after creation.
-    Experiments that build their latency model long after the CLI
-    created the trace use this to upgrade subsequent spans from
-    hop-only to physical-latency records. *)
+(** Installs (or clears) the default per-edge latency oracle, which
+    prices spans recorded without an explicit one. Experiments build
+    their latency model long after the CLI created the trace, and use
+    this to upgrade subsequent spans from hop-only to physical-latency
+    records. *)
 
 val seen : t -> int
 (** Total lookups offered via {!record}. *)

@@ -967,7 +967,7 @@ let reference_run rng pop (config : Churn.config) =
             Domain_tree.depth pop.Population.tree (Population.lca_of_nodes pop u v))
           ~n ~ids:pop.Population.ids
           ~links:(fun v -> if Maintenance.is_present m v then Maintenance.links m v else [||])
-          ~src ~key:pop.Population.ids.(dst) ()
+          ~src ~key:pop.Population.ids.(dst)
       in
       if Route.destination route <> dst then incr failed
     end
@@ -1546,17 +1546,21 @@ let walked_of run =
   | route -> Routed route.Route.nodes
   | exception Router.Stuck { at; key; hops; path } -> Stuck_at { at; key; hops; path }
 
-(* An engine run under a fresh trace: how it ended, checked against the
-   one span it must record — kind, outcome, path, and the link level of
-   every hop (the reference's depth of the endpoints' LCA domain). A
-   stranded walk's path is the span's. *)
+(* An engine run under a fresh ambient trace: how it ended, checked
+   against the one span it must record — kind, outcome, path, and the
+   link level of every hop (the reference's depth of the endpoints' LCA
+   domain). A stranded walk's path is the span's. *)
 let traced_walked pop ~kind run =
   let trace = Trace.create () in
   let ended =
-    match run trace with
-    | Some route -> Routed route.Route.nodes
-    | None -> Stranded [||]
-    | exception Router.Stuck { at; key; hops; path } -> Stuck_at { at; key; hops; path }
+    Trace.set_ambient (Some trace);
+    Fun.protect
+      ~finally:(fun () -> Trace.set_ambient None)
+      (fun () ->
+        match run () with
+        | Some route -> Routed route.Route.nodes
+        | None -> Stranded [||]
+        | exception Router.Stuck { at; key; hops; path } -> Stuck_at { at; key; hops; path })
   in
   match Trace.spans trace with
   | [ span ] -> (
@@ -1596,20 +1600,20 @@ let overlay_engines_match ~lookahead ~xor overlay ~dead ~src ~key =
   let pop = Overlay.population overlay in
   let n = Overlay.size overlay in
   let id = Overlay.id overlay and links = Overlay.links overlay in
-  let some f tr = Some (f tr) in
+  let some f () = Some (f ()) in
   let clockwise () =
     same "greedy_clockwise"
       ~expected:(reference_collect ~n ~src ~key (reference_clockwise ~id ~links ~key))
       (traced_walked pop ~kind:"greedy_clockwise"
-         (some (fun trace -> Router.greedy_clockwise ~trace overlay ~src ~key)))
+         (some (fun () -> Router.greedy_clockwise overlay ~src ~key)))
   in
   let avoiding () =
     if dead src then Ok ()
     else
       same "greedy_clockwise_avoiding"
         ~expected:(reference_avoiding overlay ~dead ~src ~key)
-        (traced_walked pop ~kind:"greedy_clockwise_avoiding" (fun trace ->
-             Router.greedy_clockwise_avoiding ~trace overlay ~dead ~src ~key))
+        (traced_walked pop ~kind:"greedy_clockwise_avoiding" (fun () ->
+             Router.greedy_clockwise_avoiding overlay ~dead ~src ~key))
   in
   let lookahead () =
     if not lookahead then Ok ()
@@ -1617,7 +1621,7 @@ let overlay_engines_match ~lookahead ~xor overlay ~dead ~src ~key =
       same "greedy_clockwise_lookahead"
         ~expected:(reference_collect ~n ~src ~key (reference_lookahead overlay ~key))
         (traced_walked pop ~kind:"greedy_clockwise_lookahead"
-           (some (fun trace -> Router.greedy_clockwise_lookahead ~trace overlay ~src ~key)))
+           (some (fun () -> Router.greedy_clockwise_lookahead overlay ~src ~key)))
   in
   let xor () =
     if not xor then Ok ()
@@ -1625,7 +1629,7 @@ let overlay_engines_match ~lookahead ~xor overlay ~dead ~src ~key =
       same "greedy_xor"
         ~expected:(reference_collect ~n ~src ~key (reference_xor overlay ~key))
         (traced_walked pop ~kind:"greedy_xor"
-           (some (fun trace -> Router.greedy_xor ~trace overlay ~src ~key)))
+           (some (fun () -> Router.greedy_xor overlay ~src ~key)))
   in
   first_error [ clockwise; avoiding; lookahead; xor ]
 
@@ -1650,7 +1654,8 @@ let generic_matches ~n ~ids ~links ~src ~key =
              (reference_collect ~n:budget_n ~src ~key (reference_clockwise ~id ~links ~key))
            (Ok
               (walked_of (fun () ->
-                   Router.greedy_clockwise_generic ~n:budget_n ~ids ~links ~src ~key ())))))
+                   Router.greedy_clockwise_generic ~level:(fun _ _ -> 0) ~n:budget_n ~ids ~links
+                     ~src ~key)))))
 
 (* Chord, Crescendo, Symphony, Cacophony (with lookahead) and Kademlia
    (XOR) overlays of the scenario, on random and corner ids, under a
@@ -1902,7 +1907,7 @@ module Reference_net = struct
     p.messages <- p.messages + 1;
     let lost = Fault_plan.draw_lost t.plan t.rng in
     if lost then p.losses <- p.losses + 1;
-    let lat = node_latency m.from_ m.to_ *. Fault_plan.edge_multiplier t.plan m.from_ m.to_ in
+    let lat = node_latency m.from_ m.to_ in
     if
       (not lost)
       && (not (Fault_plan.is_crashed t.plan m.to_))
@@ -2016,19 +2021,15 @@ let show_route (r : Async_route.t) =
     r.reanchors
 
 (* A net configuration for the timer-skip property: crashes, loss below
-   0.5, a quarter of the nodes slowed 2x (with the even timeout, edges of
-   base latency timeout/2 land exactly at it, as do unslowed edges of
-   base latency = timeout), and half the time a deadline just above the
-   timeout, so that delivered hops keep their timers and those timers
-   fail lookups. *)
+   0.5, a timeout within the oracle's 5..44 ms range (so edges of latency
+   = timeout land exactly at it), and half the time a deadline just
+   above the timeout, so that delivered hops keep their timers and those
+   timers fail lookups. *)
 let gen_net_config rng ~n =
   let timeout = Float.of_int (2 * (10 + Rng.int_below rng 13)) in
   let loss = if Rng.bool rng then Rng.float rng *. 0.5 else 0.0 in
   let plan = Fault_plan.create ~loss ~n () in
   Array.iteri (fun v c -> if c then Fault_plan.crash plan v) (gen_crashes rng ~n);
-  for v = 0 to n - 1 do
-    if Rng.int_below rng 4 = 0 then Fault_plan.slow plan v ~factor:2.0
-  done;
   let deadline =
     if Rng.bool rng then timeout +. Float.of_int (1 + Rng.int_below rng 20) else 60_000.0
   in
@@ -2561,7 +2562,7 @@ module Reference_maintenance = struct
             (Router.greedy_clockwise_generic ~level:(Population.link_level t.pop) ~n
                ~ids:t.pop.Population.ids
                ~links:(fun v -> t.links.(v))
-               ~src:b ~key:id_m ())
+               ~src:b ~key:id_m)
     in
     Rings.add_node t.rings m;
     t.present.(m) <- true;

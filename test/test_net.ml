@@ -67,14 +67,8 @@ let test_fault_plan_basics () =
   Alcotest.(check int) "idempotent" 2 (Fault_plan.crashed_count p);
   Fault_plan.revive p 3;
   Alcotest.(check bool) "revived" false (Fault_plan.is_crashed p 3);
-  Fault_plan.slow p 2 ~factor:5.0;
-  Alcotest.(check (float 1e-9)) "edge multiplier" 5.0 (Fault_plan.edge_multiplier p 2 4);
-  Fault_plan.slow p 4 ~factor:3.0;
-  Alcotest.(check (float 1e-9)) "both ends" 15.0 (Fault_plan.edge_multiplier p 2 4);
   Alcotest.check_raises "bad loss" (Invalid_argument "Fault_plan: loss must be in [0, 1]")
     (fun () -> Fault_plan.set_loss p 1.5);
-  Alcotest.check_raises "bad factor" (Invalid_argument "Fault_plan.slow: factor must be >= 1")
-    (fun () -> Fault_plan.slow p 0 ~factor:0.5);
   Alcotest.check_raises "out of range"
     (Invalid_argument "Fault_plan.crash: node out of range") (fun () ->
       Fault_plan.crash p 10)
@@ -306,7 +300,7 @@ let test_net_suspicions_per_lookup () =
   Alcotest.(check bool) "second pays again" true (second.Async_route.timeouts > 0);
   Alcotest.(check (array int)) "nothing remembered" [||] (Net.suspected_nodes net)
 
-(* --- Net: loss, slowness, deadline --------------------------------- *)
+(* --- Net: loss, deadline -------------------------------------------- *)
 
 let test_net_total_loss_fails () =
   let _, rings, overlay = build_crescendo ~n:200 60 in
@@ -338,22 +332,6 @@ let test_net_partial_loss_recovers () =
   done;
   Alcotest.(check bool) "most lookups survive 30% loss" true (!delivered >= 55);
   Alcotest.(check bool) "retries did the work" true (!retried > 0)
-
-let test_net_routes_around_slow_node () =
-  let _, rings, overlay = build_crescendo ~n:200 65 in
-  let src, dst, route = multi_hop_pair overlay ~n:200 ~min_hops:2 in
-  let slow = route.Route.nodes.(1) in
-  let plan = Fault_plan.none ~n:200 in
-  (* Slower than the timeout: indistinguishable from crashed. *)
-  Fault_plan.slow plan slow ~factor:1e6;
-  let net =
-    Net.create ~policy:fast_policy ~plan ~rings ~rng:(Rng.create 66) ~node_latency:oracle
-      overlay
-  in
-  let r = Net.lookup net ~src ~key:(Overlay.id overlay dst) in
-  Alcotest.(check bool) "delivered" true (Async_route.delivered r);
-  Alcotest.(check bool) "avoids the slow node" false (Array.mem slow r.Async_route.route.Route.nodes);
-  Alcotest.(check bool) "paid timeouts to learn" true (r.Async_route.timeouts > 0)
 
 let test_net_deadline () =
   let _, rings, overlay = build_crescendo ~n:200 67 in
@@ -645,8 +623,6 @@ let suites =
         Alcotest.test_case "suspicions last one lookup" `Quick test_net_suspicions_per_lookup;
         Alcotest.test_case "total loss fails" `Quick test_net_total_loss_fails;
         Alcotest.test_case "partial loss recovers" `Quick test_net_partial_loss_recovers;
-        Alcotest.test_case "routes around a slow node" `Quick
-          test_net_routes_around_slow_node;
         Alcotest.test_case "deadline" `Quick test_net_deadline;
         Alcotest.test_case "deterministic" `Quick test_net_deterministic;
         Alcotest.test_case "validation" `Quick test_net_validation;

@@ -104,15 +104,25 @@ let crescendo_overlay ~levels ~n =
   let pop = make_pop ~seed:(10 + levels) ~levels ~n () in
   (pop, Crescendo.build (Rings.build pop))
 
+(* Runs [f] with [trace] installed as the ambient trace, the only way an
+   engine is traced, and leaves none installed. *)
+let with_ambient trace f =
+  Trace.set_ambient (Some trace);
+  Fun.protect ~finally:(fun () -> Trace.set_ambient None) f
+
 let test_span_invariants () =
   let _pop, overlay = crescendo_overlay ~levels:3 ~n:512 in
   (* A synthetic physical latency so cumulative latency is non-trivial. *)
   let latency u v = 1.0 +. Float.of_int ((u + v) mod 7) in
-  let trace = Trace.create ~latency ~sink:(Sink.memory ()) () in
+  let trace = Trace.create ~sink:(Sink.memory ()) () in
+  Trace.set_latency trace (Some latency);
   let rng = Rng.create 5 in
   for _ = 1 to 200 do
     let src = Rng.int_below rng 512 and dst = Rng.int_below rng 512 in
-    let route = Router.greedy_clockwise ~trace overlay ~src ~key:(Overlay.id overlay dst) in
+    let route =
+      with_ambient trace (fun () ->
+          Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))
+    in
     let span = List.nth (Trace.spans trace) (Trace.emitted trace - 1) in
     Alcotest.(check (array int)) "span path = route path" route.Route.nodes (Span.path span);
     Alcotest.(check int) "hops = events - 1" (Route.hops route)
@@ -144,10 +154,11 @@ let test_span_levels_hierarchical () =
   let _pop, overlay = crescendo_overlay ~levels:3 ~n:512 in
   let trace = Trace.create () in
   let rng = Rng.create 6 in
-  for _ = 1 to 300 do
-    let src = Rng.int_below rng 512 and dst = Rng.int_below rng 512 in
-    ignore (Router.greedy_clockwise ~trace overlay ~src ~key:(Overlay.id overlay dst))
-  done;
+  with_ambient trace (fun () ->
+      for _ = 1 to 300 do
+        let src = Rng.int_below rng 512 and dst = Rng.int_below rng 512 in
+        ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))
+      done);
   let deep =
     List.exists
       (fun s ->
@@ -161,12 +172,14 @@ let test_span_levels_hierarchical () =
 let test_jsonl_roundtrip () =
   let _pop, overlay = crescendo_overlay ~levels:2 ~n:256 in
   let latency u v = 0.5 +. Float.of_int ((3 * u + v) mod 11) in
-  let trace = Trace.create ~latency () in
+  let trace = Trace.create () in
+  Trace.set_latency trace (Some latency);
   let rng = Rng.create 7 in
-  for _ = 1 to 50 do
-    let src = Rng.int_below rng 256 and dst = Rng.int_below rng 256 in
-    ignore (Router.greedy_clockwise ~trace overlay ~src ~key:(Overlay.id overlay dst))
-  done;
+  with_ambient trace (fun () ->
+      for _ = 1 to 50 do
+        let src = Rng.int_below rng 256 and dst = Rng.int_below rng 256 in
+        ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))
+      done);
   (* "%.17g" prints a whole float without a point, which parses back as
      an Int. *)
   let number = function
@@ -210,10 +223,11 @@ let test_jsonl_file_sink () =
   let _pop, overlay = crescendo_overlay ~levels:2 ~n:128 in
   let trace = Trace.create ~sink:(Sink.jsonl_file file) () in
   let rng = Rng.create 8 in
-  for _ = 1 to 25 do
-    let src = Rng.int_below rng 128 and dst = Rng.int_below rng 128 in
-    ignore (Router.greedy_clockwise ~trace overlay ~src ~key:(Overlay.id overlay dst))
-  done;
+  with_ambient trace (fun () ->
+      for _ = 1 to 25 do
+        let src = Rng.int_below rng 128 and dst = Rng.int_below rng 128 in
+        ignore (Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))
+      done);
   Trace.flush trace;
   let ic = open_in file in
   let lines = ref [] in
@@ -340,10 +354,11 @@ let test_stuck_partial_path () =
   let links = [| [| 1 |]; [| 2 |]; [||] |] in
   let trace = Trace.create () in
   let attempt () =
-    ignore
-      (Router.greedy_clockwise_generic ~trace ~n:0 ~ids
-         ~links:(fun v -> links.(v))
-         ~src:0 ~key:30 ())
+    with_ambient trace (fun () ->
+        ignore
+          (Router.greedy_clockwise_generic ~level:(fun _ _ -> 0) ~n:0 ~ids
+             ~links:(fun v -> links.(v))
+             ~src:0 ~key:30))
   in
   (try
      attempt ();
@@ -358,6 +373,46 @@ let test_stuck_partial_path () =
       Alcotest.(check bool) "outcome stuck" true (span.Span.outcome = Span.Stuck);
       Alcotest.(check (array int)) "span partial path" [| 0; 1 |] (Span.path span)
   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
+
+(* --- Engines trace through the ambient trace alone ---------------- *)
+
+(* A trace that is created but not installed sees no lookup; once it is
+   the ambient trace, each engine run, and a store lookup through its
+   clockwise route, offers it exactly one span of its kind. *)
+let test_engines_read_ambient () =
+  let pop, overlay = crescendo_overlay ~levels:3 ~n:256 in
+  let store = Canon_storage.Store.create (Rings.build pop) in
+  let key = Overlay.id overlay 200 in
+  let runs =
+    [
+      ("greedy_clockwise", fun () -> ignore (Router.greedy_clockwise overlay ~src:3 ~key));
+      ( "greedy_clockwise_generic",
+        fun () ->
+          ignore
+            (Router.greedy_clockwise_generic ~level:(Population.link_level pop) ~n:256
+               ~ids:pop.Population.ids ~links:(Overlay.links overlay) ~src:3 ~key) );
+      ( "greedy_clockwise_lookahead",
+        fun () -> ignore (Router.greedy_clockwise_lookahead overlay ~src:3 ~key) );
+      ("greedy_xor", fun () -> ignore (Router.greedy_xor overlay ~src:3 ~key));
+      ( "greedy_clockwise_avoiding",
+        fun () ->
+          ignore (Router.greedy_clockwise_avoiding overlay ~dead:(fun _ -> false) ~src:3 ~key) );
+      ( "greedy_clockwise",
+        fun () -> ignore (Canon_storage.Store.lookup store overlay ~querier:3 ~key) );
+    ]
+  in
+  let trace = Trace.create () in
+  Alcotest.(check bool) "no ambient trace" true (Option.is_none (Trace.ambient ()));
+  List.iter (fun (_, run) -> run ()) runs;
+  Alcotest.(check int) "nothing recorded while not installed" 0 (Trace.seen trace);
+  with_ambient trace (fun () ->
+      List.iteri
+        (fun i (kind, run) ->
+          run ();
+          Alcotest.(check int) (kind ^ ": one span a run") (i + 1) (Trace.emitted trace);
+          Alcotest.(check string) "span kind" kind (List.nth (Trace.spans trace) i).Span.kind)
+        runs);
+  Alcotest.(check bool) "ambient left unset" true (Option.is_none (Trace.ambient ()))
 
 (* --- Report ------------------------------------------------------- *)
 
@@ -437,6 +492,7 @@ let suites =
         Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;
         Alcotest.test_case "sampling and retention" `Quick test_sampling_and_capacity;
         Alcotest.test_case "stuck carries partial path" `Quick test_stuck_partial_path;
+        Alcotest.test_case "engines read the ambient trace" `Quick test_engines_read_ambient;
         Alcotest.test_case "report rendering" `Quick test_report_renders;
         Alcotest.test_case "span make" `Quick test_span_make;
         Alcotest.test_case "sinks" `Quick test_sinks;
