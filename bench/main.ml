@@ -60,6 +60,20 @@ let micro_benchmarks () =
       ts_overlay
   in
   let ts_dead = Array.init ts_n (Canon_net.Fault_plan.is_crashed ts_plan) in
+  (* perfbench faulty_kv's store: sibling spread, k = 3, 2000 keys
+     preloaded from random live writers into the root domain. *)
+  let kv_store =
+    Canon_storage.Replicated_store.create ~net:ts_net ~k:3
+      ~spread:Canon_storage.Replica_set.Sibling ts_rings
+  in
+  let kv_rng = Rng.create 12 in
+  let kv_keys = Array.init 2000 (fun _ -> Canon_idspace.Id.random kv_rng) in
+  Array.iter
+    (fun key ->
+      ignore
+        (Canon_storage.Replicated_store.put kv_store ~writer:(Rng.pick kv_rng ts_live) ~key
+           ~value:"preload" ~storage_domain:ts_root))
+    kv_keys;
   (* Pre-drawn inputs, replayed in a cycle by each row that takes them
      (so rows on the same inputs see them in the same order). *)
   let cycle inputs =
@@ -166,6 +180,16 @@ let micro_benchmarks () =
                (Canon_storage.Replica_set.compute ~alive:ts_alive ts_rings
                   ~spread:Canon_storage.Replica_set.Sibling ~k:3 ~domain:ts_root
                   ~key:(Canon_idspace.Id.random rng))));
+      Test.make ~name:"replicated_store.get (sibling k=3, 2040 routers, n=8192, 10% dead, 1% loss, 2000 keys)"
+        (Staged.stage (fun () ->
+             ignore
+               (Canon_storage.Replicated_store.get kv_store ~querier:(Rng.pick rng ts_live)
+                  ~key:(Rng.pick rng kv_keys))));
+      Test.make ~name:"replicated_store.put (sibling k=3, 2040 routers, n=8192, 10% dead, 1% loss, 2000 keys)"
+        (Staged.stage (fun () ->
+             ignore
+               (Canon_storage.Replicated_store.put kv_store ~writer:(Rng.pick rng ts_live)
+                  ~key:(Rng.pick rng kv_keys) ~value:"v" ~storage_domain:ts_root)));
       Test.make ~name:"latency.node_latency (warm, 2040 routers)"
         (* Router pairs as Net's hops query them; every intra-domain
            table they touch is built before timing starts. *)

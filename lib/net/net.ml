@@ -100,6 +100,8 @@ let create ?(policy = Rpc.default) ?plan ?rings ?live ~rng ~node_latency overlay
     queue = Event_queue.create ();
   }
 
+let population t = Overlay.population t.overlay
+
 let plan t = t.plan
 
 (* Membership and link state the routing rule consults: the frozen

@@ -74,6 +74,9 @@ val create :
     rings/live view over a different population, or an invalid
     policy. *)
 
+val population : t -> Population.t
+(** The population of the overlay the net routes over. *)
+
 val plan : t -> Fault_plan.t
 (** Live: mutating the returned plan affects subsequent lookups. *)
 

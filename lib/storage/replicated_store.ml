@@ -26,7 +26,7 @@ type entry = {
 type meta = {
   storage_domain : int;
   mutable version : int;  (* highest acknowledged version *)
-  mutable copies : int list;  (* nodes believed to hold a copy, sorted *)
+  mutable copies : (int * entry) list;  (* every copy of the key, sorted by node *)
 }
 
 type t = {
@@ -36,34 +36,23 @@ type t = {
   spread : Replica_set.spread;
   net : Net.t option;
   present : bool array;
-  tables : (Id.t, entry) Hashtbl.t array;
   directory : (Id.t, meta) Hashtbl.t;
 }
 
 let create ?net ?(k = 2) ?(spread = Replica_set.Sibling) rings =
   if k < 1 then invalid_arg "Replicated_store.create: k must be >= 1";
   let pop = Rings.population rings in
-  let n = Population.size pop in
   (match net with
-  | Some net when Fault_plan.size (Net.plan net) <> n ->
-      invalid_arg "Replicated_store.create: net population mismatch"
+  | Some net when Net.population net != pop ->
+      invalid_arg "Replicated_store.create: net over a different population"
   | _ -> ());
   let present =
-    Array.init n (fun v ->
+    Array.init (Population.size pop) (fun v ->
         Ring.contains
           (Rings.ring rings pop.Population.leaf_of_node.(v))
           pop.Population.ids.(v))
   in
-  {
-    rings;
-    pop;
-    k;
-    spread;
-    net;
-    present;
-    tables = Array.init n (fun _ -> Hashtbl.create 16);
-    directory = Hashtbl.create 64;
-  }
+  { rings; pop; k; spread; net; present; directory = Hashtbl.create 64 }
 
 let live t v =
   t.present.(v)
@@ -98,21 +87,21 @@ let holders t ~key =
 let copies t ~key =
   match Hashtbl.find_opt t.directory key with
   | None -> [||]
-  | Some meta -> Array.of_list meta.copies
+  | Some meta -> Array.of_list (List.map fst meta.copies)
 
 let stored t ~node ~key =
-  match Hashtbl.find_opt t.tables.(node) key with
+  match Hashtbl.find_opt t.directory key with
   | None -> None
-  | Some e -> Some (e.value, e.version)
+  | Some meta -> Option.map (fun e -> (e.value, e.version)) (List.assoc_opt node meta.copies)
 
 let version t ~key =
   match Hashtbl.find_opt t.directory key with None -> 0 | Some m -> m.version
 
-let add_copy meta node =
-  if not (List.mem node meta.copies) then
-    meta.copies <- List.sort compare (node :: meta.copies)
-
-let drop_copy meta node = meta.copies <- List.filter (( <> ) node) meta.copies
+(* [copies] with [node]'s copy set to [e], still sorted by node. *)
+let rec set_copy node e = function
+  | (v, _) :: rest when v = node -> (node, e) :: rest
+  | ((v, _) as c) :: rest when v < node -> c :: set_copy node e rest
+  | copies -> (node, e) :: copies
 
 let put t ~writer ~key ~value ~storage_domain =
   if not (live t writer) then invalid_arg "Replicated_store.put: writer not live";
@@ -133,17 +122,16 @@ let put t ~writer ~key ~value ~storage_domain =
         m
   in
   Metrics.incr puts_counter;
-  let next_version = meta.version + 1 in
+  let written = { value; version = meta.version + 1 } in
   let acks = ref 0 in
   Array.iter
     (fun h ->
       if reachable t ~src:writer h then begin
-        Hashtbl.replace t.tables.(h) key { value; version = next_version };
-        add_copy meta h;
+        meta.copies <- set_copy h written meta.copies;
         incr acks
       end)
     (holders_of t meta ~key);
-  if !acks > 0 then meta.version <- next_version;
+  if !acks > 0 then meta.version <- written.version;
   Metrics.add acks_counter !acks;
   !acks
 
@@ -156,23 +144,26 @@ let get t ~querier ~key =
       None
   | Some meta ->
       let hs = holders_of t meta ~key in
-      (* Live copies outside the holder set still count for freshness,
-         and get garbage-collected once the holders are repaired. *)
-      let extras = List.filter (fun v -> live t v && not (Array.mem v hs)) meta.copies in
-      let probe v = (v, reachable t ~src:querier v, Hashtbl.find_opt t.tables.(v) key) in
-      let probed_holders = Array.map probe hs in
-      let probed_extras = List.map probe extras in
-      let best = ref (None : entry option) in
-      let consider ((_, ok, e) : int * bool * entry option) =
-        match (ok, e) with
-        | true, Some e -> (
-            match !best with
-            | Some b when b.version >= e.version -> ()
-            | _ -> best := Some e)
-        | _ -> ()
+      (* Probe the holders in holder order, then the live copies outside
+         the holder set in node order: those extras still count for
+         freshness, and get garbage-collected once the holders are
+         repaired. *)
+      let probed_holders =
+        Array.map (fun h -> (h, reachable t ~src:querier h, List.assoc_opt h meta.copies)) hs
       in
-      Array.iter consider probed_holders;
-      List.iter consider probed_extras;
+      let reached_extras =
+        List.filter
+          (fun (v, _) -> live t v && (not (Array.mem v hs)) && reachable t ~src:querier v)
+          meta.copies
+      in
+      let best = ref (None : entry option) in
+      let consider (e : entry) =
+        match !best with
+        | Some b when b.version >= e.version -> ()
+        | _ -> best := Some e
+      in
+      Array.iter (function _, true, Some e -> consider e | _ -> ()) probed_holders;
+      List.iter (fun (_, e) -> consider e) reached_extras;
       (match !best with
       | None ->
           Metrics.incr read_failures_counter;
@@ -183,16 +174,14 @@ let get t ~querier ~key =
           let stale = ref 0 in
           Array.iter
             (fun ((h, ok, e) : int * bool * entry option) ->
-              if ok then
-                let behind =
-                  match e with None -> true | Some e -> e.version < fresh.version
-                in
-                if behind then begin
-                  incr stale;
-                  Hashtbl.replace t.tables.(h) key fresh;
-                  add_copy meta h;
-                  Metrics.incr read_repairs_counter
-                end)
+              let behind =
+                match e with None -> true | Some e -> e.version < fresh.version
+              in
+              if ok && behind then begin
+                incr stale;
+                meta.copies <- set_copy h fresh meta.copies;
+                Metrics.incr read_repairs_counter
+              end)
             probed_holders;
           if !stale > 0 then Metrics.incr stale_reads_counter;
           (* GC: reachable copies at nodes no longer in the holder set —
@@ -201,18 +190,10 @@ let get t ~querier ~key =
              holder unreachable an extra may hold the only copy of the
              acknowledged version; collecting it would destroy the
              write the read just returned. *)
-          let rehomed =
-            Array.exists
-              (fun ((_, ok, _) : int * bool * entry option) -> ok)
-              probed_holders
-          in
-          if rehomed then
-            List.iter
-              (fun (v, ok, _) ->
-                if ok then begin
-                  Hashtbl.remove t.tables.(v) key;
-                  drop_copy meta v;
-                  Metrics.incr gc_counter
-                end)
-              probed_extras;
+          let rehomed = Array.exists (fun (_, ok, _) -> ok) probed_holders in
+          if rehomed && reached_extras <> [] then begin
+            meta.copies <-
+              List.filter (fun (v, _) -> not (List.mem_assoc v reached_extras)) meta.copies;
+            Metrics.add gc_counter (List.length reached_extras)
+          end;
           Some fresh.value)

@@ -22,6 +22,13 @@
     stale or missing replica), [read_repairs] (replica copies rewritten
     by reads), [gc_copies] (copies dropped from ex-holders).
 
+    {b Where copies live.} A key's directory entry is the only place its
+    replicas live: it holds the key's storage domain, its acknowledged
+    version and its copies, one (node, value, version) each, sorted by
+    node. A node holds no table of its own, so the store costs nothing
+    per member beyond one presence flag, and each key one directory
+    entry plus one list cell per copy.
+
     The replica-count invariant maintained by writes and
     reads-with-repair — every key has exactly [min k live_nodes]
     distinct live replica holders — is pinned by the property suite
@@ -37,9 +44,10 @@ val create :
 (** An empty replicated store over the population of [rings] with
     replication degree [k] (default 2) and placement policy [spread]
     (default {!Replica_set.Sibling}). Nodes present in their leaf ring
-    are the members. When [net] is given its plan must cover the same
-    population. Raises [Invalid_argument] on [k < 1] or a net size
-    mismatch. *)
+    are the members. When [net] is given it must route over the very
+    population of [rings] (compared physically, as {!Canon_net.Net.create}
+    compares its [?rings]). Raises [Invalid_argument] on [k < 1] or a
+    net over another population. *)
 
 val put :
   t -> writer:int -> key:Id.t -> value:string -> storage_domain:int -> int

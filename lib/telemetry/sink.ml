@@ -20,6 +20,8 @@ let write t line =
         output_string oc line;
         output_char oc '\n'
 
+let keeps t = (not t.closed) && match t.target with Null -> false | Memory _ | File _ -> true
+
 let lines t = match t.target with Memory lines -> List.rev !lines | Null | File _ -> []
 
 let close t =

@@ -25,6 +25,11 @@ val write : t -> string -> unit
 (** [write t line] emits one JSONL line ([line] must not contain a
     newline; the sink adds it). No-op on a closed sink. *)
 
+val keeps : t -> bool
+(** [false] when {!write} would discard every line: the {!null} sink,
+    or any closed sink. {!Trace.record} renders a span only for a sink
+    that keeps it. *)
+
 val lines : t -> string list
 (** Lines retained by a {!memory} sink, oldest first; [[]] for other
     sinks. A test seam: the [experiments] "robustness determinism" test

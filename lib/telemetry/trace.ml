@@ -23,7 +23,7 @@ let record t ~kind ~key ~outcome ~nodes ~level ?latency () =
     t.emitted <- t.emitted + 1;
     Queue.push span t.retained;
     if Queue.length t.retained > t.capacity then ignore (Queue.pop t.retained);
-    Sink.write t.sink (Span.to_jsonl span)
+    if Sink.keeps t.sink then Sink.write t.sink (Span.to_jsonl span)
   end
 
 let set_latency t oracle = t.latency <- oracle

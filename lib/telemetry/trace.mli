@@ -36,7 +36,8 @@ val record :
   unit ->
   unit
 (** Counts one lookup; when sampling selects it, builds the span and
-    both retains it and writes it to the sink. [?latency] overrides the
+    both retains it and writes it to the sink; the span is rendered to
+    JSONL only when the sink {!Sink.keeps} it. [?latency] overrides the
     trace-level oracle for this span. *)
 
 val set_latency : t -> (int -> int -> float) option -> unit
@@ -50,7 +51,7 @@ val seen : t -> int
 (** Total lookups offered via {!record}. *)
 
 val emitted : t -> int
-(** Spans that passed sampling (= sink writes = span ids assigned). *)
+(** Spans that passed sampling (= span ids assigned). *)
 
 val spans : t -> Span.t list
 (** Retained spans, oldest first — at most [capacity], the most recent

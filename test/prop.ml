@@ -3311,6 +3311,347 @@ let prop_canon_merge_matches_parent sc =
   first_error
     (List.concat_map (fun pop -> [ on_pop pop; on_pop (one_level pop) ]) (sweep_populations rng sc))
 
+(* --- the replicated store against its per-node-table reference ---- *)
+
+(* The store as it was before a key's directory entry held its copies:
+   every node keeps a table of its own, and the directory keeps each
+   key's sorted list of copy holders in step with those tables. *)
+module Reference_store = struct
+  module Metrics = Canon_telemetry.Metrics
+
+  let puts_counter = Metrics.counter "replication.puts"
+  let acks_counter = Metrics.counter "replication.write_acks"
+  let reads_counter = Metrics.counter "replication.reads"
+  let read_failures_counter = Metrics.counter "replication.read_failures"
+  let stale_reads_counter = Metrics.counter "replication.stale_reads"
+  let read_repairs_counter = Metrics.counter "replication.read_repairs"
+  let gc_counter = Metrics.counter "replication.gc_copies"
+
+  type entry = { value : string; version : int }
+
+  type meta = {
+    storage_domain : int;
+    mutable version : int;
+    mutable copies : int list;
+  }
+
+  type t = {
+    rings : Rings.t;
+    pop : Population.t;
+    k : int;
+    spread : Replica_set.spread;
+    net : Net.t option;
+    present : bool array;
+    tables : (Id.t, entry) Hashtbl.t array;
+    directory : (Id.t, meta) Hashtbl.t;
+  }
+
+  let create ?net ~k ~spread rings =
+    let pop = Rings.population rings in
+    let n = Population.size pop in
+    let present =
+      Array.init n (fun v ->
+          Ring.contains
+            (Rings.ring rings pop.Population.leaf_of_node.(v))
+            pop.Population.ids.(v))
+    in
+    {
+      rings;
+      pop;
+      k;
+      spread;
+      net;
+      present;
+      tables = Array.init n (fun _ -> Hashtbl.create 16);
+      directory = Hashtbl.create 64;
+    }
+
+  let live t v =
+    t.present.(v)
+    &&
+    match t.net with
+    | None -> true
+    | Some net -> not (Fault_plan.is_crashed (Net.plan net) v)
+
+  let reachable t ~src target =
+    live t target
+    && (target = src
+       ||
+       match t.net with
+       | None -> true
+       | Some net ->
+           let r = Net.lookup net ~src ~key:t.pop.Population.ids.(target) in
+           Async_route.delivered r && Route.destination r.Async_route.route = target)
+
+  let holders_of t meta ~key =
+    Replica_set.compute ~alive:(live t) t.rings ~spread:t.spread ~k:t.k
+      ~domain:meta.storage_domain ~key
+
+  let holders t ~key =
+    match Hashtbl.find_opt t.directory key with
+    | None -> [||]
+    | Some meta -> holders_of t meta ~key
+
+  let copies t ~key =
+    match Hashtbl.find_opt t.directory key with
+    | None -> [||]
+    | Some meta -> Array.of_list meta.copies
+
+  let stored t ~node ~key =
+    match Hashtbl.find_opt t.tables.(node) key with
+    | None -> None
+    | Some e -> Some (e.value, e.version)
+
+  let version t ~key =
+    match Hashtbl.find_opt t.directory key with None -> 0 | Some m -> m.version
+
+  let add_copy meta node =
+    if not (List.mem node meta.copies) then
+      meta.copies <- List.sort compare (node :: meta.copies)
+
+  let drop_copy meta node = meta.copies <- List.filter (( <> ) node) meta.copies
+
+  let put t ~writer ~key ~value ~storage_domain =
+    if not (live t writer) then invalid_arg "Replicated_store.put: writer not live";
+    if
+      not
+        (Domain_tree.is_ancestor t.pop.Population.tree ~anc:storage_domain
+           ~desc:t.pop.Population.leaf_of_node.(writer))
+    then invalid_arg "Replicated_store.put: storage domain does not contain the writer";
+    let meta =
+      match Hashtbl.find_opt t.directory key with
+      | Some m ->
+          if m.storage_domain <> storage_domain then
+            invalid_arg "Replicated_store.put: key already bound to another storage domain";
+          m
+      | None ->
+          let m = { storage_domain; version = 0; copies = [] } in
+          Hashtbl.replace t.directory key m;
+          m
+    in
+    Metrics.incr puts_counter;
+    let next_version = meta.version + 1 in
+    let acks = ref 0 in
+    Array.iter
+      (fun h ->
+        if reachable t ~src:writer h then begin
+          Hashtbl.replace t.tables.(h) key { value; version = next_version };
+          add_copy meta h;
+          incr acks
+        end)
+      (holders_of t meta ~key);
+    if !acks > 0 then meta.version <- next_version;
+    Metrics.add acks_counter !acks;
+    !acks
+
+  let get t ~querier ~key =
+    if not (live t querier) then invalid_arg "Replicated_store.get: querier not live";
+    Metrics.incr reads_counter;
+    match Hashtbl.find_opt t.directory key with
+    | None ->
+        Metrics.incr read_failures_counter;
+        None
+    | Some meta -> (
+        let hs = holders_of t meta ~key in
+        let extras = List.filter (fun v -> live t v && not (Array.mem v hs)) meta.copies in
+        let probe v = (v, reachable t ~src:querier v, Hashtbl.find_opt t.tables.(v) key) in
+        let probed_holders = Array.map probe hs in
+        let probed_extras = List.map probe extras in
+        let best = ref (None : entry option) in
+        let consider ((_, ok, e) : int * bool * entry option) =
+          match (ok, e) with
+          | true, Some e -> (
+              match !best with
+              | Some b when b.version >= e.version -> ()
+              | _ -> best := Some e)
+          | _ -> ()
+        in
+        Array.iter consider probed_holders;
+        List.iter consider probed_extras;
+        match !best with
+        | None ->
+            Metrics.incr read_failures_counter;
+            None
+        | Some fresh ->
+            let stale = ref 0 in
+            Array.iter
+              (fun ((h, ok, e) : int * bool * entry option) ->
+                if ok then
+                  let behind =
+                    match e with None -> true | Some e -> e.version < fresh.version
+                  in
+                  if behind then begin
+                    incr stale;
+                    Hashtbl.replace t.tables.(h) key fresh;
+                    add_copy meta h;
+                    Metrics.incr read_repairs_counter
+                  end)
+              probed_holders;
+            if !stale > 0 then Metrics.incr stale_reads_counter;
+            let rehomed =
+              Array.exists (fun ((_, ok, _) : int * bool * entry option) -> ok) probed_holders
+            in
+            if rehomed then
+              List.iter
+                (fun (v, ok, _) ->
+                  if ok then begin
+                    Hashtbl.remove t.tables.(v) key;
+                    drop_copy meta v;
+                    Metrics.incr gc_counter
+                  end)
+                probed_extras;
+            Some fresh.value)
+end
+
+(* The scenario's population on a 7-bit id space: distinct ids among
+   the 128 multiples of 2^25 (so n <= 128), with keys drawn from the same
+   multiples, so a key often equals a node's id, sits next to one, or
+   wraps past the largest. *)
+let seven_bit_id i = i lsl 25
+
+let seven_bit_population rng pop =
+  let slots = Array.init 128 Fun.id in
+  Rng.shuffle_in_place rng slots;
+  { pop with Population.ids = Array.init (Population.size pop) (fun v -> seven_bit_id slots.(v)) }
+
+let replication_counts () =
+  List.map
+    (fun name -> Canon_telemetry.Metrics.(value (counter ("replication." ^ name))))
+    [ "puts"; "write_acks"; "reads"; "read_failures"; "stale_reads"; "read_repairs"; "gc_copies" ]
+
+(* Runs [f] and returns its result, or the message it raised
+   [Invalid_argument] with, and the [replication.*] increments it made. *)
+let outcome_and_counters f =
+  let before = replication_counts () in
+  let result = match f () with r -> Ok r | exception Invalid_argument msg -> Error msg in
+  (result, List.map2 ( - ) (replication_counts ()) before)
+
+let show_result show = function Ok r -> show r | Error msg -> "raised " ^ msg
+
+(* Without retries one lost message cuts a replica off, so reads that
+   reach an ex-holder's copy but no current holder come up often. *)
+let no_retry = { fast_policy with Rpc.max_retries = 0 }
+
+(* The store equals the per-node-table reference under random put, get,
+   crash and revive sequences: after every step the step's result and
+   [replication.*] increments, and every key's holders, copies, version
+   and per-node copy agree. Direct mode (no net) and net mode, where
+   each store gets its own net built from one seed over one shared plan
+   with loss, so both see the same lookups iff they probe the same
+   replicas in the same order. Ids and keys live on the 7-bit id space;
+   a random tenth of the nodes is absent from the rings. *)
+let prop_store_matches_reference sc =
+  let rng = Rng.create (sc.case_seed + 71) in
+  let pop = seven_bit_population rng sc.pop in
+  let present =
+    Array.of_list (List.filter (fun _ -> Rng.int_below rng 10 > 0) (List.init sc.n Fun.id))
+  in
+  let rings = Rings.build_partial pop ~present in
+  let k = 1 + Rng.int_below rng 3 in
+  let spread = if Rng.bool rng then Replica_set.Flat else Replica_set.Sibling in
+  let keys = Array.init (1 + Rng.int_below rng 3) (fun _ -> seven_bit_id (Rng.int_below rng 128)) in
+  (* Each key's storage domain: an ancestor of a random node's leaf; a
+     key may be drawn twice, and then its two domains may differ. *)
+  let domains = Array.map (fun _ -> snd (gen_domain rng sc)) keys in
+  let on_mode ~net_mode () =
+    let plan =
+      Fault_plan.create ~loss:(if net_mode then [| 0.0; 0.1; 0.3; 0.5 |].(Rng.int_below rng 4) else 0.0)
+        ~n:sc.n ()
+    in
+    let net_seed = Rng.int_below rng 1_000_000 and overlay = Crescendo.build rings in
+    let net () =
+      if net_mode then
+        Some
+          (Net.create ~policy:no_retry ~plan ~rings ~rng:(Rng.create net_seed)
+             ~node_latency:oracle overlay)
+      else None
+    in
+    let reference = Reference_store.create ?net:(net ()) ~k ~spread rings in
+    let store = Replicated_store.create ?net:(net ()) ~k ~spread rings in
+    let same_state step =
+      let key_state key =
+        let copies = Replicated_store.copies store ~key
+        and ref_copies = Reference_store.copies reference ~key in
+        if Replicated_store.holders store ~key <> Reference_store.holders reference ~key then
+          err "step %d, key %d: holders differ" step key
+        else if copies <> ref_copies then
+          err "step %d, key %d: copies [%s], reference [%s]" step key (show_links copies)
+            (show_links ref_copies)
+        else if Replicated_store.version store ~key <> Reference_store.version reference ~key
+        then err "step %d, key %d: versions differ" step key
+        else
+          every_node sc.n (fun node ->
+              if
+                Replicated_store.stored store ~node ~key
+                = Reference_store.stored reference ~node ~key
+              then Ok ()
+              else err "step %d, key %d: node %d's copy differs" step key node)
+      in
+      first_error (Array.to_list (Array.map (fun key () -> key_state key) keys))
+    in
+    let node () = Rng.int_below rng sc.n in
+    let rec steps i =
+      if i >= 200 then Ok ()
+      else begin
+        let j = Rng.int_below rng (Array.length keys) in
+        let key = keys.(j) and domain = domains.(j) in
+        let compare_step what show f g =
+          let got, got_counts = outcome_and_counters f in
+          let expected, ref_counts = outcome_and_counters g in
+          if got <> expected then
+            err "step %d, %s: %s, reference %s" i what (show_result show got)
+              (show_result show expected)
+          else if got_counts <> ref_counts then err "step %d, %s: replication.* counts differ" i what
+          else Ok ()
+        in
+        let step =
+          match Rng.int_below rng 10 with
+          | 0 | 1 | 2 ->
+              (* Writers mostly from the key's domain, so most puts pass
+                 validation. *)
+              let members = Ring.members (Rings.ring rings domain) in
+              let writer =
+                if Array.length members > 0 && Rng.int_below rng 4 > 0 then Rng.pick rng members
+                else node ()
+              in
+              let value = Printf.sprintf "v%d" i in
+              compare_step "put" string_of_int
+                (fun () -> Replicated_store.put store ~writer ~key ~value ~storage_domain:domain)
+                (fun () -> Reference_store.put reference ~writer ~key ~value ~storage_domain:domain)
+          | 3 | 4 | 5 | 6 ->
+              (* Half of the queriers hold a copy themselves: an
+                 ex-holder reaches its own copy even when loss cuts it
+                 off from every holder. *)
+              let holding = Replicated_store.copies store ~key in
+              let querier =
+                if Array.length holding > 0 && Rng.bool rng then Rng.pick rng holding else node ()
+              in
+              compare_step "get" (Option.value ~default:"None")
+                (fun () -> Replicated_store.get store ~querier ~key)
+                (fun () -> Reference_store.get reference ~querier ~key)
+          | 7 | 8 when net_mode ->
+              (* Mostly a node holding a copy, so that holders move and
+                 revived ex-holders leave extras behind. *)
+              let holding = Replicated_store.copies store ~key in
+              Fault_plan.crash plan
+                (if Array.length holding > 0 && Rng.bool rng then Rng.pick rng holding
+                 else node ());
+              Ok ()
+          | _ when net_mode ->
+              let crashed = List.filter (Fault_plan.is_crashed plan) (List.init sc.n Fun.id) in
+              if crashed <> [] then Fault_plan.revive plan (Rng.pick rng (Array.of_list crashed));
+              Ok ()
+          | _ -> Ok ()
+        in
+        match step with
+        | Error _ as e -> e
+        | Ok () -> ( match same_state i with Ok () -> steps (i + 1) | e -> e)
+      end
+    in
+    steps 0
+  in
+  first_error [ on_mode ~net_mode:false; on_mode ~net_mode:true ]
+
 let suites =
   [
     ( "prop.latency",
@@ -3336,6 +3677,8 @@ let suites =
         Alcotest.test_case "read-repair restores invariant after one fault" `Quick
           (check ~count:12 ~seed:9707 ~min_n:8 ~max_n:96
              prop_read_repair_restores_invariant);
+        Alcotest.test_case "store = per-node reference" `Quick
+          (check ~count:40 ~seed:9717 ~min_n:1 ~max_n:128 prop_store_matches_reference);
              Alcotest.test_case "placement = leaf_sequence reference, ragged trees" `Quick
           (check ~count:30 ~seed:9949 ~min_n:1 ~max_n:160 prop_placement_reference_ragged);
         Alcotest.test_case "placement = leaf_sequence reference, uniform trees" `Quick

@@ -183,6 +183,29 @@ let test_store_validates () =
     (Invalid_argument "Replicated_store.get: querier not live") (fun () ->
       ignore (Replicated_store.get store ~querier:absent ~key:1))
 
+(* A net must route over the store's own population: one over another
+   population of the same size, or over a copy of the same one, would
+   send every replica lookup to the wrong ids. *)
+let test_store_rejects_foreign_net () =
+  let pop = make_universe ~n:30 17 in
+  let rings = Rings.build pop in
+  let net_over pop =
+    Net.create ~policy:fast_policy ~rng:(Rng.create 18) ~node_latency:oracle
+      (Crescendo.build (Rings.build pop))
+  in
+  let rejects what pop =
+    Alcotest.check_raises what
+      (Invalid_argument "Replicated_store.create: net over a different population")
+      (fun () -> ignore (Replicated_store.create ~net:(net_over pop) rings))
+  in
+  rejects "another population, same size" (make_universe ~n:30 19);
+  rejects "a copy of the population" { pop with Population.ids = pop.Population.ids };
+  let store =
+    Replicated_store.create ~net:(Net.create ~rng:(Rng.create 18) ~node_latency:oracle
+      (Crescendo.build rings)) rings
+  in
+  Alcotest.(check int) "own population accepted" 0 (Replicated_store.version store ~key:1)
+
 let test_put_get_versions () =
   let pop = make_universe ~n:50 16 in
   let rings = Rings.build pop in
@@ -409,6 +432,8 @@ let suites =
     ( "replicated-store",
       [
         Alcotest.test_case "validation" `Quick test_store_validates;
+        Alcotest.test_case "net over another population rejected" `Quick
+          test_store_rejects_foreign_net;
         Alcotest.test_case "put/get with versions" `Quick test_put_get_versions;
         Alcotest.test_case "read-repair: pinned hand-counted metrics" `Quick
           test_read_repair_pinned_metrics;

@@ -275,20 +275,26 @@ let read_lines file =
   lines
 
 (* A closed sink drops further writes; closing twice is harmless; only
-   a memory sink retains lines. *)
+   a memory sink retains lines; [keeps] is false exactly for the null
+   sink and closed sinks. *)
 let test_sinks () =
   Sink.write Sink.null "x";
   Alcotest.(check (list string)) "null retains nothing" [] (Sink.lines Sink.null);
+  Alcotest.(check bool) "null keeps nothing" false (Sink.keeps Sink.null);
   let mem = Sink.memory () in
   Sink.write mem "a";
   Sink.write mem "b";
+  Alcotest.(check bool) "open memory sink keeps" true (Sink.keeps mem);
   Sink.close mem;
+  Alcotest.(check bool) "closed memory sink keeps nothing" false (Sink.keeps mem);
   Sink.write mem "c";
   Alcotest.(check (list string)) "memory: oldest first, closed drops" [ "a"; "b" ] (Sink.lines mem);
   let file = Filename.temp_file "canon_sink" ".jsonl" in
   let sink = Sink.jsonl_file file in
   Sink.write sink "{}";
+  Alcotest.(check bool) "open file sink keeps" true (Sink.keeps sink);
   Sink.close sink;
+  Alcotest.(check bool) "closed file sink keeps nothing" false (Sink.keeps sink);
   Sink.close sink;
   Sink.write sink "[]";
   Alcotest.(check (list string)) "file sink retains nothing in memory" [] (Sink.lines sink);
