@@ -3255,6 +3255,29 @@ let reference_crescendo_prox rings ~node_latency =
       done;
       Link_set.to_array acc)
 
+(* Hybrid: Crescendo merges above the leaf, each level's Chord fingers
+   capped by the smallest successor distance below it (the leaf's
+   first), then the LAN clique from the node's successor around its
+   leaf ring. *)
+let reference_hybrid rings =
+  Array.init (Population.size (Rings.population rings)) (fun node ->
+      let id = (Rings.population rings).Population.ids.(node) in
+      let chain = Rings.chain rings node in
+      let leaf_ring = Rings.ring rings chain.(0) in
+      let buf = Array.make Id.bits 0 in
+      let levels = ref [] and d_own = ref (Ring.successor_distance leaf_ring id) in
+      for level = 1 to Array.length chain - 1 do
+        let ring = Rings.ring rings chain.(level) in
+        levels :=
+          Array.sub buf 0 (Chord.add_fingers ring id ~self:node ~below:!d_own buf 0) :: !levels;
+        d_own := min !d_own (Ring.successor_distance ring id)
+      done;
+      let self = Ring.rank_at_or_after leaf_ring id in
+      let clique =
+        Array.init (Ring.size leaf_ring - 1) (fun i -> Ring.nth_from leaf_ring self (i + 1))
+      in
+      Array.concat (!levels @ [ clique ]))
+
 (* Integer latencies in 1..4 ms: most candidate arcs hold ties. *)
 let tied_latency u v = if u = v then 0.0 else Float.of_int (1 + (((u * 13) + (v * 7)) mod 4))
 
@@ -3301,6 +3324,7 @@ let prop_canon_merge_matches_parent sc =
           ~got:(fun _ ->
             Proximity.overlay (Proximity.build_crescendo rings ~node_latency:tied_latency))
           ~expected:(fun _ -> reference_crescendo_prox rings ~node_latency:tied_latency);
+        same "Hybrid" ~got:(fun _ -> Hybrid.build rings) ~expected:(fun _ -> reference_hybrid rings);
       ]
   in
   let one_level pop =
