@@ -130,6 +130,12 @@ let micro_benchmarks () =
         (Staged.stage (fun () -> ignore (Chord.build sl_pop)));
       Test.make ~name:"crescendo.build (transit-stub, n=32768)"
         (Staged.stage (fun () -> ignore (Crescendo.build sl_rings)));
+      Test.make ~name:"cacophony.build (n=4096, 3 levels)"
+        (let rng = Rng.create 13 in
+         Staged.stage (fun () -> ignore (Cacophony.build rng rings)));
+      Test.make ~name:"proximity.build_crescendo (transit-stub, n=8192)"
+        (let node_latency = Common.node_latency ts_setup ts_pop in
+         Staged.stage (fun () -> ignore (Proximity.build_crescendo ts_rings ~node_latency)));
       Test.make ~name:"maintenance.join+leave (n=4096, 3 levels)"
         (* A quarter of the population stays absent; each run joins one
            of them and takes it out again, which restores the state. *)

@@ -8,7 +8,7 @@
     the new level. Degree stays O(log n) overall; routing is greedy
     clockwise (optionally with lookahead), just as in Symphony.
 
-    Built by {!Canonical.ring_row} with Symphony's rule: with a
+    Built by {!Canonical.successor_row} with Symphony's rule: with a
     one-level hierarchy, Cacophony is exactly Symphony. *)
 
 open Canon_overlay

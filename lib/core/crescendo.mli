@@ -30,14 +30,16 @@ val build : Rings.t -> Overlay.t
 val rows : Rings.t -> int array array
 (** [rows rings] is {!links_of_node} of every node in the rings (empty
     for a node in none): the rows of {!build}, and the initial links of
-    the dynamic-maintenance simulator. Cost: one {!Chord.sweep} per
-    ring, amortised O([Id.bits]) cursor steps per member and no search;
-    each member's cap is its successor gap in its child ring, read at
-    its rank there. *)
+    the dynamic-maintenance simulator. {!Canonical.ring_row} with a
+    {!Chord.sweep} per ring as the rule: amortised O([Id.bits]) cursor
+    steps per member and no search; each member's cap is its successor
+    gap in its child ring, read at its rank there. No allocation per
+    node but its row. *)
 
 val links_of_node : Rings.t -> int -> int array
 (** The row of a single node (used by dynamic maintenance to compute
-    the links a joining node must establish). The links are distinct
+    the links a joining node must establish): {!Canonical.ring_row}
+    with {!Chord.add_fingers} as the rule. The links are distinct
     and in clockwise order, strictly ascending by clockwise distance
     from the node: condition (b) makes every level's targets closer
     than all targets of the levels below it, so the row is the levels

@@ -15,7 +15,8 @@
 open Canon_overlay
 
 val build : Rings.t -> Overlay.t
-(** Clique leaf domains, Crescendo merges above. Deterministic. Links
-    are handed to {!Overlay.create} in its clockwise order (the merge
-    levels root first, then the clique from the node's successor), so
-    it sorts none. *)
+(** Clique leaf domains, Crescendo merges above: {!Canonical.ring_row}
+    with the clique as the leaf's rule and {!Chord.add_fingers} above.
+    Deterministic. Links are handed to {!Overlay.create} in its
+    clockwise order (the merge levels root first, then the clique from
+    the node's successor), so it sorts none. *)

@@ -6,7 +6,7 @@
     2{^k+1})] for each [k], plus its successor. Routing properties are
     almost identical to Symphony.
 
-    Both entry points apply this rule through {!Canonical.ring_row}.
+    Both entry points apply this rule through {!Canonical.successor_row}.
     Above the leaf, the cap of condition (b) restricts each choice to
     the arc [[2{^k}, min(2{^k+1}, cap))], exactly as §3.2 prescribes. *)
 

@@ -8,7 +8,7 @@
     restricted to nodes at distances [8, 12). A successor link is kept
     at every level so greedy clockwise routing stays live.
 
-    Built by {!Canonical.ring_row} with ND-Chord's rule: with a
+    Built by {!Canonical.successor_row} with ND-Chord's rule: with a
     one-level hierarchy, ND-Crescendo is exactly ND-Chord. *)
 
 open Canon_overlay

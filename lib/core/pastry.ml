@@ -22,11 +22,11 @@ let random_in_cell rng ring id slot =
     Ring.random_in_arc rng ring ~start:base ~len:(1 lsl suffix_bits)
   end
 
-let row rng ~ids chain node =
-  Canonical.slot_row chain ~slots:(digits lsl digit_bits) (fun ring slot ->
-      random_in_cell rng ring ids.(node) slot)
+let row rng rings node =
+  let id = (Rings.population rings).Population.ids.(node) in
+  Canonical.slot_row rings node ~slots:(digits lsl digit_bits) (fun ring slot ->
+      random_in_cell rng ring id slot)
 
-let build rng pop = Canonical.flat pop (row rng ~ids:pop.Population.ids)
+let build rng pop = Canonical.flat pop (row rng)
 
-let build_canonical rng rings =
-  Canonical.hierarchical rings (row rng ~ids:(Rings.population rings).Population.ids)
+let build_canonical rng rings = Canonical.hierarchical rings (row rng)

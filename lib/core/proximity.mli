@@ -22,7 +22,8 @@
       s = 32 suffices for proximity neighbour selection). The exact
       top-level successor is always kept so greedy clockwise routing
       stays exact. Built by {!Canonical.ring_row} with a rule that is
-      Chord's below the root and the sampled-arc pick at it. *)
+      Chord's below the root and, at it, the successor and the
+      sampled-arc picks, deduped. *)
 
 open Canon_overlay
 

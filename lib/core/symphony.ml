@@ -15,26 +15,33 @@ let harmonic_distance rng ~n =
 (* Symphony's rule in one ring: [floor(log2 size)] harmonic long links
    from identifier [id], keeping only targets at clockwise distance
    below [cap]. Failed draws (self, duplicate, beyond cap) are redrawn
-   a bounded number of times, as in Symphony's own construction. *)
-let draw_long_links rng ~ids id ring ~cap acc =
+   a bounded number of times, as in Symphony's own construction. A draw
+   of [d >= cap] fails without a search: its target lies at distance
+   [d] or more, or is the node itself. *)
+let draw_long_links rng ~ids ring id ~cap buf ~from len =
   let n = Ring.size ring in
   let wanted = long_links_per_node n in
-  let added = ref 0 and attempts = ref 0 in
+  let len = ref len and added = ref 0 and attempts = ref 0 in
   while !added < wanted && !attempts < 16 * wanted do
     incr attempts;
     let d = harmonic_distance rng ~n in
-    let target = Ring.first_at_or_after ring (Id.add id d) in
-    let dist = Id.distance id ids.(target) in
-    if dist > 0 && dist < cap && not (Link_set.mem acc target) then begin
-      Link_set.add acc target;
-      incr added
+    if d < cap then begin
+      let target = Ring.first_at_or_after ring (Id.add id d) in
+      let dist = Id.distance id ids.(target) in
+      if dist > 0 && dist < cap then begin
+        let grown = Canonical.add buf ~from !len target in
+        if grown > !len then begin
+          len := grown;
+          incr added
+        end
+      end
     end
-  done
+  done;
+  !len
 
-let row rng ~ids chain node =
-  Canonical.ring_row chain ids.(node) ~self:node (draw_long_links rng ~ids ids.(node))
+let row rng rings =
+  Canonical.successor_row rings (draw_long_links rng ~ids:(Rings.population rings).Population.ids)
 
-let build rng pop = Canonical.flat pop (row rng ~ids:pop.Population.ids)
+let build rng pop = Canonical.flat pop (row rng)
 
-let build_canonical rng rings =
-  Canonical.hierarchical rings (row rng ~ids:(Rings.population rings).Population.ids)
+let build_canonical rng rings = Canonical.hierarchical rings (row rng)

@@ -8,7 +8,7 @@
     Greedy clockwise routing takes O(log{^2} n / k) hops with k long
     links; with 1-lookahead this drops to O(log n / log log n).
 
-    Both entry points apply this rule through {!Canonical.ring_row}:
+    Both entry points apply this rule through {!Canonical.successor_row}:
     over the global ring alone for Symphony, ring by ring up the domain
     chain for Cacophony. *)
 

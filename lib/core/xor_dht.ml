@@ -38,10 +38,10 @@ let bucket_member choice ring id k =
   | Random rng -> Ring.random_in_arc rng ring ~start:(bucket_base id k) ~len:(1 lsl k)
 
 (* One slot per bucket k = 0 .. Id.bits - 1. *)
-let row choice ~ids chain node =
-  Canonical.slot_row chain ~slots:Id.bits (fun ring k -> bucket_member choice ring ids.(node) k)
+let row choice rings node =
+  let id = (Rings.population rings).Population.ids.(node) in
+  Canonical.slot_row rings node ~slots:Id.bits (fun ring k -> bucket_member choice ring id k)
 
-let build_flat choice pop = Canonical.flat pop (row choice ~ids:pop.Population.ids)
+let build_flat choice pop = Canonical.flat pop (row choice)
 
-let build_hierarchical choice rings =
-  Canonical.hierarchical rings (row choice ~ids:(Rings.population rings).Population.ids)
+let build_hierarchical choice rings = Canonical.hierarchical rings (row choice)

@@ -1086,43 +1086,52 @@ let validation_suites =
    nodes. The rule links the farthest member below the cap: in the leaf
    ring that is node 3, the successor already linked before the rule;
    in the global ring, capped at node 0's leaf successor gap (1000), it
-   is node 2, and node 1 then joins as that ring's successor. *)
+   is node 2, and node 1 then joins as that ring's successor. The row
+   is the levels root first. *)
 let test_canonical_ring_row () =
   let ids = [| 0; 10; 20; 1000 |] in
-  let leaf = Ring.of_members ~ids ~members:[| 0; 3 |] in
-  let global = Ring.of_members ~ids ~members:[| 0; 1; 2; 3 |] in
+  let tree = Domain_tree.of_spec (Domain_tree.Node [ Domain_tree.Leaf; Domain_tree.Leaf ]) in
+  let leaves = Domain_tree.leaves tree in
+  let pop =
+    { Population.ids; tree; leaf_of_node = Array.map (fun l -> leaves.(l)) [| 0; 1; 1; 0 |];
+      attach = None }
+  in
   let caps = ref [] in
-  let farthest_below ring ~cap acc =
+  let farthest_below ring id ~cap buf ~from len =
     caps := cap :: !caps;
     let best = ref None in
     Array.iter
       (fun v ->
-        let d = Id.distance 0 ids.(v) in
-        if v <> 0 && d < cap then
+        let d = Id.distance id ids.(v) in
+        if d > 0 && d < cap then
           match !best with
           | Some (bd, _) when bd >= d -> ()
           | _ -> best := Some (d, v))
       (Ring.members ring);
-    Option.iter (fun (_, v) -> Link_set.add acc v) !best
+    match !best with Some (_, v) -> Canonical.add buf ~from len v | None -> len
   in
-  let row = Canonical.ring_row [| leaf; global |] 0 ~self:0 farthest_below in
-  Alcotest.(check (array int)) "row order" [| 3; 2; 1 |] row;
+  let row = Canonical.successor_row (Rings.build pop) farthest_below 0 in
+  Alcotest.(check (array int)) "row order" [| 2; 1; 3 |] row;
   Alcotest.(check (list int)) "caps" [ Id.space; 1000 ] (List.rev !caps);
-  let singleton = Ring.of_members ~ids ~members:[| 0 |] in
+  let alone = { Population.ids = [| 0 |]; tree; leaf_of_node = [| leaves.(0) |]; attach = None } in
   caps := [];
   Alcotest.(check (array int)) "a singleton ring adds nothing" [||]
-    (Canonical.ring_row [| singleton |] 0 ~self:0 farthest_below);
+    (Canonical.successor_row (Rings.build alone) farthest_below 0);
   Alcotest.(check (list int)) "and asks no rule" [] !caps
 
 (* Each slot is asked of the rings in chain order until one fills it,
    and never again; slots no ring fills are left out of the row. *)
 let test_canonical_slot_row () =
-  let ids = [| 0; 10; 20 |] in
-  let leaf = Ring.of_members ~ids ~members:[| 0; 1 |] in
-  let global = Ring.of_members ~ids ~members:[| 0; 1; 2 |] in
+  let tree = Domain_tree.of_spec (Domain_tree.Node [ Domain_tree.Leaf; Domain_tree.Leaf ]) in
+  let leaves = Domain_tree.leaves tree in
+  let pop =
+    { Population.ids = [| 0; 10; 20 |]; tree;
+      leaf_of_node = Array.map (fun l -> leaves.(l)) [| 0; 0; 1 |]; attach = None }
+  in
+  let rings = Rings.build pop in
   let asked = ref [] in
   let pick ring s =
-    let level = if ring == leaf then 0 else 1 in
+    let level = if ring == Rings.ring rings leaves.(0) then 0 else 1 in
     asked := (level, s) :: !asked;
     match (level, s) with
     | 0, 0 -> Some 5
@@ -1131,31 +1140,38 @@ let test_canonical_slot_row () =
     | 1, 1 -> Some 8
     | _ -> None
   in
-  let row = Canonical.slot_row [| leaf; global |] ~slots:4 pick in
+  let row = Canonical.slot_row rings 0 ~slots:4 pick in
   Alcotest.(check (array int)) "row in slot order" [| 5; 8; 7 |] row;
   Alcotest.(check (list (pair int int)))
     "each open slot asked once a ring"
     [ (0, 0); (0, 1); (0, 2); (0, 3); (1, 1); (1, 3) ]
     (List.rev !asked)
 
-(* [flat] hands every node the one-ring chain of the whole population;
-   [hierarchical] hands it the rings of its domain chain, leaf first. *)
+(* [flat] hands every node the rings of a one-domain hierarchy over the
+   whole population; [hierarchical] hands it the rings it was given,
+   whose chains are the domain chains, leaf first. Each applies [row]
+   to its rings once. *)
 let test_canonical_chains () =
   let pop = make_pop ~seed:21 ~fanout:3 ~levels:2 ~n:60 () in
   let rings = Rings.build pop in
-  let seen = Array.make 60 [||] in
-  let record chain v =
-    seen.(v) <- Array.map Ring.size chain;
-    [||]
+  let chain_sizes rings v = Array.map (fun d -> Ring.size (Rings.ring rings d)) (Rings.chain rings v) in
+  let seen = Array.make 60 [||] and given = ref [] in
+  let record r =
+    given := r :: !given;
+    fun v ->
+      seen.(v) <- chain_sizes r v;
+      [||]
   in
   ignore (Canonical.flat pop record);
+  Alcotest.(check int) "flat: row applied once" 1 (List.length !given);
   Array.iter (fun sizes -> Alcotest.(check (array int)) "flat chain" [| 60 |] sizes) seen;
+  given := [];
   ignore (Canonical.hierarchical rings record);
+  Alcotest.(check bool) "hierarchical: row applied once, to the rings" true
+    (match !given with [ r ] -> r == rings | _ -> false);
   Array.iteri
     (fun v sizes ->
-      Alcotest.(check (array int)) "domain chain"
-        (Array.map (fun d -> Ring.size (Rings.ring rings d)) (Rings.chain rings v))
-        sizes;
+      Alcotest.(check (array int)) "domain chain" (chain_sizes rings v) sizes;
       Alcotest.(check int) "root ring last" 60 sizes.(Array.length sizes - 1))
     seen
 

@@ -6,7 +6,7 @@
 open Canon_overlay
 open Canon_core
 module Rng = Canon_rng.Rng
-module Json = Canon_telemetry.Json
+module Json = Json_reader
 module Metrics = Canon_telemetry.Metrics
 module Span = Canon_telemetry.Span
 module Sink = Canon_telemetry.Sink
