@@ -175,7 +175,11 @@ let route t ~src ~dst =
         end
       in
       let key = Overlay.id ov dst in
-      match Router.walk ~n:(Overlay.size ov) ~src ~key step with
+      match
+        Router.walk ~kind:"proximity.chord_groups"
+          ~level:(Population.link_level (Overlay.population ov))
+          ~n:(Overlay.size ov) ~src ~key step
+      with
       | Ok route -> route
       | Error { Route.nodes } ->
           let hops = Array.length nodes - 1 in

@@ -36,11 +36,17 @@ let step_clockwise ~ids ~row ~dead ~at ~key =
     { outcome = (if !j >= 0 then Forward row.(!j) else Blocked); fault_free = Some row.(last) }
   end
 
-(* The single hop loop. A generous hop budget: any genuine route is
-   O(log n); if we exceed the node count something is structurally
-   wrong. [record] sees every finished walk — its span outcome and the
-   visited path — before it returns or raises. *)
-let drive ~record ~n ~src ~key step =
+(* The one hop loop, and the one place tracing is decided: a walk reads
+   the ambient trace once, before its first step, and offers it one span
+   — the outcome and the visited path — before it returns or raises. A
+   generous hop budget: any genuine route is O(log n); if we exceed the
+   node count something is structurally wrong. *)
+let walk ~kind ~level ~n ~src ~key step =
+  let record =
+    match Trace.ambient () with
+    | None -> fun _ _ -> ()
+    | Some tr -> fun outcome nodes -> Trace.record tr ~kind ~key ~outcome ~nodes ~level ()
+  in
   let max_hops = n + 1 in
   let path u acc = Array.of_list (List.rev (u :: acc)) in
   let rec go u acc hops =
@@ -63,27 +69,13 @@ let drive ~record ~n ~src ~key step =
   in
   go src [] 0
 
-let untraced _ _ = ()
-
-let walk ~n ~src ~key step = drive ~record:untraced ~n ~src ~key step
-
-(* Where tracing is decided: an engine run reads the ambient trace once,
-   before its walk, and offers it one span when the walk ends. *)
-let traced ~kind ~level ~n ~src ~key step =
-  let record =
-    match Trace.ambient () with
-    | None -> untraced
-    | Some tr -> fun outcome nodes -> Trace.record tr ~kind ~key ~outcome ~nodes ~level ()
-  in
-  drive ~record ~n ~src ~key step
-
 (* Engines whose step never blocks: the walk always arrives or raises. *)
 let route = function Ok route -> route | Error _ -> assert false
 
 (* An engine over a frozen overlay: its size bounds the hop budget and
    its population gives traced spans their link levels. *)
 let on_overlay ~kind overlay ~src ~key step =
-  traced ~kind
+  walk ~kind
     ~level:(Population.link_level (Overlay.population overlay))
     ~n:(Overlay.size overlay) ~src ~key step
 
@@ -91,7 +83,7 @@ let never _ = false
 
 let greedy_clockwise_generic ~level ~n ~ids ~links ~src ~key =
   route
-    (traced ~kind:"greedy_clockwise_generic" ~level ~n ~src ~key (fun u ->
+    (walk ~kind:"greedy_clockwise_generic" ~level ~n ~src ~key (fun u ->
          (step_clockwise ~ids ~row:(links u) ~dead:never ~at:u ~key).outcome))
 
 let greedy_clockwise overlay ~src ~key =

@@ -28,30 +28,29 @@
 
     {2 Routing with a custom step}
 
-    A system with its own forwarding rule (e.g. [Proximity]'s group
-    routing, [Skipnet]'s name routing) writes a function from the
+    A system with its own forwarding rule ([Proximity]'s group routing,
+    [Skipnet]'s name and numeric routing) writes a function from the
     current node to a {!step_outcome} — [Forward v], [Arrived] or
     [Blocked] — and passes it to {!walk}, which owns the path, the hop
-    budget and the {!Stuck} exception.
+    budget, the {!Stuck} exception and the span. Every engine here is
+    such a step over {!walk}: it is the only hop loop.
 
     {2 Tracing}
 
-    No engine takes a trace: each run of {!greedy_clockwise},
-    {!greedy_clockwise_generic}, {!greedy_clockwise_lookahead},
-    {!greedy_xor} and {!greedy_clockwise_avoiding} reads the ambient
-    trace ({!Canon_telemetry.Trace.ambient}) once, before its walk.
+    No engine takes a trace: each {!walk} reads the ambient trace
+    ({!Canon_telemetry.Trace.ambient}) once, before its first step.
     When none is installed — the default, and the benchmark
-    configuration — the engine builds no span; when one is, one
-    {!Canon_telemetry.Span} is offered to it per lookup (subject to its
-    sampling), carrying the full visited path, the hierarchy level of
-    each link used, and cumulative physical latency when the trace
-    holds a latency oracle. The driver records the span in one place:
-    [Arrived] for a finished route, [Stuck] with the partial path before
-    the hop-budget exception propagates, and [Stranded] for a walk that
-    ends [Blocked] (of the engines here, only
-    {!greedy_clockwise_avoiding}'s step blocks). The two custom steps
-    run through {!walk}, Chord (Prox.) group routing and SkipNet name
-    routing, are untraced. *)
+    configuration — the walk builds no span; when one is, one
+    {!Canon_telemetry.Span} is offered to it per walk (subject to its
+    sampling), carrying the walk's kind, the full visited path, the
+    hierarchy level of each link used, and cumulative physical latency
+    when the trace holds a latency oracle. The span is recorded in one
+    place: [Arrived] for a finished route, [Stuck] with the partial path
+    before the hop-budget exception propagates, and [Stranded] for a
+    walk that ends [Blocked]. Of the engines here only
+    {!greedy_clockwise_avoiding}'s step blocks; [Proximity]'s and
+    [Skipnet]'s block only on a malformed structure, and raise {!Stuck}
+    after the [Stranded] span. *)
 
 open Canon_idspace
 open Canon_overlay
@@ -157,15 +156,19 @@ val step_clockwise :
     best link. *)
 
 val walk :
-  n:int -> src:int -> key:Id.t -> (int -> step_outcome) -> (Route.t, Route.t) result
-(** [walk ~n ~src ~key step] is the one hop loop every engine runs:
-    starting at [src], ask [step] what the current node does and follow
-    each [Forward]. [Ok route] when a node answers [Arrived], [Error
-    path] — the nodes visited, ending at the blocked node — when one
-    answers [Blocked]. [n] bounds the hop budget (the node count; the
-    budget is [n + 1] hops): forwarding past it raises {!Stuck} with the
-    partial path. [key] only labels that exception. Unlike the engines,
-    [walk] never reads the ambient trace, so a custom step's lookups
-    are untraced. *)
-
-
+  kind:string ->
+  level:(int -> int -> int) ->
+  n:int ->
+  src:int ->
+  key:Id.t ->
+  (int -> step_outcome) ->
+  (Route.t, Route.t) result
+(** [walk ~kind ~level ~n ~src ~key step] is the one hop loop every
+    route runs: starting at [src], ask [step] what the current node
+    does and follow each [Forward]. [Ok route] when a node answers
+    [Arrived], [Error path] — the nodes visited, ending at the blocked
+    node — when one answers [Blocked]. [n] bounds the hop budget (the
+    node count; the budget is [n + 1] hops): forwarding past it raises
+    {!Stuck} with the partial path. With an ambient trace installed,
+    the walk offers it one span labelled [kind] and [key] (an
+    identifier), with [level u v] the level of each link used. *)

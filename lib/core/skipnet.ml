@@ -9,6 +9,7 @@ type t = {
      nodes sharing that many numeric-id bits; the list ends at the
      level where the node is alone. *)
   pointers : (int * int) array array;
+  ring : Ring.t;  (* every node, by numeric identifier *)
 }
 
 let size t = Array.length t.rank_of_node
@@ -53,7 +54,8 @@ let build pop =
   in
   refine node_of_rank 0;
   let pointers = Array.map (fun l -> Array.of_list (List.rev l)) levels in
-  { pop; rank_of_node; node_of_rank; pointers }
+  let ring = Ring.of_members ~ids ~members:node_of_rank in
+  { pop; rank_of_node; node_of_rank; pointers; ring }
 
 let mean_degree t =
   let total = ref 0 in
@@ -68,6 +70,15 @@ let mean_degree t =
       total := !total + Hashtbl.length seen)
     t.pointers;
   Float.of_int !total /. Float.of_int (max 1 (size t))
+
+(* A SkipNet route as a step over the one hop loop; its steps block
+   only on a malformed pointer structure. *)
+let walk t ~kind ~src ~key step =
+  match Router.walk ~kind ~level:(Population.link_level t.pop) ~n:(size t) ~src ~key step with
+  | Ok route -> route
+  | Error { Route.nodes } ->
+      let hops = Array.length nodes - 1 in
+      raise (Router.Stuck { at = nodes.(hops); key; hops; path = nodes })
 
 let route_by_name t ~src ~dst =
   let target = t.rank_of_node.(dst) in
@@ -93,41 +104,23 @@ let route_by_name t ~src ~dst =
       if !best = u then Router.Blocked else Router.Forward !best
     end
   in
-  match Router.walk ~n:(size t) ~src ~key:target step with
-  | Ok route -> route
-  | Error { Route.nodes } ->
-      let hops = Array.length nodes - 1 in
-      raise (Router.Stuck { at = nodes.(hops); key = target; hops; path = nodes })
+  walk t ~kind:"skipnet.route_by_name" ~src ~key:t.pop.Population.ids.(dst) step
 
 let route_by_numeric t ~src ~key =
   let ids = t.pop.Population.ids in
-  let n = size t in
-  let matches node bits =
-    bits = 0 || Id.prefix ids.(node) bits = Id.prefix key bits
-  in
-  (* Climb: at [level] bits matched, walk clockwise (in name order)
-     around the current level ring looking for a node matching one more
-     bit; every step is a hop. Stop when a full circuit finds nobody
-     better or all bits are matched. [path] is reversed, head = current. *)
-  let ring_step level v =
-    (* right pointer at [level] (ring of nodes matching [level] bits);
-       a node alone at that level has no pointer. *)
-    if Array.length t.pointers.(v) > level then Some (snd t.pointers.(v).(level)) else None
-  in
-  let rec climb u level path =
-    if level >= Id.bits then List.rev path
+  (* A node matching [l] bits of the key forwards right along its
+     level-[l] ring (in name order) toward the nearest node matching
+     more; the route ends at it when no node matches [l + 1] bits. Nodes
+     passed on one ring match fewer bits than any node of a deeper
+     ring, so no node is visited twice. *)
+  let step u =
+    let l = Id.common_prefix_bits ids.(u) key in
+    if l = Id.bits then Router.Arrived
     else begin
-      let rec walk v path steps =
-        if matches v (level + 1) then Some (v, path)
-        else if steps >= n then None
-        else
-          match ring_step level v with
-          | None -> None
-          | Some next -> walk next (next :: path) (steps + 1)
-      in
-      match walk u path 0 with
-      | Some (v, path') -> climb v (level + 1) path'
-      | None -> List.rev path
+      let below = Id.bits - l - 1 in
+      let start = Id.prefix key (l + 1) lsl below in
+      if Ring.arc_count t.ring ~start ~len:(1 lsl below) = 0 then Router.Arrived
+      else Router.Forward (snd t.pointers.(u).(l))
     end
   in
-  Route.{ nodes = Array.of_list (climb src 0 [ src ]) }
+  walk t ~kind:"skipnet.route_by_numeric" ~src ~key step

@@ -40,9 +40,14 @@ val mean_degree : t -> float
 (** Mean number of distinct pointer targets per node. *)
 
 val route_by_name : t -> src:int -> dst:int -> Route.t
-(** Monotone name-order routing; always reaches [dst]. *)
+(** Monotone name-order routing; always reaches [dst]. A step over
+    {!Router.walk}: traced spans have kind ["skipnet.route_by_name"]
+    and [dst]'s identifier as their key. *)
 
 val route_by_numeric : t -> src:int -> key:Canon_idspace.Id.t -> Route.t
-(** Routes toward the node whose numeric identifier best matches [key]
-    (longest common prefix, ties broken by the search); every ring-walk
-    step counts as a hop. *)
+(** Routes toward a node whose numeric identifier best matches [key]
+    (longest common prefix): a node matching [l] bits walks right along
+    its level-[l] ring to the first node matching more, every ring step
+    a hop, and the route ends at a node matching as many bits as any
+    node does. A step over {!Router.walk}: traced spans have kind
+    ["skipnet.route_by_numeric"]. *)

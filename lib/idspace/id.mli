@@ -52,8 +52,7 @@ val log2_floor : int -> int
 (** [log2_floor d] for [d > 0] is the largest [k] with [2{^k} <= d]. *)
 
 val common_prefix_bits : t -> t -> int
-(** Number of leading bits (out of {!bits}) shared by the two ids. A
-    test seam: the [skipnet] "numeric routing sane" test reads it. *)
+(** Number of leading bits (out of {!bits}) shared by the two ids. *)
 
 val prefix : t -> int -> int
 (** [prefix id k] is the top [k] bits of [id], i.e.

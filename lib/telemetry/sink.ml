@@ -1,6 +1,6 @@
 type target =
   | Null
-  | Memory of string list ref  (* reversed *)
+  | Memory of Span.t list ref  (* reversed *)
   | File of out_channel
 
 type t = { target : target; mutable closed : bool }
@@ -11,18 +11,16 @@ let memory () = { target = Memory (ref []); closed = false }
 
 let jsonl_file path = { target = File (open_out path); closed = false }
 
-let write t line =
+let write t span =
   if not t.closed then
     match t.target with
     | Null -> ()
-    | Memory lines -> lines := line :: !lines
+    | Memory spans -> spans := span :: !spans
     | File oc ->
-        output_string oc line;
+        output_string oc (Span.to_jsonl span);
         output_char oc '\n'
 
-let keeps t = (not t.closed) && match t.target with Null -> false | Memory _ | File _ -> true
-
-let lines t = match t.target with Memory lines -> List.rev !lines | Null | File _ -> []
+let spans t = match t.target with Memory spans -> List.rev !spans | Null | File _ -> []
 
 let close t =
   if not t.closed then begin

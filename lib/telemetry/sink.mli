@@ -1,40 +1,32 @@
 (** Pluggable span output.
 
-    A sink consumes rendered JSONL lines. Three implementations cover
-    every current consumer: {!null} (tracing structurally enabled but
-    output discarded), {!memory} (tests and in-process inspection), and
+    A sink consumes {!Span.t} values. Three implementations cover every
+    current consumer: {!null} (tracing structurally enabled but output
+    discarded), {!memory} (tests and in-process inspection), and
     {!jsonl_file} (the [--trace FILE] export consumed by external
-    tooling). *)
+    tooling), the only one that renders a span. *)
 
 type t
 
 val null : t
-(** Discards every line. *)
+(** Discards every span. *)
 
 val memory : unit -> t
-(** Accumulates lines in memory, unbounded; read back with {!lines}. A
-    test seam: the [experiments] "robustness determinism" and
-    [telemetry] "span invariants (fig5 workload)" and "sinks" tests
-    write to it. *)
+(** Keeps every span in memory, unbounded; read back with {!spans}. A
+    test seam: the [telemetry] span tests, the [net] "telemetry" test,
+    the [experiments] "robustness determinism" test and [prop.router]'s
+    "one driver" properties write to it. *)
 
 val jsonl_file : string -> t
-(** Opens (truncates) [path] and appends one line per {!write}. Raises
-    [Sys_error] if the file cannot be created. *)
+(** Opens (truncates) [path] and appends one {!Span.to_jsonl} line per
+    {!write}. Raises [Sys_error] if the file cannot be created. *)
 
-val write : t -> string -> unit
-(** [write t line] emits one JSONL line ([line] must not contain a
-    newline; the sink adds it). No-op on a closed sink. *)
+val write : t -> Span.t -> unit
+(** Emits one span. No-op on a closed sink. *)
 
-val keeps : t -> bool
-(** [false] when {!write} would discard every line: the {!null} sink,
-    or any closed sink. {!Trace.record} renders a span only for a sink
-    that keeps it. *)
-
-val lines : t -> string list
-(** Lines retained by a {!memory} sink, oldest first; [[]] for other
-    sinks. A test seam: the [experiments] "robustness determinism" test
-    compares two runs' traces through it, and the [telemetry] "sinks"
-    test reads it. *)
+val spans : t -> Span.t list
+(** Spans kept by a {!memory} sink, oldest first; [[]] for other sinks.
+    A test seam: the tests named at {!memory} read it. *)
 
 val close : t -> unit
 (** Flushes and closes a file sink; idempotent, no-op for others. *)

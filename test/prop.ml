@@ -1356,6 +1356,7 @@ let prop_create_sorts_clockwise () =
 
 module Trace = Canon_telemetry.Trace
 module Span = Canon_telemetry.Span
+module Sink = Canon_telemetry.Sink
 
 (* How a walk ended: a route, a stranded path (the avoiding engine's
    [None]), or the fields of the hop-budget exception. *)
@@ -1511,14 +1512,16 @@ let reference_skipnet_pointers pop sk =
   refine (Array.init n (Skipnet.node_of_rank sk)) 0;
   Array.map (fun l -> Array.of_list (List.rev l)) levels
 
-(* The historical loop of [Skipnet.route_by_name]. *)
-let reference_route_by_name sk ~pointers ~src ~dst =
+(* The historical loop of [Skipnet.route_by_name]; a stuck route is
+   labelled with [dst]'s identifier (the parent labelled it with [dst]'s
+   name rank). *)
+let reference_route_by_name sk ~ids ~pointers ~src ~dst =
   let rank = Skipnet.name_rank sk in
-  let target = rank dst in
+  let target = rank dst and key = ids.(dst) in
   let max_hops = Array.length pointers + 1 in
   let rec go u acc hops =
     if u = dst then Routed (path_of u acc)
-    else if hops >= max_hops then Stuck_at { at = u; key = target; hops; path = path_of u acc }
+    else if hops >= max_hops then Stuck_at { at = u; key; hops; path = path_of u acc }
     else begin
       let ru = rank u in
       let best = ref u and best_dist = ref (abs (target - ru)) in
@@ -1534,11 +1537,40 @@ let reference_route_by_name sk ~pointers ~src ~dst =
             best_dist := abs (target - rc)
           end)
         pointers.(u);
-      if !best = u then Stuck_at { at = u; key = target; hops; path = path_of u acc }
+      if !best = u then Stuck_at { at = u; key; hops; path = path_of u acc }
       else go !best (u :: acc) (hops + 1)
     end
   in
   go src [] 0
+
+(* The historical loop of [Skipnet.route_by_numeric], kept as the
+   reference: at [level] matched bits, walk right along the level ring
+   to a node matching one more bit, every step a hop; a walk of [n]
+   steps (or from a node alone on its ring) that finds none is dropped,
+   and the route ends where that walk began. *)
+let reference_route_by_numeric ~ids ~pointers ~src ~key =
+  let n = Array.length pointers in
+  let matches node bits = bits = 0 || Id.prefix ids.(node) bits = Id.prefix key bits in
+  let ring_step level v =
+    if Array.length pointers.(v) > level then Some (snd pointers.(v).(level)) else None
+  in
+  let rec climb u level path =
+    if level >= Id.bits then List.rev path
+    else begin
+      let rec walk v path steps =
+        if matches v (level + 1) then Some (v, path)
+        else if steps >= n then None
+        else
+          match ring_step level v with
+          | None -> None
+          | Some next -> walk next (next :: path) (steps + 1)
+      in
+      match walk u path 0 with
+      | Some (v, path') -> climb v (level + 1) path'
+      | None -> List.rev path
+    end
+  in
+  Routed (Array.of_list (climb src 0 [ src ]))
 
 (* An untraced engine run as a [walked]. *)
 let walked_of run =
@@ -1546,12 +1578,14 @@ let walked_of run =
   | route -> Routed route.Route.nodes
   | exception Router.Stuck { at; key; hops; path } -> Stuck_at { at; key; hops; path }
 
-(* An engine run under a fresh ambient trace: how it ended, checked
-   against the one span it must record — kind, outcome, path, and the
-   link level of every hop (the reference's depth of the endpoints' LCA
-   domain). A stranded walk's path is the span's. *)
+(* An engine run under a fresh ambient trace writing to a memory sink:
+   how it ended, checked against the one span it must record — kind,
+   outcome, path, and the link level of every hop (the reference's
+   depth of the endpoints' LCA domain). A stranded walk's path is the
+   span's. *)
 let traced_walked pop ~kind run =
-  let trace = Trace.create () in
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sink () in
   let ended =
     Trace.set_ambient (Some trace);
     Fun.protect
@@ -1562,7 +1596,7 @@ let traced_walked pop ~kind run =
         | None -> Stranded [||]
         | exception Router.Stuck { at; key; hops; path } -> Stuck_at { at; key; hops; path })
   in
-  match Trace.spans trace with
+  match Sink.spans sink with
   | [ span ] -> (
       let path = Span.path span in
       let level u v = Domain_tree.depth pop.Population.tree (Population.lca_of_nodes pop u v) in
@@ -1690,7 +1724,7 @@ let prop_driver_matches_reference_overlays sc =
 
 (* Chord-groups proximity routing (group sizes 1 to 16) and SkipNet
    name routing between random node pairs, on random and corner ids,
-   against their historical loops. *)
+   traced, against their historical loops. *)
 let prop_driver_matches_reference_groups sc =
   let rng = Rng.create (sc.case_seed + 71) in
   let pairs () = List.init 40 (fun _ -> (Rng.int_below rng sc.n, Rng.int_below rng sc.n)) in
@@ -1707,15 +1741,52 @@ let prop_driver_matches_reference_groups sc =
              (fun () ->
                same "Proximity.route"
                  ~expected:(reference_chord_groups (Proximity.overlay prox) ~t_bits ~src ~dst)
-                 (Ok (walked_of (fun () -> Proximity.route prox ~src ~dst))));
+                 (traced_walked pop ~kind:"proximity.chord_groups" (fun () ->
+                      Some (Proximity.route prox ~src ~dst))));
              (fun () ->
                same "Skipnet.route_by_name"
-                 ~expected:(reference_route_by_name sk ~pointers ~src ~dst)
-                 (Ok (walked_of (fun () -> Skipnet.route_by_name sk ~src ~dst))));
+                 ~expected:
+                   (reference_route_by_name sk ~ids:pop.Population.ids ~pointers ~src ~dst)
+                 (traced_walked pop ~kind:"skipnet.route_by_name" (fun () ->
+                      Some (Skipnet.route_by_name sk ~src ~dst))));
            ])
          (pairs ()))
   in
   first_error [ on_pop sc.pop; on_pop (corner_population rng sc.pop) ]
+
+(* The scenario's population (n <= 128) on distinct multiples of 2^25:
+   a 7-bit identifier space, where ids share long prefixes and numeric
+   routing climbs through small rings. *)
+let coarse_population rng pop =
+  let ids = Array.init 128 (fun i -> i lsl 25) in
+  Rng.shuffle_in_place rng ids;
+  { pop with Population.ids = Array.sub ids 0 (Population.size pop) }
+
+(* SkipNet numeric routing from random sources, on random ids and on
+   multiples of 2^25, toward random keys, node ids and their
+   neighbours, and multiples of 2^25; traced, against its historical
+   loop. *)
+let prop_numeric_matches_reference sc =
+  let rng = Rng.create (sc.case_seed + 73) in
+  let on_pop pop () =
+    let ids = pop.Population.ids in
+    let sk = Skipnet.build pop in
+    let pointers = reference_skipnet_pointers pop sk in
+    let keys =
+      List.init 10 (fun _ -> Rng.int_below rng 128 lsl 25)
+      @ List.concat (List.init 5 (fun _ -> step_keys rng ~id:(Array.get ids) ~n:sc.n))
+    in
+    first_error
+      (List.map
+         (fun key () ->
+           let src = Rng.int_below rng sc.n in
+           same "Skipnet.route_by_numeric"
+             ~expected:(reference_route_by_numeric ~ids ~pointers ~src ~key)
+             (traced_walked pop ~kind:"skipnet.route_by_numeric" (fun () ->
+                  Some (Skipnet.route_by_numeric sk ~src ~key))))
+         keys)
+  in
+  first_error [ on_pop sc.pop; on_pop (coarse_population rng sc.pop) ]
 
 (* --- the event queue and the frozen Net's timer skip ---------------- *)
 
@@ -3768,6 +3839,8 @@ let suites =
         Alcotest.test_case "one driver = historical group and name routing" `Quick
           (check ~count:30 ~seed:9979 ~min_n:1 ~max_n:160
              prop_driver_matches_reference_groups);
+        Alcotest.test_case "one driver = historical numeric routing" `Quick
+          (check ~count:30 ~seed:9983 ~min_n:1 ~max_n:128 prop_numeric_matches_reference);
       ] );
     ( "prop.sweep",
       [

@@ -857,7 +857,9 @@ let test_route_edges () =
    [Stuck] once forwarding passes the budget of n + 1 hops. *)
 let test_router_walk () =
   let steps table u = List.assoc u table in
-  let walk table = Router.walk ~n:3 ~src:0 ~key:77 (steps table) in
+  let walk table =
+    Router.walk ~kind:"table" ~level:(fun _ _ -> 0) ~n:3 ~src:0 ~key:77 (steps table)
+  in
   let path = function Ok r | Error r -> r.Route.nodes in
   let arrived =
     walk Router.[ (0, Forward 2); (2, Forward 1); (1, Arrived) ]

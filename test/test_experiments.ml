@@ -209,7 +209,7 @@ let test_robustness_deterministic () =
           Robustness_bench.run_with ~fail_fracs:[ 0.2 ] ~loss:0.05 ~n:128 ~probes:40
             ~scale:`Quick ~seed:7 ()
         in
-        (Table.rows t, Sink.lines sink))
+        (Table.rows t, List.map Canon_telemetry.Span.to_jsonl (Sink.spans sink)))
   in
   let rows1, lines1 = run () in
   let rows2, lines2 = run () in

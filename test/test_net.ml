@@ -423,7 +423,8 @@ let test_net_telemetry () =
   let _, rings, overlay = build_crescendo ~n:64 80 in
   let net = Net.create ~rings ~rng:(Rng.create 81) ~node_latency:oracle overlay in
   let lookups_before = Metrics.value (Metrics.counter "net.lookups") in
-  let trace = Trace.create () in
+  let sink = Canon_telemetry.Sink.memory () in
+  let trace = Trace.create ~sink () in
   Trace.set_ambient (Some trace);
   Fun.protect
     ~finally:(fun () -> Trace.set_ambient None)
@@ -431,7 +432,7 @@ let test_net_telemetry () =
       let r = Net.lookup net ~src:1 ~key:(Overlay.id overlay 40) in
       Alcotest.(check int) "one lookup counted" (lookups_before + 1)
         (Metrics.value (Metrics.counter "net.lookups"));
-      match Trace.spans trace with
+      match Canon_telemetry.Sink.spans sink with
       | [ span ] ->
           Alcotest.(check string) "span kind" "canon_net.lookup" span.Span.kind;
           Alcotest.(check (array int)) "span path is the realized path"

@@ -114,7 +114,8 @@ let test_span_invariants () =
   let _pop, overlay = crescendo_overlay ~levels:3 ~n:512 in
   (* A synthetic physical latency so cumulative latency is non-trivial. *)
   let latency u v = 1.0 +. Float.of_int ((u + v) mod 7) in
-  let trace = Trace.create ~sink:(Sink.memory ()) () in
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sink () in
   Trace.set_latency trace (Some latency);
   let rng = Rng.create 5 in
   for _ = 1 to 200 do
@@ -123,7 +124,7 @@ let test_span_invariants () =
       with_ambient trace (fun () ->
           Router.greedy_clockwise overlay ~src ~key:(Overlay.id overlay dst))
     in
-    let span = List.nth (Trace.spans trace) (Trace.emitted trace - 1) in
+    let span = List.nth (Sink.spans sink) (Trace.emitted trace - 1) in
     Alcotest.(check (array int)) "span path = route path" route.Route.nodes (Span.path span);
     Alcotest.(check int) "hops = events - 1" (Route.hops route)
       (Array.length span.Span.events - 1);
@@ -152,7 +153,8 @@ let test_span_levels_hierarchical () =
      deeper-than-root links (intra-domain locality is the paper's whole
      point). *)
   let _pop, overlay = crescendo_overlay ~levels:3 ~n:512 in
-  let trace = Trace.create () in
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sink () in
   let rng = Rng.create 6 in
   with_ambient trace (fun () ->
       for _ = 1 to 300 do
@@ -163,7 +165,7 @@ let test_span_levels_hierarchical () =
     List.exists
       (fun s ->
         Array.exists (fun e -> e.Span.level > 0) s.Span.events)
-      (Trace.spans trace)
+      (Sink.spans sink)
   in
   Alcotest.(check bool) "some hop uses a deeper-level link" true deep
 
@@ -172,7 +174,8 @@ let test_span_levels_hierarchical () =
 let test_jsonl_roundtrip () =
   let _pop, overlay = crescendo_overlay ~levels:2 ~n:256 in
   let latency u v = 0.5 +. Float.of_int ((3 * u + v) mod 11) in
-  let trace = Trace.create () in
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sink () in
   Trace.set_latency trace (Some latency);
   let rng = Rng.create 7 in
   with_ambient trace (fun () ->
@@ -216,7 +219,7 @@ let test_jsonl_roundtrip () =
               Alcotest.(check bool) "event level" true (ev "level" = Some (Json.Int e.Span.level));
               Alcotest.(check (float 0.0)) "event latency" e.Span.cum_latency (number (ev "lat")))
             span.Span.events)
-    (Trace.spans trace)
+    (Sink.spans sink)
 
 let test_jsonl_file_sink () =
   let file = Filename.temp_file "canon_trace" ".jsonl" in
@@ -274,44 +277,49 @@ let read_lines file =
   close_in ic;
   lines
 
-(* A closed sink drops further writes; closing twice is harmless; only
-   a memory sink retains lines; [keeps] is false exactly for the null
-   sink and closed sinks. *)
+(* The null sink drops every span; a memory sink keeps spans oldest
+   first and drops writes after close; a file sink writes one
+   [Span.to_jsonl] line per span and none after close, and keeps none in
+   memory. Closing twice is harmless. *)
 let test_sinks () =
-  Sink.write Sink.null "x";
-  Alcotest.(check (list string)) "null retains nothing" [] (Sink.lines Sink.null);
-  Alcotest.(check bool) "null keeps nothing" false (Sink.keeps Sink.null);
+  let span i =
+    Span.make ~id:i ~kind:"t" ~key:(100 + i) ~outcome:Span.Arrived ~nodes:[| i; i + 1 |]
+      ~level:(fun _ _ -> 0) ()
+  in
+  let keys sink = List.map (fun s -> s.Span.key) (Sink.spans sink) in
+  Sink.write Sink.null (span 0);
+  Alcotest.(check (list int)) "null keeps nothing" [] (keys Sink.null);
   let mem = Sink.memory () in
-  Sink.write mem "a";
-  Sink.write mem "b";
-  Alcotest.(check bool) "open memory sink keeps" true (Sink.keeps mem);
+  Sink.write mem (span 1);
+  Sink.write mem (span 2);
   Sink.close mem;
-  Alcotest.(check bool) "closed memory sink keeps nothing" false (Sink.keeps mem);
-  Sink.write mem "c";
-  Alcotest.(check (list string)) "memory: oldest first, closed drops" [ "a"; "b" ] (Sink.lines mem);
+  Sink.write mem (span 3);
+  Alcotest.(check (list int)) "memory: oldest first, closed drops" [ 101; 102 ] (keys mem);
   let file = Filename.temp_file "canon_sink" ".jsonl" in
   let sink = Sink.jsonl_file file in
-  Sink.write sink "{}";
-  Alcotest.(check bool) "open file sink keeps" true (Sink.keeps sink);
+  Sink.write sink (span 4);
+  Sink.write sink (span 5);
   Sink.close sink;
-  Alcotest.(check bool) "closed file sink keeps nothing" false (Sink.keeps sink);
   Sink.close sink;
-  Sink.write sink "[]";
-  Alcotest.(check (list string)) "file sink retains nothing in memory" [] (Sink.lines sink);
+  Sink.write sink (span 6);
+  Alcotest.(check (list int)) "file sink keeps nothing in memory" [] (keys sink);
   let lines = read_lines file in
   Sys.remove file;
-  Alcotest.(check (list string)) "file: one line a write, none after close" [ "{}" ] lines
+  Alcotest.(check (list string)) "file: one line a span, none after close"
+    [ Span.to_jsonl (span 4); Span.to_jsonl (span 5) ]
+    lines
 
 (* An oracle installed after creation prices the spans recorded after
    it, and clearing it returns to hop-only spans. *)
 let test_trace_set_latency_and_ambient () =
-  let trace = Trace.create () in
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sink () in
   let level _ _ = 0 in
   let record () =
     Trace.record trace ~kind:"demo" ~key:0 ~outcome:Span.Arrived ~nodes:[| 1; 2 |] ~level ()
   in
   let last_latency () =
-    let spans = Trace.spans trace in
+    let spans = Sink.spans sink in
     (List.nth spans (List.length spans - 1)).Span.events.(1).Span.cum_latency
   in
   record ();
@@ -329,10 +337,13 @@ let test_trace_set_latency_and_ambient () =
   Alcotest.(check bool) "ambient is the installed trace" true installed;
   Alcotest.(check bool) "ambient cleared" true (Option.is_none (Trace.ambient ()))
 
-(* --- sampling and retention --------------------------------------- *)
+(* --- sampling ----------------------------------------------------- *)
 
-let test_sampling_and_capacity () =
-  let trace = Trace.create ~capacity:5 ~sample_every:3 () in
+(* The trace counts every record and writes the 1st, (k+1)-th,
+   (2k+1)-th … to its sink, numbering the written spans from 0. *)
+let test_sampling () =
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sample_every:3 ~sink () in
   for i = 0 to 9 do
     Trace.record trace ~kind:"t" ~key:i ~outcome:Span.Arrived ~nodes:[| i |]
       ~level:(fun _ _ -> 0) ()
@@ -340,16 +351,11 @@ let test_sampling_and_capacity () =
   Alcotest.(check int) "seen all" 10 (Trace.seen trace);
   (* Records 1, 4, 7, 10 are kept (1st, then every 3rd). *)
   Alcotest.(check int) "sampled every 3rd" 4 (Trace.emitted trace);
-  let trace2 = Trace.create ~capacity:5 () in
-  for i = 0 to 19 do
-    Trace.record trace2 ~kind:"t" ~key:i ~outcome:Span.Arrived ~nodes:[| i |]
-      ~level:(fun _ _ -> 0) ()
-  done;
-  Alcotest.(check int) "emitted unbounded" 20 (Trace.emitted trace2);
-  let retained = Trace.spans trace2 in
-  Alcotest.(check int) "retention bounded" 5 (List.length retained);
-  Alcotest.(check int) "keeps most recent" 19
-    (List.nth retained 4).Span.key
+  Alcotest.(check (list (pair int int))) "sink gets the sampled spans, numbered"
+    [ (0, 0); (1, 3); (2, 6); (3, 9) ]
+    (List.map (fun s -> (s.Span.id, s.Span.key)) (Sink.spans sink));
+  Alcotest.check_raises "sample_every < 1" (Invalid_argument "Trace.create: sample_every < 1")
+    (fun () -> ignore (Trace.create ~sample_every:0 ()))
 
 (* --- Stuck carries the partial path ------------------------------- *)
 
@@ -358,7 +364,8 @@ let test_stuck_partial_path () =
      budget 1): routing 0 -> 1 -> 2 exceeds it at the second hop. *)
   let ids = [| 10; 20; 30 |] in
   let links = [| [| 1 |]; [| 2 |]; [||] |] in
-  let trace = Trace.create () in
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sink () in
   let attempt () =
     with_ambient trace (fun () ->
         ignore
@@ -374,7 +381,7 @@ let test_stuck_partial_path () =
      Alcotest.(check int) "stuck hops" 1 hops;
      Alcotest.(check (array int)) "partial path" [| 0; 1 |] path);
   (* The trace saw the stuck lookup as a span too. *)
-  match Trace.spans trace with
+  match Sink.spans sink with
   | [ span ] ->
       Alcotest.(check bool) "outcome stuck" true (span.Span.outcome = Span.Stuck);
       Alcotest.(check (array int)) "span partial path" [| 0; 1 |] (Span.path span)
@@ -383,12 +390,16 @@ let test_stuck_partial_path () =
 (* --- Engines trace through the ambient trace alone ---------------- *)
 
 (* A trace that is created but not installed sees no lookup; once it is
-   the ambient trace, each engine run, and a store lookup through its
-   clockwise route, offers it exactly one span of its kind. *)
+   the ambient trace, each engine run, a store lookup through its
+   clockwise route, and each Chord (Prox.) and SkipNet route offers it
+   exactly one span of its kind. *)
 let test_engines_read_ambient () =
   let pop, overlay = crescendo_overlay ~levels:3 ~n:256 in
   let store = Canon_storage.Store.create (Rings.build pop) in
   let key = Overlay.id overlay 200 in
+  let chord_prox =
+    Proximity.build_chord pop ~node_latency:(fun u v -> Float.of_int (abs (u - v)))
+  and skipnet = Skipnet.build pop in
   let runs =
     [
       ("greedy_clockwise", fun () -> ignore (Router.greedy_clockwise overlay ~src:3 ~key));
@@ -405,9 +416,14 @@ let test_engines_read_ambient () =
           ignore (Router.greedy_clockwise_avoiding overlay ~dead:(fun _ -> false) ~src:3 ~key) );
       ( "greedy_clockwise",
         fun () -> ignore (Canon_storage.Store.lookup store overlay ~querier:3 ~key) );
+      ("proximity.chord_groups", fun () -> ignore (Proximity.route chord_prox ~src:3 ~dst:200));
+      ("skipnet.route_by_name", fun () -> ignore (Skipnet.route_by_name skipnet ~src:3 ~dst:200));
+      ( "skipnet.route_by_numeric",
+        fun () -> ignore (Skipnet.route_by_numeric skipnet ~src:3 ~key) );
     ]
   in
-  let trace = Trace.create () in
+  let sink = Sink.memory () in
+  let trace = Trace.create ~sink () in
   Alcotest.(check bool) "no ambient trace" true (Option.is_none (Trace.ambient ()));
   List.iter (fun (_, run) -> run ()) runs;
   Alcotest.(check int) "nothing recorded while not installed" 0 (Trace.seen trace);
@@ -416,7 +432,7 @@ let test_engines_read_ambient () =
         (fun i (kind, run) ->
           run ();
           Alcotest.(check int) (kind ^ ": one span a run") (i + 1) (Trace.emitted trace);
-          Alcotest.(check string) "span kind" kind (List.nth (Trace.spans trace) i).Span.kind)
+          Alcotest.(check string) "span kind" kind (List.nth (Sink.spans sink) i).Span.kind)
         runs);
   Alcotest.(check bool) "ambient left unset" true (Option.is_none (Trace.ambient ()))
 
@@ -496,7 +512,7 @@ let suites =
         Alcotest.test_case "hierarchical link levels" `Quick test_span_levels_hierarchical;
         Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
         Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;
-        Alcotest.test_case "sampling and retention" `Quick test_sampling_and_capacity;
+        Alcotest.test_case "sampling and retention" `Quick test_sampling;
         Alcotest.test_case "stuck carries partial path" `Quick test_stuck_partial_path;
         Alcotest.test_case "engines read the ambient trace" `Quick test_engines_read_ambient;
         Alcotest.test_case "report rendering" `Quick test_report_renders;
