@@ -1,118 +1,96 @@
 module Rng = Canon_rng.Rng
 
-type trie =
-  | Leaf of int
-  | Branch of trie * trie
+(* Bisection numbers the leaves left to right, so padded to [depth]
+   bits node [v] owns the keys [starts.(v), starts.(v + 1)): a range of
+   a power-of-two width aligned to it, and [starts] ascends from 0 to
+   [2^depth]. *)
+type t = { depth : int; starts : int array }
 
-type t = {
-  trie : trie;
-  prefixes : (int * int) array; (* node -> (bits, length) *)
-  depth : int;
-  neighbors : int array array;
-}
-
-let size t = Array.length t.prefixes
+let size t = Array.length t.starts - 1
 
 let depth t = t.depth
 
-let prefix_of t node = t.prefixes.(node)
+let width t node = t.starts.(node + 1) - t.starts.(node)
 
-(* Walk the trie along the top bits of [key] ([depth] bits) until a
-   leaf. *)
+let prefix_of t node =
+  let rec log2 w = if w = 1 then 0 else 1 + log2 (w lsr 1) in
+  let pad = log2 (width t node) in
+  (t.starts.(node) lsr pad, t.depth - pad)
+
+(* The last node starting at or below [key]. *)
 let owner t key =
-  let rec go trie i =
-    match trie with
-    | Leaf node -> node
-    | Branch (zero, one) ->
-        let bit = (key lsr (t.depth - 1 - i)) land 1 in
-        go (if bit = 0 then zero else one) (i + 1)
-  in
-  go t.trie 0
-
-(* All leaves compatible with the [len]-bit prefix [q]: the unique leaf
-   above it, or every leaf below it. *)
-let compatible_leaves trie q len =
-  let rec collect trie acc =
-    match trie with
-    | Leaf node -> node :: acc
-    | Branch (zero, one) -> collect zero (collect one acc)
-  in
-  let rec go trie i =
-    if i = len then collect trie []
-    else
-      match trie with
-      | Leaf node -> [ node ]
-      | Branch (zero, one) ->
-          let bit = (q lsr (len - 1 - i)) land 1 in
-          go (if bit = 0 then zero else one) (i + 1)
-  in
-  go trie 0
+  let lo = ref 0 and hi = ref (size t) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.starts.(mid) <= key then lo := mid else hi := mid
+  done;
+  !lo
 
 let build rng ~n =
   if n < 1 then invalid_arg "Prefix_can.build: need at least one node";
   (* Balanced bisection: split the population in half (random side gets
-     the odd element) until singletons; the path is the identifier. *)
-  let prefixes = Array.make n (0, 0) in
-  let next = ref 0 in
-  let rec split count bits len =
+     the odd element) until singletons; the path is the identifier, and
+     the leaves come out left to right. *)
+  let lengths = Array.make n 0 and next = ref 0 in
+  let rec split count len =
     if count = 1 then begin
-      let node = !next in
-      incr next;
-      prefixes.(node) <- (bits, len);
-      Leaf node
+      lengths.(!next) <- len;
+      incr next
     end
     else begin
-      let half = count / 2 in
-      let left_count = if count mod 2 = 0 then half else if Rng.bool rng then half + 1 else half in
-      let zero = split left_count (bits lsl 1) (len + 1) in
-      let one = split (count - left_count) ((bits lsl 1) lor 1) (len + 1) in
-      Branch (zero, one)
+      let left = if count mod 2 = 1 && Rng.bool rng then (count / 2) + 1 else count / 2 in
+      split left (len + 1);
+      split (count - left) (len + 1)
     end
   in
-  let trie = split n 0 0 in
-  let depth = Array.fold_left (fun acc (_, len) -> max acc len) 0 prefixes in
-  let neighbors =
-    Array.init n (fun node ->
-        let bits, len = prefixes.(node) in
-        let acc = Hashtbl.create 16 in
-        for i = 0 to len - 1 do
-          let q = bits lxor (1 lsl (len - 1 - i)) in
-          List.iter
-            (fun v -> if v <> node then Hashtbl.replace acc v ())
-            (compatible_leaves trie q len)
-        done;
-        Hashtbl.fold (fun v () out -> v :: out) acc [] |> Array.of_list)
-  in
-  { trie; prefixes; depth; neighbors }
+  split n 0;
+  let depth = Array.fold_left max 0 lengths in
+  let starts = Array.make (n + 1) 0 in
+  Array.iteri (fun v len -> starts.(v + 1) <- starts.(v) + (1 lsl (depth - len))) lengths;
+  { depth; starts }
 
-let neighbors t node = t.neighbors.(node)
+(* For each bit of [node]'s prefix, the first and last owners of the
+   prefix with that bit flipped: the one node above it, or every node
+   below it. The ranges are disjoint and never hold [node]. *)
+let flipped_ranges t node =
+  let first = t.starts.(node) and w = width t node in
+  let rec go bit acc =
+    if bit >= 1 lsl t.depth then acc
+    else
+      let lo = first lxor bit in
+      go (bit lsl 1) ((owner t lo, owner t (lo + w - 1)) :: acc)
+  in
+  go w []
+
+let neighbors t node =
+  Array.concat
+    (List.map
+       (fun (first, last) -> Array.init (last - first + 1) (fun i -> first + i))
+       (flipped_ranges t node))
 
 let mean_degree t =
-  let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.neighbors in
-  Float.of_int total /. Float.of_int (max 1 (size t))
+  let total = ref 0 in
+  for node = 0 to size t - 1 do
+    List.iter (fun (first, last) -> total := !total + last - first + 1) (flipped_ranges t node)
+  done;
+  Float.of_int !total /. Float.of_int (size t)
 
 let route t ~src ~key =
-  if key < 0 || (t.depth < 62 && key >= 1 lsl t.depth) then
-    invalid_arg "Prefix_can.route: key out of range";
-  let rec go u acc guard =
-    if guard > t.depth + 1 then failwith "Prefix_can.route: did not converge"
+  if key < 0 || key >= t.starts.(size t) then invalid_arg "Prefix_can.route: key out of range";
+  let step u =
+    (* [u]'s virtual node nearest the key: its identifier padded with
+       the key's tail. Flipping the highest bit where they differ is a
+       hypercube edge by construction. *)
+    let w = width t u in
+    let diff = (t.starts.(u) lor (key land (w - 1))) lxor key in
+    if diff = 0 then Router.Arrived
     else begin
-      let bits, len = t.prefixes.(u) in
-      let key_prefix = if len = 0 then 0 else key lsr (t.depth - len) in
-      if key_prefix = bits then List.rev (u :: acc)
-      else begin
-        (* Highest differing bit within u's prefix. *)
-        let diff = key_prefix lxor bits in
-        let i =
-          let rec top j = if diff lsr j <> 0 then len - 1 - j else top (j - 1) in
-          top (len - 1)
-        in
-        (* Pad u's identifier with the key's tail, flip bit i, and hop
-           to the owner — a hypercube edge by construction. *)
-        let a = (bits lsl (t.depth - len)) lor (key land ((1 lsl (t.depth - len)) - 1)) in
-        let b = a lxor (1 lsl (t.depth - 1 - i)) in
-        go (owner t b) (u :: acc) (guard + 1)
-      end
+      let rec top bit = if diff lsr 1 >= bit then top (bit lsl 1) else bit in
+      Router.Forward (owner t (key lxor diff lxor top 1))
     end
   in
-  go src [] 0
+  Router.route ~kind:"prefix_can.route"
+    ~level:(fun _ _ -> 0)
+    ~n:(size t) ~src
+    ~key:(key lsl (Canon_idspace.Id.bits - t.depth))
+    step

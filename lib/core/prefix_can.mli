@@ -14,6 +14,11 @@
     logarithmic-degree network), so leaf depths differ by at most one
     and each real node stands for at most two virtual nodes.
 
+    No tree is kept: the leaves, numbered left to right, own ascending
+    ranges of [depth]-bit keys, so an owner is one binary search and a
+    node's neighbours across a prefix bit are the owners of the range
+    with that bit flipped.
+
     This module complements {!Can}/{!Can_can}, which realise the same
     network over the common 32-bit space via the XOR-closest bucket
     rule; the parity benchmark checks both give logarithmic degree and
@@ -22,8 +27,7 @@
 type t
 
 val build : Canon_rng.Rng.t -> n:int -> t
-(** Builds the prefix tree and the hypercube adjacency for [n >= 1]
-    nodes. *)
+(** Bisects [n >= 1] nodes into a prefix tree. *)
 
 val depth : t -> int
 (** Maximum identifier length [L]. *)
@@ -32,19 +36,26 @@ val prefix_of : t -> int -> int * int
 (** [prefix_of t node] is [(bits, length)]: the node's identifier as an
     integer of [length] bits (most significant bit first). A test seam:
     the [prefix-can] "structure", "owners partition space", "edges are
-    hypercube" and "degree" tests read it. *)
+    hypercube" and "degree" tests and [prop.sweep]'s "prefix CAN = trie
+    construction" read it. *)
 
 val owner : t -> int -> int
 (** [owner t key] for a key of [depth t] bits: the unique node whose
     identifier is a prefix of the key. A test seam: the [prefix-can]
-    "routing" test checks that every route ends at it. *)
+    "routing" test checks that every route ends at it, and
+    [prop.sweep]'s "prefix CAN = trie construction" reads it. *)
 
 val neighbors : t -> int -> int array
-(** Hypercube neighbours (deduplicated). A test seam: the [prefix-can]
-    "edges are hypercube" and "degree" tests read it. *)
+(** Hypercube neighbours, each once, never the node itself. A test
+    seam: the [prefix-can] "edges are hypercube" and "degree" tests
+    and [prop.sweep]'s "prefix CAN = trie construction" read it. *)
 
 val mean_degree : t -> float
 
-val route : t -> src:int -> key:int -> int list
+val route : t -> src:int -> key:int -> Canon_overlay.Route.t
 (** Bit-fixing route from [src] to the owner of [key] (a [depth t]-bit
-    value); the returned list starts at [src] and ends at the owner. *)
+    value); the path starts at [src] and ends at the owner. A step over
+    {!Router.route}: traced spans have kind ["prefix_can.route"], level
+    0 on every link, and the key left-aligned in the 32-bit identifier
+    space ([key lsl (32 - depth t)]). Raises [Invalid_argument] on a key
+    outside [[0, 2{^depth t})]. *)

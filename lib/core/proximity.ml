@@ -147,7 +147,7 @@ let route t ~src ~dst =
   match t.kind with
   | Crescendo_groups ->
       Router.greedy_clockwise t.overlay ~src ~key:(Overlay.id t.overlay dst)
-  | Chord_groups t_bits -> (
+  | Chord_groups t_bits ->
       let ov = t.overlay in
       let group node = Id.prefix (Overlay.id ov node) t_bits in
       let ngroups = 1 lsl t_bits in
@@ -174,13 +174,6 @@ let route t ~src ~dst =
           if !best < 0 then Router.Blocked else Router.Forward !best
         end
       in
-      let key = Overlay.id ov dst in
-      match
-        Router.walk ~kind:"proximity.chord_groups"
-          ~level:(Population.link_level (Overlay.population ov))
-          ~n:(Overlay.size ov) ~src ~key step
-      with
-      | Ok route -> route
-      | Error { Route.nodes } ->
-          let hops = Array.length nodes - 1 in
-          raise (Router.Stuck { at = nodes.(hops); key; hops; path = nodes }))
+      Router.route ~kind:"proximity.chord_groups"
+        ~level:(Population.link_level (Overlay.population ov))
+        ~n:(Overlay.size ov) ~src ~key:(Overlay.id ov dst) step

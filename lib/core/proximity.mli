@@ -57,5 +57,5 @@ val overlay : t -> Overlay.t
 val route : t -> src:int -> dst:int -> Route.t
 (** Route to a destination node (group-greedy + clique hop for Chord;
     plain greedy clockwise for Crescendo). A Chord (Prox.) route is a
-    step over {!Router.walk}: traced spans have kind
+    step over {!Router.route}: traced spans have kind
     ["proximity.chord_groups"] and [dst]'s identifier as their key. *)

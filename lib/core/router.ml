@@ -69,28 +69,32 @@ let walk ~kind ~level ~n ~src ~key step =
   in
   go src [] 0
 
-(* Engines whose step never blocks: the walk always arrives or raises. *)
-let route = function Ok route -> route | Error _ -> assert false
+(* A route that must arrive: a walk that ends [Blocked] raises [Stuck]
+   with its path, after its [Stranded] span. *)
+let route ~kind ~level ~n ~src ~key step =
+  match walk ~kind ~level ~n ~src ~key step with
+  | Ok route -> route
+  | Error { Route.nodes } ->
+      let hops = Array.length nodes - 1 in
+      raise (Stuck { at = nodes.(hops); key; hops; path = nodes })
 
 (* An engine over a frozen overlay: its size bounds the hop budget and
    its population gives traced spans their link levels. *)
-let on_overlay ~kind overlay ~src ~key step =
-  walk ~kind
+let on_overlay run ~kind overlay ~src ~key step =
+  run ~kind
     ~level:(Population.link_level (Overlay.population overlay))
     ~n:(Overlay.size overlay) ~src ~key step
 
 let never _ = false
 
 let greedy_clockwise_generic ~level ~n ~ids ~links ~src ~key =
-  route
-    (walk ~kind:"greedy_clockwise_generic" ~level ~n ~src ~key (fun u ->
-         (step_clockwise ~ids ~row:(links u) ~dead:never ~at:u ~key).outcome))
+  route ~kind:"greedy_clockwise_generic" ~level ~n ~src ~key (fun u ->
+      (step_clockwise ~ids ~row:(links u) ~dead:never ~at:u ~key).outcome)
 
 let greedy_clockwise overlay ~src ~key =
   let ids = (Overlay.population overlay).Population.ids in
-  route
-    (on_overlay ~kind:"greedy_clockwise" overlay ~src ~key (fun u ->
-         (step_clockwise ~ids ~row:(Overlay.links overlay u) ~dead:never ~at:u ~key).outcome))
+  on_overlay route ~kind:"greedy_clockwise" overlay ~src ~key (fun u ->
+      (step_clockwise ~ids ~row:(Overlay.links overlay u) ~dead:never ~at:u ~key).outcome)
 
 let greedy_clockwise_lookahead overlay ~src ~key =
   let step u =
@@ -127,7 +131,7 @@ let greedy_clockwise_lookahead overlay ~src ~key =
       if !best < 0 then Arrived else Forward !best
     end
   in
-  route (on_overlay ~kind:"greedy_clockwise_lookahead" overlay ~src ~key step)
+  on_overlay route ~kind:"greedy_clockwise_lookahead" overlay ~src ~key step
 
 let greedy_xor overlay ~src ~key =
   let step u =
@@ -146,7 +150,7 @@ let greedy_xor overlay ~src ~key =
       if !best < 0 then Arrived else Forward !best
     end
   in
-  route (on_overlay ~kind:"greedy_xor" overlay ~src ~key step)
+  on_overlay route ~kind:"greedy_xor" overlay ~src ~key step
 
 (* Unlike the infallible engines this one must distinguish "arrived at
    the key's live predecessor among reachable nodes" from "stranded":
@@ -155,7 +159,7 @@ let greedy_clockwise_avoiding overlay ~dead ~src ~key =
   if dead src then invalid_arg "Router.greedy_clockwise_avoiding: dead source";
   let ids = (Overlay.population overlay).Population.ids in
   match
-    on_overlay ~kind:"greedy_clockwise_avoiding" overlay ~src ~key
+    on_overlay walk ~kind:"greedy_clockwise_avoiding" overlay ~src ~key
       (fun u -> (step_clockwise ~ids ~row:(Overlay.links overlay u) ~dead ~at:u ~key).outcome)
   with
   | Ok route -> Some route

@@ -3,8 +3,8 @@
     All routing in the paper is greedy and memoryless: a node inspects
     only its own links (plus, with lookahead, its neighbours' links) and
     forwards. Every engine is one {e step} — what the node holding the
-    message does next — walked hop by hop by one driver, {!walk}. There
-    is one step per metric:
+    message does next — walked hop by hop by one driver, {!route}.
+    There is one step per metric:
 
     - clockwise ({!step_clockwise}, over any row sorted clockwise):
       Chord, Crescendo, Symphony, Cacophony, nondeterministic
@@ -29,15 +29,16 @@
     {2 Routing with a custom step}
 
     A system with its own forwarding rule ([Proximity]'s group routing,
-    [Skipnet]'s name and numeric routing) writes a function from the
-    current node to a {!step_outcome} — [Forward v], [Arrived] or
-    [Blocked] — and passes it to {!walk}, which owns the path, the hop
-    budget, the {!Stuck} exception and the span. Every engine here is
-    such a step over {!walk}: it is the only hop loop.
+    [Skipnet]'s name and numeric routing, [Prefix_can]'s bit fixing)
+    writes a function from the current node to a {!step_outcome} —
+    [Forward v], [Arrived] or [Blocked] — and passes it to {!route},
+    which owns the path, the hop budget, the {!Stuck} exception and the
+    span. Every engine here is such a step over the hop loop behind
+    {!route}: it is the only hop loop.
 
     {2 Tracing}
 
-    No engine takes a trace: each {!walk} reads the ambient trace
+    No engine takes a trace: each walk reads the ambient trace
     ({!Canon_telemetry.Trace.ambient}) once, before its first step.
     When none is installed — the default, and the benchmark
     configuration — the walk builds no span; when one is, one
@@ -47,10 +48,10 @@
     when the trace holds a latency oracle. The span is recorded in one
     place: [Arrived] for a finished route, [Stuck] with the partial path
     before the hop-budget exception propagates, and [Stranded] for a
-    walk that ends [Blocked]. Of the engines here only
-    {!greedy_clockwise_avoiding}'s step blocks; [Proximity]'s and
-    [Skipnet]'s block only on a malformed structure, and raise {!Stuck}
-    after the [Stranded] span. *)
+    walk that ends [Blocked]. Only {!greedy_clockwise_avoiding} turns a
+    blocked walk into a result ([None]); {!route} raises {!Stuck} after
+    the [Stranded] span, and of its callers only a malformed structure
+    blocks. *)
 
 open Canon_idspace
 open Canon_overlay
@@ -62,7 +63,8 @@ exception
     hops : int;
     path : int array;  (** nodes visited so far, source first, [at] last *)
   }
-(** Raised when a route exceeds the hop budget — always a construction
+(** Raised when a route exceeds the hop budget, or when a step of a
+    route that must arrive answers [Blocked] — always a construction
     bug, never expected on a well-formed overlay. The partial path
     makes the broken route dumpable (and traceable) instead of lost. *)
 
@@ -155,20 +157,20 @@ val step_clockwise :
     takes this step. On a row out of order the search may miss the
     best link. *)
 
-val walk :
+val route :
   kind:string ->
   level:(int -> int -> int) ->
   n:int ->
   src:int ->
   key:Id.t ->
   (int -> step_outcome) ->
-  (Route.t, Route.t) result
-(** [walk ~kind ~level ~n ~src ~key step] is the one hop loop every
-    route runs: starting at [src], ask [step] what the current node
-    does and follow each [Forward]. [Ok route] when a node answers
-    [Arrived], [Error path] — the nodes visited, ending at the blocked
-    node — when one answers [Blocked]. [n] bounds the hop budget (the
-    node count; the budget is [n + 1] hops): forwarding past it raises
+  Route.t
+(** [route ~kind ~level ~n ~src ~key step] runs the one hop loop:
+    starting at [src], ask [step] what the current node does and follow
+    each [Forward] until a node answers [Arrived]; the route starts at
+    [src] and ends there. A node that answers [Blocked] raises {!Stuck}
+    with the path ending at it. [n] bounds the hop budget (the node
+    count; the budget is [n + 1] hops): forwarding past it raises
     {!Stuck} with the partial path. With an ambient trace installed,
     the walk offers it one span labelled [kind] and [key] (an
     identifier), with [level u v] the level of each link used. *)

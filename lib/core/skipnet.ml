@@ -73,12 +73,8 @@ let mean_degree t =
 
 (* A SkipNet route as a step over the one hop loop; its steps block
    only on a malformed pointer structure. *)
-let walk t ~kind ~src ~key step =
-  match Router.walk ~kind ~level:(Population.link_level t.pop) ~n:(size t) ~src ~key step with
-  | Ok route -> route
-  | Error { Route.nodes } ->
-      let hops = Array.length nodes - 1 in
-      raise (Router.Stuck { at = nodes.(hops); key; hops; path = nodes })
+let route t ~kind ~src ~key step =
+  Router.route ~kind ~level:(Population.link_level t.pop) ~n:(size t) ~src ~key step
 
 let route_by_name t ~src ~dst =
   let target = t.rank_of_node.(dst) in
@@ -104,7 +100,7 @@ let route_by_name t ~src ~dst =
       if !best = u then Router.Blocked else Router.Forward !best
     end
   in
-  walk t ~kind:"skipnet.route_by_name" ~src ~key:t.pop.Population.ids.(dst) step
+  route t ~kind:"skipnet.route_by_name" ~src ~key:t.pop.Population.ids.(dst) step
 
 let route_by_numeric t ~src ~key =
   let ids = t.pop.Population.ids in
@@ -123,4 +119,4 @@ let route_by_numeric t ~src ~key =
       else Router.Forward (snd t.pointers.(u).(l))
     end
   in
-  walk t ~kind:"skipnet.route_by_numeric" ~src ~key step
+  route t ~kind:"skipnet.route_by_numeric" ~src ~key step

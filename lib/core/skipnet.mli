@@ -41,7 +41,7 @@ val mean_degree : t -> float
 
 val route_by_name : t -> src:int -> dst:int -> Route.t
 (** Monotone name-order routing; always reaches [dst]. A step over
-    {!Router.walk}: traced spans have kind ["skipnet.route_by_name"]
+    {!Router.route}: traced spans have kind ["skipnet.route_by_name"]
     and [dst]'s identifier as their key. *)
 
 val route_by_numeric : t -> src:int -> key:Canon_idspace.Id.t -> Route.t
@@ -49,5 +49,5 @@ val route_by_numeric : t -> src:int -> key:Canon_idspace.Id.t -> Route.t
     (longest common prefix): a node matching [l] bits walks right along
     its level-[l] ring to the first node matching more, every ring step
     a hop, and the route ends at a node matching as many bits as any
-    node does. A step over {!Router.walk}: traced spans have kind
+    node does. A step over {!Router.route}: traced spans have kind
     ["skipnet.route_by_numeric"]. *)

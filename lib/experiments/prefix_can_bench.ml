@@ -23,19 +23,11 @@ let run ~scale ~seed =
         for _ = 1 to samples do
           let src = Rng.int_below rng n in
           let key = if Prefix_can.depth pc = 0 then 0 else Rng.int_below rng (1 lsl Prefix_can.depth pc) in
-          total := !total + (List.length (Prefix_can.route pc ~src ~key) - 1)
+          total := !total + Route.hops (Prefix_can.route pc ~src ~key)
         done;
         Float.of_int !total /. Float.of_int samples
       in
-      let xor_hops =
-        let total = ref 0 in
-        for _ = 1 to samples do
-          let src = Rng.int_below rng n and dst = Rng.int_below rng n in
-          total :=
-            !total + Route.hops (Router.greedy_xor xor_can ~src ~key:(Overlay.id xor_can dst))
-        done;
-        Float.of_int !total /. Float.of_int samples
-      in
+      let xor_hops = Common.mean_hops_with Router.greedy_xor rng xor_can ~samples in
       Table.add_float_row table (string_of_int n)
         [ Prefix_can.mean_degree pc; Overlay.mean_degree xor_can; pc_hops; xor_hops ])
     sizes;

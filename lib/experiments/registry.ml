@@ -50,4 +50,9 @@ let all =
 
 let run t ~scale ~seed =
   Canon_telemetry.Metrics.reset ();
+  (* An oracle an earlier experiment installed prices another
+     population's nodes. *)
+  Option.iter
+    (fun tr -> Canon_telemetry.Trace.set_latency tr None)
+    (Canon_telemetry.Trace.ambient ());
   t.run ~scale ~seed

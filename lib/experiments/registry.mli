@@ -19,4 +19,6 @@ val all : t list
 val run : t -> scale:Common.scale -> seed:int -> Canon_stats.Table.t
 (** [t.run] after zeroing the process-wide {!Canon_telemetry.Metrics},
     so the registry holds this experiment's metrics alone when it
-    returns. *)
+    returns, and after clearing the ambient trace's latency oracle
+    ({!Canon_telemetry.Trace.set_latency}), so no span is priced by an
+    oracle an earlier experiment installed for its own population. *)

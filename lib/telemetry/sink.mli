@@ -13,8 +13,9 @@ val null : t
 
 val memory : unit -> t
 (** Keeps every span in memory, unbounded; read back with {!spans}. A
-    test seam: the [telemetry] span tests, the [net] "telemetry" test,
-    the [experiments] "robustness determinism" test and [prop.router]'s
+    test seam: the [telemetry] span tests, the [route] "walk" test, the
+    [net] "telemetry" test, the [experiments] "robustness determinism"
+    and "registry clears the trace's oracle" tests and [prop.router]'s
     "one driver" properties write to it. *)
 
 val jsonl_file : string -> t

@@ -32,7 +32,9 @@ type t = {
   id : int;  (** sequence number within the emitting {!Trace} *)
   kind : string;  (** engine or operation label, e.g. ["greedy_clockwise"] *)
   src : int;
-  key : int;  (** the 32-bit target identifier *)
+  key : int;
+      (** the 32-bit target identifier; for a prefix CAN route, the CAN
+          key left-aligned in the 32-bit space *)
   outcome : outcome;
   events : event array;
 }

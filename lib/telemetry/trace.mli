@@ -9,7 +9,7 @@
 
     The {e ambient} trace is an optional process-wide current trace,
     installed by the CLI ([--trace FILE]). The hop loop
-    ([Canon_core.Router.walk]) and [Canon_net.Net] read it themselves,
+    ([Canon_core.Router.route]) and [Canon_net.Net] read it themselves,
     once per lookup, so no caller passes a trace down; when unset — the
     default, and the benchmark configuration — they take their untraced
     branch and build no span. *)
@@ -41,7 +41,8 @@ val set_latency : t -> (int -> int -> float) option -> unit
     prices spans recorded without an explicit one. Experiments build
     their latency model long after the CLI created the trace, and use
     this to upgrade subsequent spans from hop-only to physical-latency
-    records. *)
+    records; [Canon_experiments.Registry.run] clears it before each
+    experiment. *)
 
 val seen : t -> int
 (** Total lookups offered via {!record}. *)

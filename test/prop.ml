@@ -1788,6 +1788,165 @@ let prop_numeric_matches_reference sc =
   in
   first_error [ on_pop sc.pop; on_pop (coarse_population rng sc.pop) ]
 
+(* --- prefix CAN against its trie construction ------------------------ *)
+
+(* The pointer-trie prefix CAN that the sorted range array replaced:
+   bisection builds the trie, the owner walks it, and the neighbours
+   across each prefix bit are collected from it and deduplicated. *)
+module Trie_prefix_can = struct
+  type trie = Leaf of int | Branch of trie * trie
+
+  type t = {
+    trie : trie;
+    prefixes : (int * int) array;
+    depth : int;
+    neighbors : int array array;
+  }
+
+  let owner t key =
+    let rec go trie i =
+      match trie with
+      | Leaf node -> node
+      | Branch (zero, one) ->
+          let bit = (key lsr (t.depth - 1 - i)) land 1 in
+          go (if bit = 0 then zero else one) (i + 1)
+    in
+    go t.trie 0
+
+  let compatible_leaves trie q len =
+    let rec collect trie acc =
+      match trie with Leaf node -> node :: acc | Branch (zero, one) -> collect zero (collect one acc)
+    in
+    let rec go trie i =
+      if i = len then collect trie []
+      else
+        match trie with
+        | Leaf node -> [ node ]
+        | Branch (zero, one) ->
+            let bit = (q lsr (len - 1 - i)) land 1 in
+            go (if bit = 0 then zero else one) (i + 1)
+    in
+    go trie 0
+
+  let build rng ~n =
+    let prefixes = Array.make n (0, 0) in
+    let next = ref 0 in
+    let rec split count bits len =
+      if count = 1 then begin
+        let node = !next in
+        incr next;
+        prefixes.(node) <- (bits, len);
+        Leaf node
+      end
+      else begin
+        let half = count / 2 in
+        let left_count = if count mod 2 = 0 then half else if Rng.bool rng then half + 1 else half in
+        let zero = split left_count (bits lsl 1) (len + 1) in
+        let one = split (count - left_count) ((bits lsl 1) lor 1) (len + 1) in
+        Branch (zero, one)
+      end
+    in
+    let trie = split n 0 0 in
+    let depth = Array.fold_left (fun acc (_, len) -> max acc len) 0 prefixes in
+    let neighbors =
+      Array.init n (fun node ->
+          let bits, len = prefixes.(node) in
+          let acc = Hashtbl.create 16 in
+          for i = 0 to len - 1 do
+            let q = bits lxor (1 lsl (len - 1 - i)) in
+            List.iter
+              (fun v -> if v <> node then Hashtbl.replace acc v ())
+              (compatible_leaves trie q len)
+          done;
+          Hashtbl.fold (fun v () out -> v :: out) acc [] |> Array.of_list)
+    in
+    { trie; prefixes; depth; neighbors }
+
+  let mean_degree t =
+    let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.neighbors in
+    Float.of_int total /. Float.of_int (max 1 (Array.length t.prefixes))
+
+  let route t ~src ~key =
+    let rec go u acc guard =
+      if guard > t.depth + 1 then failwith "Trie_prefix_can.route: did not converge"
+      else begin
+        let bits, len = t.prefixes.(u) in
+        let key_prefix = if len = 0 then 0 else key lsr (t.depth - len) in
+        if key_prefix = bits then List.rev (u :: acc)
+        else begin
+          let diff = key_prefix lxor bits in
+          let i =
+            let rec top j = if diff lsr j <> 0 then len - 1 - j else top (j - 1) in
+            top (len - 1)
+          in
+          let a = (bits lsl (t.depth - len)) lor (key land ((1 lsl (t.depth - len)) - 1)) in
+          let b = a lxor (1 lsl (t.depth - 1 - i)) in
+          go (owner t b) (u :: acc) (guard + 1)
+        end
+      end
+    in
+    go src [] 0
+end
+
+(* Both built from one seed: equal depth, prefixes, owners (of every
+   key, or of 2000 random keys once the depth passes 12), neighbour
+   sets and mean degree, and equal paths on 200 random routes. *)
+let prefix_can_matches_trie ~seed ~n =
+  let pc = Prefix_can.build (Rng.create seed) ~n
+  and trie = Trie_prefix_can.build (Rng.create seed) ~n in
+  let depth = trie.Trie_prefix_can.depth in
+  let rng = Rng.create (seed + 1) in
+  let keys =
+    if depth > 12 then List.init 2000 (fun _ -> Rng.int_below rng (1 lsl depth))
+    else List.init (1 lsl depth) Fun.id
+  in
+  let sorted a = List.sort compare (Array.to_list a) in
+  let show l = String.concat "," (List.map string_of_int l) in
+  first_error
+    ([
+       (fun () ->
+         if Prefix_can.depth pc = depth then Ok ()
+         else err "depth %d, trie %d" (Prefix_can.depth pc) depth);
+       (fun () ->
+         let a = Prefix_can.mean_degree pc and b = Trie_prefix_can.mean_degree trie in
+         if a = b then Ok () else err "mean degree %.17g, trie %.17g" a b);
+     ]
+    @ List.init n (fun v () ->
+          let got = Prefix_can.prefix_of pc v and expected = trie.Trie_prefix_can.prefixes.(v) in
+          if got = expected then Ok ()
+          else err "node %d: prefix (%d, %d), trie (%d, %d)" v (fst got) (snd got) (fst expected)
+              (snd expected))
+    @ List.init n (fun v () ->
+          let got = sorted (Prefix_can.neighbors pc v)
+          and expected = sorted trie.Trie_prefix_can.neighbors.(v) in
+          if got = expected then Ok ()
+          else err "node %d: neighbours [%s], trie [%s]" v (show got) (show expected))
+    @ List.map
+        (fun key () ->
+          let got = Prefix_can.owner pc key and expected = Trie_prefix_can.owner trie key in
+          if got = expected then Ok () else err "key %d: owner %d, trie %d" key got expected)
+        keys
+    @ List.init 200 (fun _ ->
+          let src = Rng.int_below rng n and key = Rng.int_below rng (1 lsl depth) in
+          fun () ->
+            let got = Array.to_list (Prefix_can.route pc ~src ~key).Route.nodes
+            and expected = Trie_prefix_can.route trie ~src ~key in
+            if got = expected then Ok ()
+            else err "route %d -> key %d: [%s], trie [%s]" src key (show got) (show expected)))
+
+(* n drawn from 1..600, plus every power of two up to 2^13 (complete
+   trees, and depth 13 for the sampled owners). *)
+let prop_prefix_can_matches_trie () =
+  let drawn = List.init 30 (fun case -> 1 + Rng.int_below (Rng.create (10169 + case)) 600) in
+  List.iteri
+    (fun case n ->
+      let seed = 10171 + (1000 * case) in
+      match prefix_can_matches_trie ~seed ~n with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "seed %d, n = %d: %s" seed n msg
+      | exception e -> Alcotest.failf "seed %d, n = %d: %s" seed n (Printexc.to_string e))
+    (drawn @ List.init 14 (fun k -> 1 lsl k))
+
 (* --- the event queue and the frozen Net's timer skip ---------------- *)
 
 module Leaf_sets = Canon_sim.Leaf_sets
@@ -3857,6 +4016,7 @@ let suites =
         Alcotest.test_case "Canon merge = parent construction" `Quick (fun () ->
             check ~count:20 ~seed:10149 ~min_n:1 ~max_n:2 prop_canon_merge_matches_parent ();
             check ~count:25 ~seed:10159 ~min_n:1 ~max_n:120 prop_canon_merge_matches_parent ());
+        Alcotest.test_case "prefix CAN = trie construction" `Quick prop_prefix_can_matches_trie;
       ] );
     ( "prop.event-loop",
       [

@@ -404,8 +404,8 @@ let test_builders_zero_and_one_node () =
   Alcotest.check_raises "prefix CAN: 0 nodes"
     (Invalid_argument "Prefix_can.build: need at least one node") (fun () ->
       ignore (Prefix_can.build (rng ()) ~n:0));
-  Alcotest.(check (list int)) "prefix CAN: 1 node" [ 0 ]
-    (Prefix_can.route (Prefix_can.build (rng ()) ~n:1) ~src:0 ~key:0)
+  Alcotest.(check (array int)) "prefix CAN: 1 node" [| 0 |]
+    (Prefix_can.route (Prefix_can.build (rng ()) ~n:1) ~src:0 ~key:0).Route.nodes
 
 (* --- Symphony / Cacophony ---------------------------------------- *)
 
@@ -852,33 +852,55 @@ let test_route_edges () =
   Alcotest.(check (array (pair int int))) "zero-hop path" [||]
     (Route.edges Route.{ nodes = [| 7 |] })
 
-(* The one hop loop, driven by a table of steps: it follows each
-   [Forward], returns the path on [Arrived] and [Blocked], and raises
-   [Stuck] once forwarding passes the budget of n + 1 hops. *)
-let test_router_walk () =
+(* The one hop loop, driven by a table of steps: [Router.route]
+   follows each [Forward] and returns the path on [Arrived]; a
+   [Blocked] step raises [Stuck] after its [Stranded] span, and so does
+   forwarding past the budget of n + 1 hops, after a [Stuck] span. *)
+let test_router_route () =
+  let module Span = Canon_telemetry.Span in
+  let module Sink = Canon_telemetry.Sink in
+  let module Trace = Canon_telemetry.Trace in
   let steps table u = List.assoc u table in
-  let walk table =
-    Router.walk ~kind:"table" ~level:(fun _ _ -> 0) ~n:3 ~src:0 ~key:77 (steps table)
+  let route table =
+    Router.route ~kind:"table" ~level:(fun _ _ -> 0) ~n:3 ~src:0 ~key:77 (steps table)
   in
-  let path = function Ok r | Error r -> r.Route.nodes in
-  let arrived =
-    walk Router.[ (0, Forward 2); (2, Forward 1); (1, Arrived) ]
+  (* The exception [table] raises and the outcome of the one span it
+     offers the ambient trace. *)
+  let stuck table =
+    let sink = Sink.memory () in
+    Trace.set_ambient (Some (Trace.create ~sink ()));
+    let raised =
+      Fun.protect
+        ~finally:(fun () -> Trace.set_ambient None)
+        (fun () ->
+          match route table with
+          | _ -> Alcotest.fail "expected Router.Stuck"
+          | exception Router.Stuck { at; key; hops; path } -> (at, key, hops, path))
+    in
+    match Sink.spans sink with
+    | [ span ] -> (raised, span.Span.outcome, Span.path span)
+    | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
   in
-  Alcotest.(check bool) "arrived is Ok" true (Result.is_ok arrived);
-  Alcotest.(check (array int)) "arrived path" [| 0; 2; 1 |] (path arrived);
-  let blocked = walk Router.[ (0, Forward 1); (1, Blocked) ] in
-  Alcotest.(check bool) "blocked is Error" true (Result.is_error blocked);
-  Alcotest.(check (array int)) "blocked path ends at the blocked node" [| 0; 1 |]
-    (path blocked);
+  Alcotest.(check (array int)) "arrived path" [| 0; 2; 1 |]
+    (route Router.[ (0, Forward 2); (2, Forward 1); (1, Arrived) ]).Route.nodes;
   Alcotest.(check (array int)) "source that arrives at once" [| 0 |]
-    (path (walk Router.[ (0, Arrived) ]));
-  match walk Router.[ (0, Forward 1); (1, Forward 0) ] with
-  | _ -> Alcotest.fail "expected Router.Stuck"
-  | exception Router.Stuck { at; key; hops; path } ->
-      Alcotest.(check int) "stuck key" 77 key;
-      Alcotest.(check int) "stuck hops = budget" 4 hops;
-      Alcotest.(check int) "stuck at" 0 at;
-      Alcotest.(check (array int)) "partial path" [| 0; 1; 0; 1; 0 |] path
+    (route Router.[ (0, Arrived) ]).Route.nodes;
+  let (at, key, hops, path), outcome, span_path =
+    stuck Router.[ (0, Forward 1); (1, Blocked) ]
+  in
+  Alcotest.(check (pair int int)) "blocked: stuck at, key" (1, 77) (at, key);
+  Alcotest.(check int) "blocked: hops" 1 hops;
+  Alcotest.(check (array int)) "blocked: path ends at the blocked node" [| 0; 1 |] path;
+  Alcotest.(check bool) "blocked: stranded span" true (outcome = Span.Stranded);
+  Alcotest.(check (array int)) "blocked: span path" [| 0; 1 |] span_path;
+  let (at, key, hops, path), outcome, span_path =
+    stuck Router.[ (0, Forward 1); (1, Forward 0) ]
+  in
+  Alcotest.(check (pair int int)) "loop: stuck at, key" (0, 77) (at, key);
+  Alcotest.(check int) "loop: hops = budget" 4 hops;
+  Alcotest.(check (array int)) "loop: partial path" [| 0; 1; 0; 1; 0 |] path;
+  Alcotest.(check bool) "loop: stuck span" true (outcome = Span.Stuck);
+  Alcotest.(check (array int)) "loop: span path" path span_path
 
 (* Edge cases the message-level simulator leans on: zero-hop paths and
    fully-disjoint paths must yield well-defined (zero) metrics, never
@@ -995,7 +1017,7 @@ let suites =
         Alcotest.test_case "overlap" `Quick test_route_overlap;
         Alcotest.test_case "domain crossings" `Quick test_route_domain_crossings;
         Alcotest.test_case "edges" `Quick test_route_edges;
-        Alcotest.test_case "walk" `Quick test_router_walk;
+        Alcotest.test_case "walk" `Quick test_router_route;
         Alcotest.test_case "zero-hop and disjoint edge cases" `Quick
           test_route_metric_edge_cases;
       ] );

@@ -364,6 +364,30 @@ let test_registry () =
   Alcotest.(check bool) "zeroed registry, scale and seed passed on" true
     (!seen = Some (0, `Quick, 7))
 
+(* fig6 installs its latency oracle on the ambient trace; the next
+   experiment [Registry.run] starts must not price its spans with it
+   (fig5's 4096-node populations would index past fig6's 64 nodes). *)
+let test_registry_clears_oracle () =
+  let find name = List.find (fun e -> e.Registry.name = name) Registry.all in
+  let sink = Sink.memory () in
+  Trace.set_ambient (Some (Trace.create ~sink ()));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_ambient None)
+    (fun () ->
+      ignore (Fig6.run_with ~sizes:[ 64 ] ~scale:`Quick ~seed ());
+      let priced = List.length (Sink.spans sink) in
+      ignore (Registry.run (find "fig5") ~scale:`Quick ~seed);
+      let spans = List.filteri (fun i _ -> i >= priced) (Sink.spans sink) in
+      Alcotest.(check bool) "fig5 traced" true (spans <> []);
+      List.iter
+        (fun span ->
+          Array.iter
+            (fun e ->
+              if e.Canon_telemetry.Span.cum_latency <> 0.0 then
+                Alcotest.fail "a fig5 span was priced by fig6's oracle")
+            span.Canon_telemetry.Span.events)
+        spans)
+
 let suites =
   [
     ( "experiments",
@@ -393,5 +417,7 @@ let suites =
         Alcotest.test_case "robustness validation" `Quick test_robustness_validates;
         Alcotest.test_case "robustness, every node crashed" `Quick test_robustness_all_crashed;
         Alcotest.test_case "registry" `Quick test_registry;
+        Alcotest.test_case "registry clears the trace's oracle" `Slow
+          test_registry_clears_oracle;
       ] );
   ]

@@ -150,10 +150,8 @@ let test_prefix_can_routing () =
   for _ = 1 to 500 do
     let src = Rng.int_below rng 500 in
     let key = Rng.int_below rng (1 lsl depth) in
-    match List.rev (Prefix_can.route pc ~src ~key) with
-    | [] -> Alcotest.fail "empty route"
-    | last :: _ ->
-        Alcotest.(check int) "ends at owner" (Prefix_can.owner pc key) last
+    Alcotest.(check int) "ends at owner" (Prefix_can.owner pc key)
+      (Route.destination (Prefix_can.route pc ~src ~key))
   done
 
 let test_prefix_can_route_hops_logarithmic () =
@@ -163,7 +161,7 @@ let test_prefix_can_route_hops_logarithmic () =
   for _ = 1 to 500 do
     let src = Rng.int_below rng 1024 in
     let key = Rng.int_below rng (1 lsl Prefix_can.depth pc) in
-    total := !total + (List.length (Prefix_can.route pc ~src ~key) - 1)
+    total := !total + Route.hops (Prefix_can.route pc ~src ~key)
   done;
   let mean = Float.of_int !total /. 500.0 in
   (* bit fixing over 10 prefix bits: ~5 expected *)
@@ -173,7 +171,7 @@ let test_prefix_can_single_node () =
   let pc = Prefix_can.build (Rng.create 60) ~n:1 in
   Alcotest.(check int) "depth 0" 0 (Prefix_can.depth pc);
   Alcotest.(check int) "owner" 0 (Prefix_can.owner pc 0);
-  Alcotest.(check (list int)) "self route" [ 0 ] (Prefix_can.route pc ~src:0 ~key:0)
+  Alcotest.(check (array int)) "self route" [| 0 |] (Prefix_can.route pc ~src:0 ~key:0).Route.nodes
 
 (* On a power-of-two population the prefix tree is complete, so the
    network is the plain hypercube: log2 n neighbours each. Otherwise a

@@ -387,19 +387,43 @@ let test_stuck_partial_path () =
       Alcotest.(check (array int)) "span partial path" [| 0; 1 |] (Span.path span)
   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
 
+(* --- Prefix CAN routes are traced like every route ------------------ *)
+
+(* A prefix CAN route is a step over the one hop loop: it offers one
+   span, whose key is the CAN key left-aligned in the 32-bit identifier
+   space and whose every link is at level 0. *)
+let test_prefix_can_span () =
+  let pc = Prefix_can.build (Rng.create 5) ~n:100 in
+  let depth = Prefix_can.depth pc in
+  let key = (1 lsl depth) - 3 in
+  let sink = Sink.memory () in
+  let route = with_ambient (Trace.create ~sink ()) (fun () -> Prefix_can.route pc ~src:0 ~key) in
+  let hops = Route.hops route in
+  Alcotest.(check bool) "the route hops" true (hops > 0);
+  match Sink.spans sink with
+  | [ span ] ->
+      Alcotest.(check string) "kind" "prefix_can.route" span.Span.kind;
+      Alcotest.(check (array int)) "path" route.Route.nodes (Span.path span);
+      Alcotest.(check int) "left-aligned key" (key lsl (32 - depth)) span.Span.key;
+      Alcotest.(check bool) "key below 2^32" true (span.Span.key < 1 lsl 32);
+      Alcotest.(check (array int)) "levels" (Array.init (hops + 1) (fun i -> if i = 0 then -1 else 0))
+        (Array.map (fun e -> e.Span.level) span.Span.events)
+  | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
+
 (* --- Engines trace through the ambient trace alone ---------------- *)
 
 (* A trace that is created but not installed sees no lookup; once it is
    the ambient trace, each engine run, a store lookup through its
-   clockwise route, and each Chord (Prox.) and SkipNet route offers it
-   exactly one span of its kind. *)
+   clockwise route, and each Chord (Prox.), SkipNet and prefix CAN route
+   offers it exactly one span of its kind. *)
 let test_engines_read_ambient () =
   let pop, overlay = crescendo_overlay ~levels:3 ~n:256 in
   let store = Canon_storage.Store.create (Rings.build pop) in
   let key = Overlay.id overlay 200 in
   let chord_prox =
     Proximity.build_chord pop ~node_latency:(fun u v -> Float.of_int (abs (u - v)))
-  and skipnet = Skipnet.build pop in
+  and skipnet = Skipnet.build pop
+  and prefix_can = Prefix_can.build (Rng.create 4) ~n:256 in
   let runs =
     [
       ("greedy_clockwise", fun () -> ignore (Router.greedy_clockwise overlay ~src:3 ~key));
@@ -420,6 +444,7 @@ let test_engines_read_ambient () =
       ("skipnet.route_by_name", fun () -> ignore (Skipnet.route_by_name skipnet ~src:3 ~dst:200));
       ( "skipnet.route_by_numeric",
         fun () -> ignore (Skipnet.route_by_numeric skipnet ~src:3 ~key) );
+      ("prefix_can.route", fun () -> ignore (Prefix_can.route prefix_can ~src:3 ~key:7));
     ]
   in
   let sink = Sink.memory () in
@@ -515,6 +540,7 @@ let suites =
         Alcotest.test_case "sampling and retention" `Quick test_sampling;
         Alcotest.test_case "stuck carries partial path" `Quick test_stuck_partial_path;
         Alcotest.test_case "engines read the ambient trace" `Quick test_engines_read_ambient;
+        Alcotest.test_case "prefix CAN span" `Quick test_prefix_can_span;
         Alcotest.test_case "report rendering" `Quick test_report_renders;
         Alcotest.test_case "span make" `Quick test_span_make;
         Alcotest.test_case "sinks" `Quick test_sinks;
